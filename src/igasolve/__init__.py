@@ -51,8 +51,7 @@ from .nonlinear import (
     BratuProblem,
     MongeAmpereProblem,
     OuterConfig,
-    bratu_picard_map,
-    monge_ampere_picard_map,
+    make_context,
     run_outer,
 )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import os
 import re
 import sys
 import time
@@ -43,7 +44,6 @@ class ExperimentConfig:
     inner_tol: float = 1e-2
     inner_tol_overrides: dict[tuple[int, int], float] = field(default_factory=dict)
     wave_number: int = 1
-    seed: int = 0  # reserved; the solvers are deterministic
 
     def cells(self):
         for lam in self.lambdas:
@@ -84,7 +84,10 @@ def parse_method(token: str) -> tuple[str, int]:
         raise ValueError(f"bad method {token!r}")
     if m.group(1):
         return m.group(1), 0
-    return m.group(2), int(m.group(3))
+    window = int(m.group(3))
+    if window < 1:
+        raise ValueError(f"bad method {token!r}: window must be at least 1")
+    return m.group(2), window
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -97,8 +100,13 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        kv[key.lower()] = val
+        key = key.lower()
+        if key in kv:
+            raise ValueError(f"duplicate config key {key!r}")
+        kv[key] = val
 
+    if "problem" not in kv:
+        raise ValueError("config has no problem key")
     problem = kv.pop("problem")
     if problem not in ("bratu1d", "bratu2d", "monge_ampere"):
         raise ValueError(f"unknown problem {problem!r}")
@@ -107,16 +115,19 @@ def parse_config(path) -> ExperimentConfig:
     def floats(s):
         return [float(x) for x in s.split(",") if x.strip()]
 
-    def ints(s):
-        return [int(x) for x in s.split(",") if x.strip()]
+    def positive_ints(key, s):
+        vals = [int(x) for x in s.split(",") if x.strip()]
+        if any(v < 1 for v in vals):
+            raise ValueError(f"{key} values must be at least 1")
+        return vals
 
     for key, val in kv.items():
         if key == "lambda":
             cfg.lambdas = floats(val)
         elif key == "p":
-            cfg.degrees = ints(val)
+            cfg.degrees = positive_ints(key, val)
         elif key == "grid":
-            cfg.grids = ints(val)
+            cfg.grids = positive_ints(key, val)
         elif key == "method":
             cfg.methods = [t.strip() for t in val.split(",") if t.strip()]
             for t in cfg.methods:
@@ -126,13 +137,13 @@ def parse_config(path) -> ExperimentConfig:
         elif key == "maxiter":
             cfg.maxiter = int(val)
         elif key == "inner":
+            if val not in ("one_vcycle", "vcycle_to_tol"):
+                raise ValueError(f"unknown inner solver {val!r}")
             cfg.inner = val
         elif key == "inner_tol":
             cfg.inner_tol = float(val)
         elif key == "k":
             cfg.wave_number = int(val)
-        elif key == "seed":
-            cfg.seed = int(val)
         else:
             m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
             if not m:
@@ -154,11 +165,7 @@ def _build_problem(cfg: ExperimentConfig, lam: float, p: int, n: int):
 def _outer_config(cfg: ExperimentConfig, lam: float, p: int, n: int, method: str) -> OuterConfig:
     kind, window = parse_method(method)
     acc = {"picard": "none", "picard_slu": "none", "aa": "anderson"}.get(kind, kind)
-    inner = cfg.inner
-    if cfg.problem == "monge_ampere":
-        inner = "vcycle_to_tol"
-    if kind == "picard_slu":
-        inner = "direct"
+    inner = "direct" if kind == "picard_slu" else cfg.inner
     return OuterConfig(accelerator=acc, window=window, tol=cfg.tol,
                        maxiter=cfg.maxiter, inner=inner,
                        linear_tol=cfg.linear_tol_for(p, n))
@@ -328,6 +335,14 @@ def _cmd_history(cfg_path: Path, selector: str, out_path: Path | None) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    cap = os.cpu_count() or 1
+    if not 1 <= n <= cap:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {cap}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench",
                                      description="Reproduce the solver benchmark tables")
@@ -336,12 +351,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a sweep from a config file")
     p_run.add_argument("--config", required=True, type=Path)
     p_run.add_argument("--out", type=Path, default=Path("."))
-    p_run.add_argument("--parallel", type=int, default=1)
+    p_run.add_argument("--parallel", type=_worker_count, default=1)
 
     p_table = sub.add_parser("table", help="run a checked-in table config")
     p_table.add_argument("number", type=int, choices=[1, 2, 3, 4, 5])
     p_table.add_argument("--out", type=Path, default=Path("."))
-    p_table.add_argument("--parallel", type=int, default=1)
+    p_table.add_argument("--parallel", type=_worker_count, default=1)
 
     p_hist = sub.add_parser("history", help="emit one cell's convergence history")
     p_hist.add_argument("--config", required=True, type=Path)

@@ -234,23 +234,27 @@ def _call_on_grid(func, space, tables):
     return np.broadcast_to(vals, _grid_shape(space, tables))
 
 
-def assemble_bratu_rhs(space: SplineSpace, lam: float, f, u_prev: SplineField | None) -> np.ndarray:
-    """Load vector F_i = int (f - lam * exp(u_prev)) B_i over all dof.
+def bratu_load(space: SplineSpace, f_vals, lam: float, coeffs: np.ndarray) -> np.ndarray:
+    """Load vector F_i = int (f - lam * exp(u)) B_i over all dof.
 
-    ``f`` may be a callable on quadrature coordinates or None for zero.
-    Raises :class:`ExpOverflow` when the lagged iterate exceeds 700 anywhere,
-    which signals a diverging outer iteration.
+    ``f_vals`` holds the source on the ``space.tables(0, 1)`` quadrature grid
+    (or a broadcastable scalar) and ``coeffs`` the full coefficients of the
+    lagged iterate u. Raises :class:`ExpOverflow` when u exceeds 700
+    anywhere, which signals a diverging outer iteration.
     """
     tables = space.tables(0, 1)
-    if u_prev is None:
-        u_vals = np.zeros(_grid_shape(space, tables))
-    else:
-        u_vals = _grid_values(space, u_prev.coefficients, tables, (0,) * space.dims)
-        if np.max(u_vals) > 700.0:
-            raise ExpOverflow("exp argument exceeds 700")
-    f_vals = _call_on_grid(f, space, tables) if f is not None else 0.0
-    integrand = np.broadcast_to(f_vals - lam * np.exp(u_vals), _grid_shape(space, tables))
-    return _scatter_load(space, tables, integrand)
+    u_vals = _grid_values(space, coeffs, tables, (0,) * space.dims)
+    if np.max(u_vals) > 700.0:
+        raise ExpOverflow("exp argument exceeds 700")
+    return _scatter_load(space, tables, f_vals - lam * np.exp(u_vals))
+
+
+def assemble_bratu_rhs(space: SplineSpace, lam: float, f, u_prev: SplineField | None) -> np.ndarray:
+    """:func:`bratu_load` for a source callable (None for zero) and a zero
+    default lagged iterate."""
+    f_vals = _call_on_grid(f, space, space.tables(0, 1)) if f is not None else 0.0
+    coeffs = u_prev.coefficients if u_prev is not None else np.zeros(space.n_dof)
+    return bratu_load(space, f_vals, lam, coeffs)
 
 
 def monge_ampere_operator(lap: np.ndarray, det_hess: np.ndarray, f_vals, d: int = 2):
@@ -265,22 +269,31 @@ def monge_ampere_operator(lap: np.ndarray, det_hess: np.ndarray, f_vals, d: int 
     return vals, frac
 
 
-def assemble_monge_ampere_rhs(space: SplineSpace, f, u_prev: SplineField, d: int = 2) -> np.ndarray:
-    """Load vector F_i = -int G(u_prev) B_i for the Laplacian fixed-point map."""
-    if min(space.degrees) < 2:
-        raise DegreeTooLow("Monge-Ampere assembly needs p >= 2")
-    if space.dims != 2 or d != 2:
-        raise ValueError("only the planar case d = 2 is implemented")
+def monge_ampere_load(space: SplineSpace, f_vals, coeffs: np.ndarray, d: int = 2) -> np.ndarray:
+    """Load vector F_i = -int G(u) B_i for the Laplacian fixed-point map.
+
+    ``f_vals`` holds the source on the ``space.tables(0, 2)`` quadrature grid
+    and ``coeffs`` the full coefficients of the lagged iterate u. Logs a
+    warning when the radicand is clamped on more than 1% of the points.
+    """
     tables = space.tables(0, 2)
-    c = u_prev.coefficients
-    u_xx = _grid_values(space, c, tables, (2, 0))
-    u_yy = _grid_values(space, c, tables, (0, 2))
-    u_xy = _grid_values(space, c, tables, (1, 1))
-    f_vals = _call_on_grid(f, space, tables)
+    u_xx = _grid_values(space, coeffs, tables, (2, 0))
+    u_yy = _grid_values(space, coeffs, tables, (0, 2))
+    u_xy = _grid_values(space, coeffs, tables, (1, 1))
     g_vals, frac = monge_ampere_operator(u_xx + u_yy, u_xx * u_yy - u_xy**2, f_vals, d)
     if frac > 0.01:
         log.warning("negative radicand clamped on %.1f%% of quadrature points", 100 * frac)
     return _scatter_load(space, tables, -g_vals)
+
+
+def assemble_monge_ampere_rhs(space: SplineSpace, f, u_prev: SplineField, d: int = 2) -> np.ndarray:
+    """:func:`monge_ampere_load` for a source callable."""
+    if min(space.degrees) < 2:
+        raise DegreeTooLow("Monge-Ampere assembly needs p >= 2")
+    if space.dims != 2 or d != 2:
+        raise ValueError("only the planar case d = 2 is implemented")
+    f_vals = _call_on_grid(f, space, space.tables(0, 2))
+    return monge_ampere_load(space, f_vals, u_prev.coefficients, d)
 
 
 def eval_field(field: SplineField, point):

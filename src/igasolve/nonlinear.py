@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -20,7 +20,7 @@ from . import extrapolation, iga
 from .extrapolation import Diverged
 from .history import IterationHistory, PhaseTimers
 from .iga import SplineField, SplineSpace, make_space
-from .multigrid import GridHierarchy, SmootherConfig, build_hierarchy, solve_to_tolerance, v_cycle
+from .multigrid import build_hierarchy, solve_to_tolerance, v_cycle
 
 
 @dataclass
@@ -89,6 +89,15 @@ class MongeAmpereProblem:
                                   space=make_space(p, n_elements, dims=2))
 
 
+# Coarsening stops at <= 36 interior dof per direction: grids up to N=32
+# solve their inner systems directly, which the iteration-count
+# reproduction bands require (weak Jacobi smoothing at p >= 5 makes deeper
+# hierarchies measurably slower than the tables).
+DIRECT_THRESHOLD = 36
+# Most V-cycles one inner solve to linear_tol may take.
+LINEAR_MAXITER = 200
+
+
 @dataclass
 class OuterConfig:
     """Outer-loop settings: accelerator, tolerances and the inner solver."""
@@ -99,16 +108,6 @@ class OuterConfig:
     maxiter: int = 1000
     inner: str = "one_vcycle"  # one_vcycle | vcycle_to_tol | direct
     linear_tol: float = 1e-2
-    linear_maxiter: int = 200
-    inner_start: str = "warm"  # warm | zero
-    residual_norm: str = "euclidean"  # euclidean | mass
-    coarsening: str = "galerkin"
-    # Coarsening stops at <= 36 interior dof per direction: grids up to
-    # N=32 solve their inner systems directly, which the iteration-count
-    # reproduction bands require (weak Jacobi smoothing at p >= 5 makes
-    # deeper hierarchies measurably slower than the tables).
-    direct_threshold: int = 36
-    smoother: SmootherConfig = field(default_factory=SmootherConfig)
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
@@ -117,7 +116,12 @@ class OuterConfig:
 
 
 class _PicardContext:
-    """Shared precomputation for one outer solve on full coefficient vectors."""
+    """Shared precomputation for one outer solve on full coefficient vectors.
+
+    :meth:`step` is the problem's Picard map: assemble the load from the
+    lagged iterate, lift the boundary data and run the inner solve warm
+    started at the lagged interior coefficients.
+    """
 
     def __init__(self, problem, cfg: OuterConfig):
         self.problem = problem
@@ -127,26 +131,13 @@ class _PicardContext:
         g = getattr(problem, "g", None)
         self.layout = iga.apply_dirichlet(self.space, g)
         full = iga.assemble_stiffness(self.space)
-        self.hier = build_hierarchy(self.space, coarsening=cfg.coarsening,
-                                    direct_threshold=cfg.direct_threshold,
+        self.hier = build_hierarchy(self.space, direct_threshold=DIRECT_THRESHOLD,
                                     fine_matrix=full)
         self.A = self.hier.fine.A
         self._lift_vec = self.layout.coupling(full) @ self.layout.boundary_values
         self._direct = None
         if cfg.inner == "direct":
             self._direct = spla.splu(self.A.tocsc())
-        if cfg.residual_norm == "mass":
-            self._mass_full = iga.assemble_mass(self.space).tocsr()
-
-    def norm(self):
-        if self.cfg.residual_norm == "euclidean":
-            return np.linalg.norm
-        M = self._mass_full
-
-        def mass_norm(v):
-            return float(np.sqrt(abs(v @ (M @ v))))
-
-        return mass_norm
 
     def initial_guess(self) -> np.ndarray:
         """Harmonic lift of the boundary data (zero for homogeneous problems).
@@ -174,49 +165,41 @@ class _PicardContext:
 
     def _solve(self, rhs_int: np.ndarray, x_int: np.ndarray) -> np.ndarray:
         cfg = self.cfg
-        t0 = time.perf_counter()
         if cfg.inner == "direct":
-            out = self._direct.solve(rhs_int)
-        elif cfg.inner == "one_vcycle":
-            out, _ = v_cycle(self.hier, rhs_int, x_int, cfg.smoother)
-        elif cfg.inner == "vcycle_to_tol":
-            x0 = x_int if cfg.inner_start == "warm" else np.zeros_like(x_int)
-            out, _ = solve_to_tolerance(self.hier, rhs_int, x0, cfg.smoother,
-                                        tol=cfg.linear_tol, maxiter=cfg.linear_maxiter)
-        else:
-            raise ValueError(f"unknown inner solver {cfg.inner!r}")
-        self.timers.mg_s += time.perf_counter() - t0
-        return out
+            return self._direct.solve(rhs_int)
+        if cfg.inner == "one_vcycle":
+            return v_cycle(self.hier, rhs_int, x_int)[0]
+        if cfg.inner == "vcycle_to_tol":
+            return solve_to_tolerance(self.hier, rhs_int, x_int, tol=cfg.linear_tol,
+                                      maxiter=LINEAR_MAXITER)[0]
+        raise ValueError(f"unknown inner solver {cfg.inner!r}")
 
     def step(self, x_full: np.ndarray) -> np.ndarray:
+        interior = self.layout.interior
+        x_int = x_full[interior]
         t0 = time.perf_counter()
-        rhs_int = self._rhs_interior(x_full)
-        self.timers.rhs_s += time.perf_counter() - t0
-        x_int = x_full[self.layout.interior]
+        rhs_int = self._load(x_full)[interior] - self._lift_vec
+        t1 = time.perf_counter()
         out_int = self._solve(rhs_int, x_int)
+        t2 = time.perf_counter()
+        self.timers.rhs_s += t1 - t0
+        self.timers.mg_s += t2 - t1
         out = x_full.copy()
-        out[self.layout.interior] = out_int
+        out[interior] = out_int
         return out
 
-    def _rhs_interior(self, x_full):
+    def _load(self, x_full: np.ndarray) -> np.ndarray:
+        """Full load vector for the lagged iterate."""
         raise NotImplementedError
 
 
 class BratuContext(_PicardContext):
     def __init__(self, problem: BratuProblem, cfg: OuterConfig):
         super().__init__(problem, cfg)
-        tables = self.space.tables(0, 1)
-        self._tables = tables
-        self._f_vals = iga._call_on_grid(problem.f, self.space, tables)
+        self._f_vals = iga._call_on_grid(problem.f, self.space, self.space.tables(0, 1))
 
-    def _rhs_interior(self, x_full):
-        space, tables = self.space, self._tables
-        u_vals = iga._grid_values(space, x_full, tables, (0,) * space.dims)
-        if np.max(u_vals) > 700.0:
-            raise iga.ExpOverflow("exp argument exceeds 700")
-        integrand = self._f_vals - self.problem.lam * np.exp(u_vals)
-        F = iga._scatter_load(space, tables, integrand)
-        return F[self.layout.interior]
+    def _load(self, x_full):
+        return iga.bratu_load(self.space, self._f_vals, self.problem.lam, x_full)
 
 
 class MongeAmpereContext(_PicardContext):
@@ -232,69 +215,24 @@ class MongeAmpereContext(_PicardContext):
         if cfg.inner == "one_vcycle":
             cfg = dataclasses.replace(cfg, inner="vcycle_to_tol")
         super().__init__(problem, cfg)
-        tables = self.space.tables(0, 2)
-        self._tables = tables
-        self._f_vals = iga._call_on_grid(problem.f, self.space, tables)
+        self._f_vals = iga._call_on_grid(problem.f, self.space, self.space.tables(0, 2))
         self._n_cycles: int | None = None
 
     def _solve(self, rhs_int, x_int):
-        cfg = self.cfg
-        if cfg.inner != "vcycle_to_tol":
+        if self.cfg.inner != "vcycle_to_tol":
             return super()._solve(rhs_int, x_int)
-        t0 = time.perf_counter()
-        x0 = np.zeros_like(x_int) if cfg.inner_start == "zero" else x_int
         if self._n_cycles is None:
-            out, rep = solve_to_tolerance(self.hier, rhs_int, x0, cfg.smoother,
-                                          tol=cfg.linear_tol, maxiter=cfg.linear_maxiter)
+            out, rep = solve_to_tolerance(self.hier, rhs_int, x_int, tol=self.cfg.linear_tol,
+                                          maxiter=LINEAR_MAXITER)
             self._n_cycles = max(rep.n_cycles, 1)
-        else:
-            out = x0
-            for _ in range(self._n_cycles):
-                out, _ = v_cycle(self.hier, rhs_int, out, cfg.smoother)
-        self.timers.mg_s += time.perf_counter() - t0
+            return out
+        out = x_int
+        for _ in range(self._n_cycles):
+            out, _ = v_cycle(self.hier, rhs_int, out)
         return out
 
-    def _rhs_interior(self, x_full):
-        space, tables = self.space, self._tables
-        u_xx = iga._grid_values(space, x_full, tables, (2, 0))
-        u_yy = iga._grid_values(space, x_full, tables, (0, 2))
-        u_xy = iga._grid_values(space, x_full, tables, (1, 1))
-        g_vals, _ = iga.monge_ampere_operator(
-            u_xx + u_yy, u_xx * u_yy - u_xy**2, self._f_vals, self.problem.d)
-        F = iga._scatter_load(space, tables, -g_vals)
-        return F[self.layout.interior] - self._lift_vec
-
-
-def bratu_picard_map(prob: BratuProblem, hier: GridHierarchy, u_n: SplineField,
-                     inner: str = "one_vcycle", smoother: SmootherConfig | None = None,
-                     linear_tol: float = 1e-12) -> SplineField:
-    """One Picard step u -> V-cycle(A, F[u], start=u) for the Bratu problem."""
-    layout = hier.fine.layout
-    F = iga.assemble_bratu_rhs(prob.space, prob.lam, prob.f, u_n)
-    rhs = F[layout.interior]
-    x_int = u_n.coefficients[layout.interior]
-    smoother = smoother or SmootherConfig()
-    if inner == "one_vcycle":
-        out, _ = v_cycle(hier, rhs, x_int, smoother)
-    else:
-        out, _ = solve_to_tolerance(hier, rhs, x_int, smoother, tol=linear_tol)
-    return SplineField(prob.space, layout.expand(out))
-
-
-def monge_ampere_picard_map(prob: MongeAmpereProblem, hier: GridHierarchy,
-                            u_n: SplineField, linear_tol: float,
-                            smoother: SmootherConfig | None = None,
-                            inner_start: str = "warm") -> SplineField:
-    """One Picard step of the Laplacian fixed-point operator for Monge-Ampere."""
-    layout = iga.apply_dirichlet(prob.space, prob.g)
-    F = iga.assemble_monge_ampere_rhs(prob.space, prob.f, u_n, prob.d)
-    rhs = layout.lift_vector(iga.assemble_stiffness(prob.space), F)
-    x_int = u_n.coefficients[layout.interior]
-    x0 = x_int if inner_start == "warm" else np.zeros_like(x_int)
-    smoother = smoother or SmootherConfig()
-    out, _ = solve_to_tolerance(hier, rhs, x0, smoother, tol=linear_tol)
-    full = layout.expand(out)
-    return SplineField(prob.space, full)
+    def _load(self, x_full):
+        return iga.monge_ampere_load(self.space, self._f_vals, x_full, self.problem.d)
 
 
 def make_context(problem, cfg: OuterConfig):
@@ -329,19 +267,18 @@ def run_outer(problem, cfg: OuterConfig) -> tuple[SplineField, IterationHistory]
             raise Diverged(str(exc)) from exc
 
     x0 = ctx.initial_guess()
-    norm = ctx.norm()
     acc = cfg.accelerator.lower()
     if acc in ("none", "picard"):
         x, hist = extrapolation.fixed_point_solve(G, x0, cfg.tol, cfg.maxiter,
-                                                  norm=norm, observer=observer)
+                                                  observer=observer)
     elif acc in ("mpe", "rre"):
         x, hist = extrapolation.restarted_solve(G, x0, acc, cfg.window, cfg.tol,
-                                                cfg.maxiter, norm=norm,
-                                                observer=observer, timers=ctx.timers)
+                                                cfg.maxiter, observer=observer,
+                                                timers=ctx.timers)
     elif acc in ("anderson", "aa"):
         x, hist = extrapolation.anderson_solve(G, x0, cfg.window, cfg.tol,
-                                               cfg.maxiter, norm=norm,
-                                               observer=observer, timers=ctx.timers)
+                                               cfg.maxiter, observer=observer,
+                                               timers=ctx.timers)
     else:
         raise ValueError(f"unknown accelerator {cfg.accelerator!r}")
     return SplineField(problem.space, x), hist

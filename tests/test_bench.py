@@ -1,4 +1,5 @@
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "p = 2\n",
+        "problem = bratu1d\ninner = vcycle\n",
+        "problem = bratu1d\nmethod = mpe(0)\n",
+        "problem = bratu1d\ngrid = 0\n",
+        "problem = bratu1d\np = 0\n",
+        "problem = bratu1d\ngrid = 8\ngrid = 16\n",
+        "problem = bratu1d\nseed = 0\n",
+    ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed"])
+    def test_bad_config_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            parse_config(path)
+
     def test_unknown_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("problem = burgers\n")
@@ -117,6 +133,17 @@ class TestRunExperiment:
         assert len(rows) == 2
         assert not rows[0].converged and rows[0].note.startswith("error")
         assert rows[1].converged
+
+    def test_monge_ampere_one_vcycle_runs_to_tolerance(self):
+        rows = {}
+        for inner in ("one_vcycle", "vcycle_to_tol"):
+            # at p=2, N=64 is the smallest grid whose hierarchy has more than one level
+            cfg = ExperimentConfig(problem="monge_ampere", degrees=[2], grids=[64],
+                                   methods=["rre(3)"], tol=1e-6, maxiter=50, inner=inner)
+            rows[inner], _ = run_cell(cfg, (0.0, 2, 64, "rre(3)"))
+        a, b = rows["one_vcycle"], rows["vcycle_to_tol"]
+        assert a.converged and not a.note
+        assert (a.iter, a.relative_residual, a.l2_err) == (b.iter, b.relative_residual, b.l2_err)
 
     def test_parallel_matches_sequential(self, tiny_cfg):
         seq = run_experiment(tiny_cfg, parallel=1)
@@ -264,6 +291,15 @@ class TestCli:
         lines = [l for l in out.splitlines() if " picard " in l or " rre(3) " in l]
         assert any("^a" in l and "picard" in l for l in lines)
         assert all("^a" not in l for l in lines if "rre(3)" in l)
+
+    @pytest.mark.parametrize("workers", [0, (os.cpu_count() or 1) + 1])
+    def test_parallel_out_of_range_rejected(self, tmp_path, workers):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                  "--parallel", str(workers)])
+        assert exc.value.code == 2
 
     def test_table_config_lookup(self):
         path = find_table_config(1)
