@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .bspline import MAX_GAUSS_POINTS
 from .extrapolation import Diverged
 from .history import IterationHistory
 from .nonlinear import BratuProblem, MongeAmpereProblem, OuterConfig, run_outer
@@ -29,6 +30,8 @@ CSV_HEADER = [
 ]
 
 _METHOD_RE = re.compile(r"^(picard|picard_slu)$|^(mpe|rre|aa)\((\d+)\)$")
+# The L2 error is integrated with p+2 Gauss points per span.
+MAX_DEGREE = MAX_GAUSS_POINTS - 2
 
 
 @dataclass
@@ -121,11 +124,19 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{key} values must be at least 1")
         return vals
 
+    def positive_float(key, s):
+        v = float(s)
+        if not v > 0.0:
+            raise ValueError(f"{key} must be positive")
+        return v
+
     for key, val in kv.items():
         if key == "lambda":
             cfg.lambdas = floats(val)
         elif key == "p":
             cfg.degrees = positive_ints(key, val)
+            if max(cfg.degrees, default=1) > MAX_DEGREE:
+                raise ValueError(f"p values must be at most {MAX_DEGREE}")
         elif key == "grid":
             cfg.grids = positive_ints(key, val)
         elif key == "method":
@@ -133,7 +144,7 @@ def parse_config(path) -> ExperimentConfig:
             for t in cfg.methods:
                 parse_method(t)
         elif key == "tol":
-            cfg.tol = float(val)
+            cfg.tol = positive_float(key, val)
         elif key == "maxiter":
             cfg.maxiter = int(val)
         elif key == "inner":
@@ -141,14 +152,14 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValueError(f"unknown inner solver {val!r}")
             cfg.inner = val
         elif key == "inner_tol":
-            cfg.inner_tol = float(val)
+            cfg.inner_tol = positive_float(key, val)
         elif key == "k":
             cfg.wave_number = int(val)
         else:
             m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
             if not m:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = float(val)
+            cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = positive_float(key, val)
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
     return cfg

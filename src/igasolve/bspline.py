@@ -8,7 +8,9 @@ for the recurrence
              + (t_{j+p+1} - t)/(t_{j+p+1} - t_{j+1}) N^{p-1}_{j+1}(t)
 
 with any 0/0 term taken as 0. Only the p+1 functions active on the span
-containing t are computed.
+containing t are computed. One kernel evaluates the table vectorised over
+points: ``tabulate`` passes every Gauss point of every element at once, and
+``eval_basis`` a single point.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ class OutOfDomain(Exception):
 
 
 class UnsupportedOrder(Exception):
-    """Gauss rule order outside the supported 1..16 range."""
+    """Gauss rule order outside the supported 1..MAX_GAUSS_POINTS range."""
+
+
+MAX_GAUSS_POINTS = 16
 
 
 class KnotVector:
@@ -162,54 +167,65 @@ def find_span(kv: KnotVector, t: float) -> int:
     return int(np.searchsorted(kv.knots, t, side="right") - 1)
 
 
-def eval_basis(kv: KnotVector, t: float, max_deriv: int = 0) -> BasisEvaluation:
-    """Values and derivatives of the p+1 basis functions active at t."""
+def _basis_derivs(kv: KnotVector, t, spans, max_deriv: int) -> np.ndarray:
+    """Active basis derivatives at many points, each with its span index.
+
+    ``out[r, j, m]`` is the r-th derivative of basis function
+    ``spans[m] - p + j`` at ``t[m]``. Every point goes through the same
+    scalar operations in the same order as the one-point recurrence, so the
+    values do not depend on how points are batched.
+    """
     p = kv.p
     if max_deriv < 0 or max_deriv > p:
         raise ValueError(f"max_deriv must be in [0, {p}]")
-    i = find_span(kv, t)
     U = kv.knots
     n = max_deriv
+    t = np.asarray(t, dtype=float)
+    spans = np.asarray(spans)
+    zero = np.zeros_like(t)
+    one = np.ones_like(t)
 
-    # Triangular table of lower-degree values and knot differences.
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu[0, 0] = 1.0
+    # Triangular table of lower-degree values and knot differences;
+    # ndu[a][b] is one array over the points.
+    ndu = [[None] * (p + 1) for _ in range(p + 1)]
+    left = [None] * (p + 1)
+    right = [None] * (p + 1)
+    ndu[0][0] = one
     for j in range(1, p + 1):
-        left[j] = t - U[i + 1 - j]
-        right[j] = U[i + j] - t
-        saved = 0.0
+        left[j] = t - U[spans + 1 - j]
+        right[j] = U[spans + j] - t
+        saved = zero
         for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
-        ndu[j, j] = saved
+        ndu[j][j] = saved
 
-    ders = np.zeros((n + 1, p + 1))
-    ders[0] = ndu[:, p]
+    ders = np.zeros((n + 1, p + 1, t.size))
+    for r in range(p + 1):
+        ders[0, r] = ndu[r][p]
 
     if n > 0:
-        a2 = np.empty((2, p + 1))
         for r in range(p + 1):
+            a2 = [[None] * (p + 1), [None] * (p + 1)]
             s1, s2 = 0, 1
-            a2[0, 0] = 1.0
+            a2[0][0] = one
             for k in range(1, n + 1):
-                d = 0.0
+                d = zero
                 rk = r - k
                 pk = p - k
                 if r >= k:
-                    a2[s2, 0] = a2[s1, 0] / ndu[pk + 1, rk]
-                    d = a2[s2, 0] * ndu[rk, pk]
+                    a2[s2][0] = a2[s1][0] / ndu[pk + 1][rk]
+                    d = a2[s2][0] * ndu[rk][pk]
                 j1 = 1 if rk >= -1 else -rk
                 j2 = k - 1 if r - 1 <= pk else p - r
                 for j in range(j1, j2 + 1):
-                    a2[s2, j] = (a2[s1, j] - a2[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d += a2[s2, j] * ndu[rk + j, pk]
+                    a2[s2][j] = (a2[s1][j] - a2[s1][j - 1]) / ndu[pk + 1][rk + j]
+                    d = d + a2[s2][j] * ndu[rk + j][pk]
                 if r <= pk:
-                    a2[s2, k] = -a2[s1, k - 1] / ndu[pk + 1, r]
-                    d += a2[s2, k] * ndu[r, pk]
+                    a2[s2][k] = -a2[s1][k - 1] / ndu[pk + 1][r]
+                    d = d + a2[s2][k] * ndu[r][pk]
                 ders[k, r] = d
                 s1, s2 = s2, s1
         fac = float(p)
@@ -217,7 +233,14 @@ def eval_basis(kv: KnotVector, t: float, max_deriv: int = 0) -> BasisEvaluation:
             ders[k] *= fac
             fac *= p - k
 
-    return BasisEvaluation(span_index=i, derivs=ders)
+    return ders
+
+
+def eval_basis(kv: KnotVector, t: float, max_deriv: int = 0) -> BasisEvaluation:
+    """Values and derivatives of the p+1 basis functions active at t."""
+    i = find_span(kv, t)
+    ders = _basis_derivs(kv, [t], [i], max_deriv)
+    return BasisEvaluation(span_index=i, derivs=ders[:, :, 0])
 
 
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
@@ -227,13 +250,18 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
     return (csum[p + 1: p + 1 + kv.n_basis] - csum[1: 1 + kv.n_basis]) / p
 
 
+def _legendre_nodes(n_points: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    if not 1 <= n_points <= MAX_GAUSS_POINTS:
+        raise UnsupportedOrder(f"n_points={n_points} outside 1..{MAX_GAUSS_POINTS}")
+    return np.polynomial.legendre.leggauss(n_points)
+
+
 def gauss_rule(n_points: int, span=(0.0, 1.0)) -> QuadratureRule:
     """Gauss-Legendre rule mapped to [a, b]; exact on polynomials of degree
     2*n_points - 1."""
-    if not 1 <= n_points <= 16:
-        raise UnsupportedOrder(f"n_points={n_points} outside 1..16")
+    x, w = _legendre_nodes(n_points)
     a, b = float(span[0]), float(span[1])
-    x, w = np.polynomial.legendre.leggauss(n_points)
     half = 0.5 * (b - a)
     return QuadratureRule(points=a + half * (x + 1.0), weights=half * w)
 
@@ -305,18 +333,15 @@ class ElementTable:
 
 def tabulate(kv: KnotVector, n_qp: int, max_deriv: int = 1) -> ElementTable:
     """Tabulate Gauss points, weights and basis derivatives on every element."""
+    x, w = _legendre_nodes(n_qp)
     spans = kv.element_spans
-    n_el = len(spans)
     p = kv.p
-    points = np.empty((n_el, n_qp))
-    weights = np.empty((n_el, n_qp))
-    basis = np.empty((max_deriv + 1, n_el, n_qp, p + 1))
-    first = np.empty(n_el, dtype=int)
-    for e, j in enumerate(spans):
-        rule = gauss_rule(n_qp, (kv.knots[j], kv.knots[j + 1]))
-        points[e] = rule.points
-        weights[e] = rule.weights
-        first[e] = j - p
-        for q, t in enumerate(rule.points):
-            basis[:, e, q, :] = eval_basis(kv, float(t), max_deriv).derivs
-    return ElementTable(kv=kv, points=points, weights=weights, basis=basis, first_dof=first)
+    # The affine map of gauss_rule, applied to every span at once.
+    a = kv.knots[spans][:, None]
+    half = 0.5 * (kv.knots[spans + 1][:, None] - a)
+    points = a + half * (x + 1.0)
+    weights = half * w
+    ders = _basis_derivs(kv, points.ravel(), np.repeat(spans, n_qp), max_deriv)
+    basis = ders.reshape(max_deriv + 1, p + 1, len(spans), n_qp).transpose(0, 2, 3, 1)
+    return ElementTable(kv=kv, points=points, weights=weights,
+                        basis=np.ascontiguousarray(basis), first_dof=spans - p)

@@ -379,11 +379,12 @@ class DirichletLayout:
 def _interpolate_1d(kv: KnotVector, values_at_greville: np.ndarray) -> np.ndarray:
     """Spline coefficients collocating the given values at the Greville points."""
     pts = greville_abscissae(kv)
+    spans = np.array([bspline.find_span(kv, float(t)) for t in pts])
+    values = bspline._basis_derivs(kv, pts, spans, 0)[0]
     n = kv.n_basis
     B = np.zeros((n, n))
-    for r, t in enumerate(pts):
-        ev = eval_basis(kv, float(t))
-        B[r, ev.first_dof: ev.first_dof + len(ev.values)] = ev.values
+    cols = (spans - kv.p)[:, None] + np.arange(kv.p + 1)
+    B[np.arange(n)[:, None], cols] = values.T
     return np.linalg.solve(B, values_at_greville)
 
 

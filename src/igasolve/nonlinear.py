@@ -113,6 +113,12 @@ class OuterConfig:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.accelerator not in ("none", "mpe", "rre", "anderson"):
+            raise ValueError(f"unknown accelerator {self.accelerator!r}")
+        if self.inner not in ("one_vcycle", "vcycle_to_tol", "direct"):
+            raise ValueError(f"unknown inner solver {self.inner!r}")
+        if self.accelerator != "none" and self.window < 1:
+            raise ValueError(f"{self.accelerator} needs window >= 1, got {self.window}")
 
 
 class _PicardContext:
@@ -169,10 +175,8 @@ class _PicardContext:
             return self._direct.solve(rhs_int)
         if cfg.inner == "one_vcycle":
             return v_cycle(self.hier, rhs_int, x_int)[0]
-        if cfg.inner == "vcycle_to_tol":
-            return solve_to_tolerance(self.hier, rhs_int, x_int, tol=cfg.linear_tol,
-                                      maxiter=LINEAR_MAXITER)[0]
-        raise ValueError(f"unknown inner solver {cfg.inner!r}")
+        return solve_to_tolerance(self.hier, rhs_int, x_int, tol=cfg.linear_tol,
+                                  maxiter=LINEAR_MAXITER)[0]
 
     def step(self, x_full: np.ndarray) -> np.ndarray:
         interior = self.layout.interior
@@ -267,18 +271,16 @@ def run_outer(problem, cfg: OuterConfig) -> tuple[SplineField, IterationHistory]
             raise Diverged(str(exc)) from exc
 
     x0 = ctx.initial_guess()
-    acc = cfg.accelerator.lower()
-    if acc in ("none", "picard"):
+    acc = cfg.accelerator
+    if acc == "none":
         x, hist = extrapolation.fixed_point_solve(G, x0, cfg.tol, cfg.maxiter,
                                                   observer=observer)
     elif acc in ("mpe", "rre"):
         x, hist = extrapolation.restarted_solve(G, x0, acc, cfg.window, cfg.tol,
                                                 cfg.maxiter, observer=observer,
                                                 timers=ctx.timers)
-    elif acc in ("anderson", "aa"):
+    else:
         x, hist = extrapolation.anderson_solve(G, x0, cfg.window, cfg.tol,
                                                cfg.maxiter, observer=observer,
                                                timers=ctx.timers)
-    else:
-        raise ValueError(f"unknown accelerator {cfg.accelerator!r}")
     return SplineField(problem.space, x), hist

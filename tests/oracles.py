@@ -32,6 +32,70 @@ def naive_bspline_all(t, p, knots):
     return [naive_bspline(t, p, i, knots) for i in range(n)]
 
 
+def scalar_eval_basis(kv, t, max_deriv=0):
+    """Piegl & Tiller A2.3 at one point in scalar arithmetic.
+
+    Returns (span index, derivs) with ``derivs[r, j]`` the r-th derivative
+    of basis function ``span - p + j``. The span rule is find_span's: the
+    right domain endpoint belongs to the last span.
+    """
+    p = kv.p
+    U = kv.knots
+    n = max_deriv
+    if t >= U[-p - 1]:
+        i = len(U) - p - 2
+    else:
+        i = int(np.searchsorted(U, t, side="right") - 1)
+
+    # Triangular table of lower-degree values and knot differences.
+    ndu = np.empty((p + 1, p + 1))
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = t - U[i + 1 - j]
+        right[j] = U[i + j] - t
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((n + 1, p + 1))
+    ders[0] = ndu[:, p]
+
+    if n > 0:
+        a2 = np.empty((2, p + 1))
+        for r in range(p + 1):
+            s1, s2 = 0, 1
+            a2[0, 0] = 1.0
+            for k in range(1, n + 1):
+                d = 0.0
+                rk = r - k
+                pk = p - k
+                if r >= k:
+                    a2[s2, 0] = a2[s1, 0] / ndu[pk + 1, rk]
+                    d = a2[s2, 0] * ndu[rk, pk]
+                j1 = 1 if rk >= -1 else -rk
+                j2 = k - 1 if r - 1 <= pk else p - r
+                for j in range(j1, j2 + 1):
+                    a2[s2, j] = (a2[s1, j] - a2[s1, j - 1]) / ndu[pk + 1, rk + j]
+                    d += a2[s2, j] * ndu[rk + j, pk]
+                if r <= pk:
+                    a2[s2, k] = -a2[s1, k - 1] / ndu[pk + 1, r]
+                    d += a2[s2, k] * ndu[r, pk]
+                ders[k, r] = d
+                s1, s2 = s2, s1
+        fac = float(p)
+        for k in range(1, n + 1):
+            ders[k] *= fac
+            fac *= p - k
+
+    return i, ders
+
+
 def rational_knots(knots):
     return [Fraction(x).limit_denominator(10**9) for x in knots]
 

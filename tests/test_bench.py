@@ -82,7 +82,12 @@ class TestConfigParsing:
         "problem = bratu1d\np = 0\n",
         "problem = bratu1d\ngrid = 8\ngrid = 16\n",
         "problem = bratu1d\nseed = 0\n",
-    ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed"])
+        "problem = bratu1d\np = 2, 15\n",
+        "problem = bratu1d\ntol = -1\n",
+        "problem = bratu1d\ninner_tol = 0\n",
+        "problem = bratu1d\ninner_tol.p2.g16 = 0\n",
+    ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
+            "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

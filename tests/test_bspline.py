@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igasolve.bspline import (
+    MAX_GAUSS_POINTS,
     InvalidInterval,
     KnotVector,
     OutOfDomain,
@@ -18,7 +21,7 @@ from igasolve.bspline import (
     tabulate,
 )
 
-from oracles import naive_bspline, naive_bspline_all, rational_knots
+from oracles import naive_bspline, naive_bspline_all, rational_knots, scalar_eval_basis
 
 
 def spline_value(kv, coeffs, t):
@@ -245,3 +248,58 @@ class TestHelpers:
         assert table.basis.shape == (3, 6, 4, 4)
         assert np.abs(table.basis[0].sum(axis=2) - 1.0).max() <= 1e-12
         assert abs(table.weights.sum() - 1.0) <= 1e-14
+        with pytest.raises(UnsupportedOrder):
+            tabulate(kv, 17)
+        with pytest.raises(ValueError):
+            tabulate(kv, 4, max_deriv=kv.p + 1)
+
+
+@st.composite
+def open_knot_vectors(draw):
+    """Open knot vectors with non-uniform interior breakpoints of
+    multiplicity up to p on a random interval."""
+    p = draw(st.integers(1, 6))
+    lo = draw(st.integers(-4, 4))
+    width = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(1, 999), unique=True, max_size=10)))
+    interior = []
+    for c in cuts:
+        interior += [lo + width * c / 1000] * draw(st.integers(1, p))
+    return KnotVector(p, [lo] * (p + 1) + interior + [lo + width] * (p + 1))
+
+
+class TestScalarOracle:
+    """The batched kernel against the one-point scalar A2.3, bit for bit."""
+
+    @settings(deadline=None)
+    @given(kv=open_knot_vectors(), n_qp=st.integers(1, MAX_GAUSS_POINTS), data=st.data())
+    def test_tabulate_bitwise(self, kv, n_qp, data):
+        max_deriv = data.draw(st.integers(0, kv.p))
+        table = tabulate(kv, n_qp, max_deriv)
+        U = kv.knots
+        spans = [j for j in range(len(U) - 1) if U[j] < U[j + 1]]
+        points = np.empty((len(spans), n_qp))
+        weights = np.empty((len(spans), n_qp))
+        basis = np.empty((max_deriv + 1, len(spans), n_qp, kv.p + 1))
+        for e, j in enumerate(spans):
+            rule = gauss_rule(n_qp, (U[j], U[j + 1]))
+            points[e], weights[e] = rule.points, rule.weights
+            for q, t in enumerate(rule.points):
+                span, basis[:, e, q, :] = scalar_eval_basis(kv, float(t), max_deriv)
+                assert span == j
+        assert np.array_equal(table.points, points)
+        assert np.array_equal(table.weights, weights)
+        assert np.array_equal(table.basis, basis)
+        assert np.array_equal(table.first_dof, np.array(spans) - kv.p)
+
+    @settings(deadline=None)
+    @given(kv=open_knot_vectors(), data=st.data())
+    def test_eval_basis_bitwise(self, kv, data):
+        a, b = kv.domain
+        max_deriv = data.draw(st.integers(0, kv.p))
+        ts = data.draw(st.lists(st.floats(a, b) | st.sampled_from(list(kv.knots)), max_size=8))
+        for t in ts + [a, b]:
+            ev = eval_basis(kv, t, max_deriv)
+            span, derivs = scalar_eval_basis(kv, t, max_deriv)
+            assert ev.span_index == span
+            assert np.array_equal(ev.derivs, derivs)

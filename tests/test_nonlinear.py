@@ -122,6 +122,19 @@ class TestRunOuter:
         with pytest.raises(ValueError):
             run_outer(prob, OuterConfig(accelerator="aitken"))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(accelerator="foo"),
+        dict(inner="vcycle"),
+        dict(accelerator="mpe", window=0),
+        dict(accelerator="rre", window=0),
+        dict(accelerator="anderson", window=0),
+    ], ids=["accelerator", "inner", "mpe-window-0", "rre-window-0", "anderson-window-0"])
+    def test_bad_config_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            OuterConfig(**kwargs)
+        # plain Picard ignores the window, so 0 stays valid
+        OuterConfig(accelerator="none", window=0)
+
     def test_initial_guess_override(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
         start = l2_projection(prob.space, prob.exact).coefficients
