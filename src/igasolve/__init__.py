@@ -41,7 +41,6 @@ from .linalg import QRFactors, lu_solve_dense, qr_factor, solve_normal_equations
 from .multigrid import (
     CycleReport,
     GridHierarchy,
-    SmootherConfig,
     build_hierarchy,
     smooth,
     solve_to_tolerance,

@@ -209,10 +209,10 @@ def generalized_residual(w: IterateWindow, method: str) -> np.ndarray:
 _EXTRAPOLATORS = {"mpe": mpe_extrapolate, "rre": rre_extrapolate}
 
 
-def _relative_residual(x_new, x_old, norm) -> float:
+def _relative_residual(x_new, x_old) -> float:
     with np.errstate(all="ignore"):  # non-finite values are caught by _guard
-        num = norm(x_new - x_old)
-        den = norm(x_new)
+        num = np.linalg.norm(x_new - x_old)
+        den = np.linalg.norm(x_new)
         if den == 0.0:
             return 0.0 if num == 0.0 else float("inf")
         return float(num / den)
@@ -232,15 +232,14 @@ def _apply(G, x, hist: IterationHistory):
         raise
 
 
-def fixed_point_solve(G, x0, tol: float, maxiter: int, norm=None, observer=None
+def fixed_point_solve(G, x0, tol: float, maxiter: int, observer=None
                       ) -> tuple[np.ndarray, IterationHistory]:
     """Plain fixed-point iteration x <- G(x) with a relative-residual stop."""
-    norm = norm or np.linalg.norm
     hist = IterationHistory()
     x = np.asarray(x0, dtype=float)
     for k in range(1, maxiter + 1):
         x_new = _apply(G, x, hist)
-        rel = _relative_residual(x_new, x, norm)
+        rel = _relative_residual(x_new, x)
         rec = hist.append(k, rel)
         if observer:
             observer(rec, x_new)
@@ -263,11 +262,10 @@ def _extrapolate_shrinking(window, extrapolate, timers: PhaseTimers | None):
     t0 = time.perf_counter()
     try:
         while qq >= 0:
-            sub = window[: qq + 2]
             try:
-                res = extrapolate(IterateWindow.from_iterates(sub))
-                dS = np.column_stack([sub[i + 1] - sub[i] for i in range(qq + 1)])
-                return res.t, dS @ res.gamma
+                w = IterateWindow.from_iterates(window[: qq + 2])
+                res = extrapolate(w)
+                return res.t, w.dS @ res.gamma
             except (RankDeficient, ZeroDenominator):
                 qq -= 1
         return window[-1], None
@@ -277,7 +275,7 @@ def _extrapolate_shrinking(window, extrapolate, timers: PhaseTimers | None):
 
 
 def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
-                    norm=None, observer=None, timers: PhaseTimers | None = None
+                    observer=None, timers: PhaseTimers | None = None
                     ) -> tuple[np.ndarray, IterationHistory]:
     """Restarted MPE/RRE around the fixed-point map G.
 
@@ -293,7 +291,6 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
     if q < 1:
         raise ValueError("restart number q must be >= 1")
     extrapolate = _EXTRAPOLATORS[method]
-    norm = norm or np.linalg.norm
     hist = IterationHistory()
     x = np.asarray(x0, dtype=float)
     evals = 0
@@ -304,7 +301,7 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
                 break
             s = _apply(G, window[-1], hist)
             evals += 1
-            rel = _relative_residual(s, window[-1], norm)
+            rel = _relative_residual(s, window[-1])
             rec = hist.append(evals, rel)
             if observer:
                 observer(rec, s)
@@ -317,10 +314,10 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
             break
         x, r_gen = _extrapolate_shrinking(window, extrapolate, timers)
         if r_gen is not None and hist.records:
-            den = norm(x)
+            den = np.linalg.norm(x)
             rel_last = hist.records[-1].relative_residual
             if den > 0.0:
-                rel_t = float(norm(r_gen) / den)
+                rel_t = float(np.linalg.norm(r_gen) / den)
                 # Predictions below the quadratic-decay floor rel_last^2 are
                 # window-noise artifacts and cannot be trusted.
                 if rel_last**2 <= rel_t < rel_last:
@@ -398,11 +395,10 @@ def anderson_step(state: AndersonState, s_k, G_sk) -> np.ndarray:
     return G_sk.copy()
 
 
-def anderson_solve(G, x0, m: int, tol: float, maxiter: int, norm=None,
+def anderson_solve(G, x0, m: int, tol: float, maxiter: int,
                    observer=None, timers: PhaseTimers | None = None
                    ) -> tuple[np.ndarray, IterationHistory]:
     """Anderson-accelerated fixed-point iteration AA(m)."""
-    norm = norm or np.linalg.norm
     hist = IterationHistory()
     state = AndersonState(m)
     s = np.asarray(x0, dtype=float)
@@ -412,7 +408,7 @@ def anderson_solve(G, x0, m: int, tol: float, maxiter: int, norm=None,
         x_next = anderson_step(state, s, g)
         if timers is not None:
             timers.extrapol_s += time.perf_counter() - t0
-        rel = _relative_residual(x_next, s, norm)
+        rel = _relative_residual(x_next, s)
         rec = hist.append(k, rel)
         if observer:
             observer(rec, x_next)

@@ -12,7 +12,6 @@ Assembly loops run element by element with per-direction Gauss tables;
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +80,9 @@ class SplineSpace:
         return f"SplineSpace(p={self.degrees}, n_el={tuple(kv.n_elements for kv in self.kvs)})"
 
 
-def make_space(p, n_elements, dims: int = 1, interval=(0.0, 1.0)) -> SplineSpace:
-    """Uniform open spline space with the same degree and resolution per direction."""
-    kv = bspline.make_open_uniform_knots(p, n_elements, interval)
+def make_space(p, n_elements, dims: int = 1) -> SplineSpace:
+    """Uniform open spline space on [0, 1]^dims, same degree and resolution per direction."""
+    kv = bspline.make_open_uniform_knots(p, n_elements)
     return SplineSpace((kv,) * dims)
 
 
@@ -257,19 +256,19 @@ def assemble_bratu_rhs(space: SplineSpace, lam: float, f, u_prev: SplineField | 
     return bratu_load(space, f_vals, lam, coeffs)
 
 
-def monge_ampere_operator(lap: np.ndarray, det_hess: np.ndarray, f_vals, d: int = 2):
-    """Pointwise G(u) = ((lap u)^d + d! (f - det H(u)))^(1/d), radicand clamped at 0.
+def monge_ampere_operator(lap: np.ndarray, det_hess: np.ndarray, f_vals):
+    """Pointwise G(u) = ((lap u)^2 + 2 (f - det H(u)))^(1/2), radicand clamped at 0.
 
     Returns the values and the fraction of clamped points.
     """
-    radicand = lap**d + math.factorial(d) * (f_vals - det_hess)
+    radicand = lap**2 + 2.0 * (f_vals - det_hess)
     clamped = radicand < 0.0
     frac = float(np.mean(clamped))
-    vals = np.maximum(radicand, 0.0) ** (1.0 / d)
+    vals = np.maximum(radicand, 0.0) ** 0.5
     return vals, frac
 
 
-def monge_ampere_load(space: SplineSpace, f_vals, coeffs: np.ndarray, d: int = 2) -> np.ndarray:
+def monge_ampere_load(space: SplineSpace, f_vals, coeffs: np.ndarray) -> np.ndarray:
     """Load vector F_i = -int G(u) B_i for the Laplacian fixed-point map.
 
     ``f_vals`` holds the source on the ``space.tables(0, 2)`` quadrature grid
@@ -280,20 +279,20 @@ def monge_ampere_load(space: SplineSpace, f_vals, coeffs: np.ndarray, d: int = 2
     u_xx = _grid_values(space, coeffs, tables, (2, 0))
     u_yy = _grid_values(space, coeffs, tables, (0, 2))
     u_xy = _grid_values(space, coeffs, tables, (1, 1))
-    g_vals, frac = monge_ampere_operator(u_xx + u_yy, u_xx * u_yy - u_xy**2, f_vals, d)
+    g_vals, frac = monge_ampere_operator(u_xx + u_yy, u_xx * u_yy - u_xy**2, f_vals)
     if frac > 0.01:
         log.warning("negative radicand clamped on %.1f%% of quadrature points", 100 * frac)
     return _scatter_load(space, tables, -g_vals)
 
 
-def assemble_monge_ampere_rhs(space: SplineSpace, f, u_prev: SplineField, d: int = 2) -> np.ndarray:
+def assemble_monge_ampere_rhs(space: SplineSpace, f, u_prev: SplineField) -> np.ndarray:
     """:func:`monge_ampere_load` for a source callable."""
     if min(space.degrees) < 2:
         raise DegreeTooLow("Monge-Ampere assembly needs p >= 2")
-    if space.dims != 2 or d != 2:
+    if space.dims != 2:
         raise ValueError("only the planar case d = 2 is implemented")
     f_vals = _call_on_grid(f, space, space.tables(0, 2))
-    return monge_ampere_load(space, f_vals, u_prev.coefficients, d)
+    return monge_ampere_load(space, f_vals, u_prev.coefficients)
 
 
 def eval_field(field: SplineField, point):

@@ -126,8 +126,6 @@ class DenseLU:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        if sp.issparse(A):  # pragma: no cover - asarray densifies first
-            A = A.toarray()
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(A, check_finite=False)

@@ -1,11 +1,14 @@
 """Geometric multigrid over nested spline spaces.
 
-Hierarchies are built by dyadic element coarsening; transfer operators come
-from the B-spline two-scale relation restricted to interior dof, with
-restriction R = P^T. Coarse operators are Galerkin products R A P by default
-(rediscretization is available for cross-checks). The cycle is the classic
-V-cycle: pre-smooth, restrict the residual, recurse with zero coarse initial
-error, prolong-correct, post-smooth, with a direct LU on the coarsest level.
+The linear solver is one fixed method. Hierarchies are built by dyadic
+element coarsening until every direction has at most ``direct_threshold``
+interior dof (or an element count turns odd). Per direction, the transfer
+operator is the B-spline two-scale (knot-insertion) matrix restricted to
+interior dof; the 2D operator is their Kronecker product, and restriction
+is R = P^T. Coarse operators are Galerkin products R A P. The V-cycle runs
+one weighted-Jacobi sweep (omega = 2/3) before and one after the coarse
+correction, with zero coarse initial error and a direct LU on the coarsest
+level.
 """
 
 from __future__ import annotations
@@ -17,31 +20,23 @@ import scipy.sparse as sp
 
 from . import iga
 from .bspline import KnotVector, insert_knots
-from .iga import DirichletLayout, SplineSpace, apply_dirichlet
+from .iga import SplineSpace, apply_dirichlet
 from .linalg import DenseLU
 
-
-class TooCoarse(Exception):
-    """Requested a coarse level with no interior dof or odd element count."""
+# Jacobi damping: 2/3 minimises the largest amplification factor over the
+# oscillatory half of the spectrum of the 1D Laplacian.
+OMEGA = 2.0 / 3.0
+# Largest coarsest level that is densified for the direct solve: 4096 dof
+# is a 128 MiB dense matrix, and the LU factorisation makes a second copy.
+# Shipped grids stop at 35^2 = 1225 dof; a 2D grid whose element count turns
+# odd early (N=254 stops at N=127, 16129 dof, 2.1 GB) is refused instead.
+MAX_COARSE_DOF = 4096
 
 
 class ZeroDiagonal(Exception):
     def __init__(self, row: int):
         super().__init__(f"zero diagonal at row {row}")
         self.row = row
-
-
-@dataclass
-class SmootherConfig:
-    """Weighted-Jacobi relaxation: x <- x + omega D^-1 (b - A x)."""
-
-    omega: float = 2.0 / 3.0
-    pre: int = 1
-    post: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.omega < 2.0:
-            raise ValueError("omega must lie in (0, 2)")
 
 
 @dataclass
@@ -57,8 +52,6 @@ class CycleReport:
 class Level:
     """One grid in the hierarchy (operator on interior dof)."""
 
-    space: SplineSpace
-    layout: DirichletLayout
     A: sp.csr_matrix
     P: sp.csr_matrix | None = None  # prolongation to the next finer level
     R: sp.csr_matrix | None = None  # restriction from the next finer level
@@ -90,120 +83,81 @@ class GridHierarchy:
 
 def _coarsen_kv(kv: KnotVector) -> KnotVector:
     bp = kv.breakpoints
-    if (len(bp) - 1) % 2 or len(bp) < 3:
-        raise TooCoarse(f"cannot halve {len(bp) - 1} elements")
     p = kv.p
-    coarse = np.concatenate([np.full(p, bp[0]), bp[::2], np.full(p, bp[-1])])
-    return KnotVector(p, coarse)
+    return KnotVector(p, np.concatenate([np.full(p, bp[0]), bp[::2], np.full(p, bp[-1])]))
 
 
-def _interior_prolongation(coarse: SplineSpace, fine: SplineSpace,
-                           lc: DirichletLayout, lf: DirichletLayout) -> sp.csr_matrix:
+def _interior_prolongation(coarse: SplineSpace, fine: SplineSpace) -> sp.csr_matrix:
     maps = []
     for kvc, kvf in zip(coarse.kvs, fine.kvs):
         inserted = np.setdiff1d(kvf.breakpoints, kvc.breakpoints)
-        maps.append(insert_knots(kvc, inserted).P)
-    P = maps[0] if len(maps) == 1 else sp.kron(maps[0], maps[1], format="csr")
-    return P[lf.interior][:, lc.interior].tocsr()
+        maps.append(insert_knots(kvc, inserted).P[1:-1, 1:-1])
+    return maps[0] if len(maps) == 1 else sp.kron(maps[0], maps[1], format="csr")
 
 
-def build_hierarchy(fine_space: SplineSpace, n_levels: int | None = None,
-                    coarsening: str = "galerkin", direct_threshold: int = 16,
+def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
                     fine_matrix: sp.csr_matrix | None = None) -> GridHierarchy:
     """Build a V-cycle hierarchy under the given fine space.
 
-    Each coarser level halves the element count per direction. With
-    ``n_levels=None``, coarsening continues while the interior dof count per
-    direction exceeds ``direct_threshold`` and elements stay halvable.
-    ``coarsening`` selects Galerkin products (default) or rediscretization.
-    The full fine stiffness matrix may be passed to avoid reassembly.
+    Each coarser level halves the element count per direction while the
+    interior dof count per direction exceeds ``direct_threshold``, the
+    element counts stay even and the coarser level keeps interior dof.
+    Raises ValueError when the coarsest level would exceed
+    ``MAX_COARSE_DOF``. The full fine stiffness matrix may be passed to
+    avoid reassembly.
     """
-    if coarsening not in ("galerkin", "rediscretize"):
-        raise ValueError(f"unknown coarsening {coarsening!r}")
-
-    spaces = [fine_space]
+    spaces = [fine_space]  # fine -> coarse
     while True:
-        if n_levels is not None and len(spaces) == n_levels:
+        kvs = spaces[-1].kvs
+        if max(kv.n_basis - 2 for kv in kvs) <= direct_threshold:
             break
-        cur = spaces[-1].kvs
-        if n_levels is None:
-            if max(kv.n_basis - 2 for kv in cur) <= direct_threshold:
-                break
-            if any((kv.n_elements % 2) or kv.n_elements < 2 for kv in cur):
-                break
-        try:
-            coarse = SplineSpace(tuple(_coarsen_kv(kv) for kv in cur))
-        except TooCoarse:
-            if n_levels is None:
-                break
-            raise
+        if any(kv.n_elements % 2 for kv in kvs):
+            break
+        coarse = SplineSpace(tuple(_coarsen_kv(kv) for kv in kvs))
         if min(kv.n_basis - 2 for kv in coarse.kvs) < 1:
-            if n_levels is None:
-                break
-            raise TooCoarse("coarse level would have no interior dof")
+            break
         spaces.append(coarse)
-    spaces.reverse()  # coarse -> fine
+    n_coarse = int(np.prod([kv.n_basis - 2 for kv in spaces[-1].kvs]))
+    if n_coarse > MAX_COARSE_DOF:
+        raise ValueError(f"{fine_space} coarsens only to {spaces[-1]} with {n_coarse} "
+                         f"dof, above the direct-solve limit of {MAX_COARSE_DOF}")
 
-    layouts = [apply_dirichlet(s) for s in spaces]
-    fine_full = fine_matrix if fine_matrix is not None else iga.assemble_stiffness(spaces[-1])
-    A_fine = layouts[-1].restrict_matrix(fine_full)
-
-    levels: list[Level] = [None] * len(spaces)  # type: ignore[list-item]
-    levels[-1] = Level(space=spaces[-1], layout=layouts[-1], A=A_fine)
-    for i in range(len(spaces) - 2, -1, -1):
-        P = _interior_prolongation(spaces[i], spaces[i + 1], layouts[i], layouts[i + 1])
+    fine_full = fine_matrix if fine_matrix is not None else iga.assemble_stiffness(fine_space)
+    levels = [Level(A=apply_dirichlet(fine_space).restrict_matrix(fine_full))]
+    for fine, coarse in zip(spaces, spaces[1:]):
+        P = _interior_prolongation(coarse, fine)
         R = P.T.tocsr()
-        if coarsening == "galerkin":
-            A = (R @ levels[i + 1].A @ P).tocsr()
-        else:
-            A = layouts[i].restrict_matrix(iga.assemble_stiffness(spaces[i]))
-        levels[i] = Level(space=spaces[i], layout=layouts[i], A=A, P=P, R=R)
-    return GridHierarchy(levels)
+        levels.append(Level(A=(R @ levels[-1].A @ P).tocsr(), P=P, R=R))
+    return GridHierarchy(levels[::-1])
 
 
-def smooth(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, cfg: SmootherConfig,
-           sweeps: int, inv_diag: np.ndarray | None = None) -> np.ndarray:
-    """Weighted-Jacobi sweeps; returns the relaxed iterate."""
-    if inv_diag is None:
-        d = A.diagonal()
-        zero = np.flatnonzero(d == 0.0)
-        if zero.size:
-            raise ZeroDiagonal(int(zero[0]))
-        inv_diag = 1.0 / d
-    x = np.array(x, dtype=float)
-    for _ in range(sweeps):
-        x += cfg.omega * inv_diag * (b - A @ x)
-    return x
+def smooth(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray) -> np.ndarray:
+    """One weighted-Jacobi sweep x + OMEGA D^-1 (b - A x), as a new array."""
+    return x + OMEGA * inv_diag * (b - A @ x)
 
 
-def _vcycle_recursive(h: GridHierarchy, idx: int, b: np.ndarray, x: np.ndarray,
-                      cfg: SmootherConfig) -> np.ndarray:
+def _vcycle_recursive(h: GridHierarchy, idx: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     if idx == 0:
         return h._coarse_lu.solve(b)
     lvl = h.levels[idx]
     below = h.levels[idx - 1]
-    x = smooth(lvl.A, b, x, cfg, cfg.pre, lvl.inv_diag)
-    r = b - lvl.A @ x
-    rc = below.R @ r
-    ec = _vcycle_recursive(h, idx - 1, rc, np.zeros_like(rc), cfg)
-    x = x + below.P @ ec
-    return smooth(lvl.A, b, x, cfg, cfg.post, lvl.inv_diag)
+    x = smooth(lvl.A, b, x, lvl.inv_diag)
+    rc = below.R @ (b - lvl.A @ x)
+    x = x + below.P @ _vcycle_recursive(h, idx - 1, rc, np.zeros_like(rc))
+    return smooth(lvl.A, b, x, lvl.inv_diag)
 
 
-def v_cycle(h: GridHierarchy, b: np.ndarray, x0: np.ndarray,
-            cfg: SmootherConfig | None = None) -> tuple[np.ndarray, CycleReport]:
+def v_cycle(h: GridHierarchy, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, CycleReport]:
     """One V-cycle on the finest level of the hierarchy."""
-    cfg = cfg or SmootherConfig()
     A = h.fine.A
     r0 = float(np.linalg.norm(b - A @ x0))
     x = _vcycle_recursive(h, h.n_levels - 1, np.asarray(b, dtype=float),
-                          np.asarray(x0, dtype=float), cfg)
+                          np.asarray(x0, dtype=float))
     r1 = float(np.linalg.norm(b - A @ x))
     return x, CycleReport(r0, r1, levels_visited=h.n_levels)
 
 
-def solve_to_tolerance(h: GridHierarchy, b: np.ndarray, x0: np.ndarray,
-                       cfg: SmootherConfig | None = None, tol: float = 1e-8,
+def solve_to_tolerance(h: GridHierarchy, b: np.ndarray, x0: np.ndarray, tol: float = 1e-8,
                        maxiter: int = 100) -> tuple[np.ndarray, CycleReport]:
     """Repeat V-cycles until ||b - A x|| / ||b|| <= tol or maxiter cycles.
 
@@ -212,7 +166,6 @@ def solve_to_tolerance(h: GridHierarchy, b: np.ndarray, x0: np.ndarray,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    cfg = cfg or SmootherConfig()
     A = h.fine.A
     b = np.asarray(b, dtype=float)
     x = np.array(x0, dtype=float)
@@ -222,7 +175,7 @@ def solve_to_tolerance(h: GridHierarchy, b: np.ndarray, x0: np.ndarray,
     res = r0
     n = 0
     while res / denom > tol and n < maxiter:
-        x = _vcycle_recursive(h, h.n_levels - 1, b, x, cfg)
+        x = _vcycle_recursive(h, h.n_levels - 1, b, x)
         res = float(np.linalg.norm(b - A @ x))
         n += 1
     return x, CycleReport(r0, res, levels_visited=h.n_levels, n_cycles=n,

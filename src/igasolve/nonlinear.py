@@ -69,7 +69,6 @@ class MongeAmpereProblem:
     g: object
     space: SplineSpace
     exact: object | None = None
-    d: int = 2
 
     def __post_init__(self):
         if min(self.space.degrees) < 2:
@@ -108,7 +107,6 @@ class OuterConfig:
     maxiter: int = 1000
     inner: str = "one_vcycle"  # one_vcycle | vcycle_to_tol | direct
     linear_tol: float = 1e-2
-    initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -154,11 +152,6 @@ class _PicardContext:
         for dozens of grid-dependent iterations; the harmonic extension is
         layer-free.
         """
-        if self.cfg.initial_guess is not None:
-            x0 = np.asarray(self.cfg.initial_guess, dtype=float)
-            if x0.size != self.space.n_dof:
-                raise ValueError("initial guess length does not match the space")
-            return x0.copy()
         if np.any(self.layout.boundary_values != 0.0):
             u_int = spla.spsolve(self.A.tocsc(), -self._lift_vec)
             return self.layout.expand(u_int)
@@ -236,7 +229,7 @@ class MongeAmpereContext(_PicardContext):
         return out
 
     def _load(self, x_full):
-        return iga.monge_ampere_load(self.space, self._f_vals, x_full, self.problem.d)
+        return iga.monge_ampere_load(self.space, self._f_vals, x_full)
 
 
 def make_context(problem, cfg: OuterConfig):

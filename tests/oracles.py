@@ -7,6 +7,7 @@ hand-rolled eliminations) so it shares no code path with the package.
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def naive_bspline(t, k, i, knots):
@@ -149,3 +150,19 @@ def moore_penrose_residual(dS):
     d2S = np.diff(dS, axis=1)
     pinv = np.linalg.pinv(d2S)
     return dS[:, 0] - d2S @ (pinv @ dS[:, 0])
+
+
+def kron_interior_prolongation(maps):
+    """Interior prolongation from the full 1D two-scale maps: Kronecker
+    product of the full maps first, then the boundary rows and columns
+    removed by fancy indexing with x-major interior index lists."""
+
+    def interior(shape):
+        idx = np.indices(shape).reshape(len(shape), -1)
+        upper = np.array(shape)[:, None] - 1
+        return np.flatnonzero(np.all((idx > 0) & (idx < upper), axis=0))
+
+    P = maps[0] if len(maps) == 1 else sp.kron(maps[0], maps[1], format="csr")
+    fine = interior(tuple(m.shape[0] for m in maps))
+    coarse = interior(tuple(m.shape[1] for m in maps))
+    return P[fine][:, coarse].tocsr()

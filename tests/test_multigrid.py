@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from igasolve.iga import apply_dirichlet, assemble_stiffness, make_space
+from igasolve.bspline import insert_knots
+from igasolve.iga import SplineSpace, apply_dirichlet, assemble_stiffness, make_space
 from igasolve.multigrid import (
+    OMEGA,
     CycleReport,
-    SmootherConfig,
-    TooCoarse,
+    Level,
     ZeroDiagonal,
+    _coarsen_kv,
+    _interior_prolongation,
     build_hierarchy,
     smooth,
     solve_to_tolerance,
     v_cycle,
 )
-import scipy.sparse as sp
+from oracles import kron_interior_prolongation
 
 
 def poisson_hierarchy(p, n, dims=1, **kw):
@@ -21,7 +27,8 @@ def poisson_hierarchy(p, n, dims=1, **kw):
 
 class TestHierarchy:
     def test_two_level_p1_prolongation_is_linear_interpolation(self):
-        h = poisson_hierarchy(1, 8, n_levels=2)
+        h = poisson_hierarchy(1, 8, direct_threshold=4)
+        assert h.n_levels == 2
         P = h.levels[0].P.toarray()
         # interior coarse hat i maps to fine dofs (2i, 2i+1, 2i+2) with (1/2, 1, 1/2)
         assert P.shape == (7, 3)
@@ -50,22 +57,51 @@ class TestHierarchy:
         # agree except in rows coupling to the eliminated boundary, where the
         # hat overlap pattern differs; on this discretization the stencils
         # coincide everywhere, so the discrepancy set is empty.
-        hg = poisson_hierarchy(1, 16, n_levels=2, coarsening="galerkin")
-        hr = poisson_hierarchy(1, 16, n_levels=2, coarsening="rediscretize")
+        hg = poisson_hierarchy(1, 16, direct_threshold=7)
+        assert hg.n_levels == 2
+        coarse = make_space(1, 8)
         Ag = hg.levels[0].A.toarray()
-        Ar = hr.levels[0].A.toarray()
+        Ar = apply_dirichlet(coarse).restrict_matrix(assemble_stiffness(coarse)).toarray()
         interior = slice(1, -1)
         assert np.abs(Ag[interior, interior] - Ar[interior, interior]).max() <= 1e-12
         assert np.abs(Ag - Ar).max() <= 1e-12  # document: no boundary discrepancy for p=1
 
     def test_too_coarse(self):
-        with pytest.raises(TooCoarse):
-            build_hierarchy(make_space(1, 4), n_levels=4)
+        # p=1, N=4 halves to N=2 (one interior dof); N=1 would have none,
+        # so even a zero threshold stops there
+        h = build_hierarchy(make_space(1, 4), direct_threshold=0)
+        assert [lvl.A.shape[0] for lvl in h.levels] == [1, 3]
+        # an odd element count stops coarsening as well
+        h = build_hierarchy(make_space(2, 6, dims=2), direct_threshold=0)
+        assert [lvl.A.shape[0] for lvl in h.levels] == [9, 36]
+
+    def test_oversized_coarsest_level_rejected(self):
+        # N=254 halves once to the odd N=127: 127^2 = 16129 coarsest dof,
+        # refused before anything is assembled or densified
+        with pytest.raises(ValueError, match="16129"):
+            build_hierarchy(make_space(2, 254, dims=2))
 
     def test_auto_depth_respects_threshold(self):
         h = poisson_hierarchy(1, 64, direct_threshold=16)
         assert h.levels[0].A.shape[0] <= 16
         assert h.n_levels == 3  # 63 -> 31 -> 15 interior dof
+
+
+class TestProlongation:
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 6), half=st.integers(2, 64), dims=st.sampled_from([1, 2]))
+    def test_matches_kron_then_slice_oracle(self, p, half, dims):
+        fine = make_space(p, 2 * half, dims=dims)
+        coarse = SplineSpace(tuple(_coarsen_kv(kv) for kv in fine.kvs))
+        maps = [insert_knots(kvc, np.setdiff1d(kvf.breakpoints, kvc.breakpoints)).P
+                for kvc, kvf in zip(coarse.kvs, fine.kvs)]
+        P = _interior_prolongation(coarse, fine)
+        oracle = kron_interior_prolongation(maps)
+        for got, want in ((P, oracle), (P.T.tocsr(), oracle.T.tocsr())):
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
 
 
 class TestSmoother:
@@ -74,40 +110,37 @@ class TestSmoother:
         A = h.fine.A
         x = np.arange(A.shape[0], dtype=float)
         b = A @ x
-        out = smooth(A, b, x, SmootherConfig(), sweeps=3)
+        out = x
+        for _ in range(3):
+            out = smooth(A, b, out, h.fine.inv_diag)
         assert np.abs(out - x).max() <= 1e-14
 
     def test_identity_matrix_one_sweep(self):
         A = sp.identity(5, format="csr")
         b = np.arange(5.0)
-        out = smooth(A, b, np.zeros(5), SmootherConfig(omega=1.0), sweeps=1)
-        assert np.allclose(out, b)
+        out = smooth(A, b, np.zeros(5), np.ones(5))
+        assert np.allclose(out, OMEGA * b)
 
     def test_fourier_mode_damping(self):
         # 1D hat-function Poisson: weighted Jacobi damps mode k by exactly
         # 1 - 2*omega*sin^2(k*pi*h/2)
         n = 32
-        h = poisson_hierarchy(1, n, n_levels=1)
+        h = poisson_hierarchy(1, n)
         A = h.fine.A
         m = A.shape[0]
         k = n // 2
         xs = np.arange(1, m + 1) / n
         mode = np.sin(k * np.pi * xs)
-        cfg = SmootherConfig(omega=2.0 / 3.0)
-        out = smooth(A, np.zeros(m), mode, cfg, sweeps=1)
-        expected = 1.0 - 2.0 * cfg.omega * np.sin(k * np.pi / (2 * n)) ** 2
+        out = smooth(A, np.zeros(m), mode, h.fine.inv_diag)
+        expected = 1.0 - 2.0 * OMEGA * np.sin(k * np.pi / (2 * n)) ** 2
         assert np.abs(out - expected * mode).max() <= 1e-12
         assert expected == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_zero_diagonal(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ZeroDiagonal) as ei:
-            smooth(A, np.ones(2), np.zeros(2), SmootherConfig(), 1)
+            Level(A=A)
         assert ei.value.row == 1
-
-    def test_omega_validated(self):
-        with pytest.raises(ValueError):
-            SmootherConfig(omega=2.5)
 
 
 class TestVCycle:
@@ -121,7 +154,8 @@ class TestVCycle:
         assert rep.initial_residual_norm == 0.0 and rep.final_residual_norm == 0.0
 
     def test_single_level_is_direct_solve(self):
-        h = poisson_hierarchy(2, 8, n_levels=1)
+        h = poisson_hierarchy(2, 8, direct_threshold=8)
+        assert h.n_levels == 1
         A = h.fine.A
         rng = np.random.default_rng(0)
         b = rng.standard_normal(A.shape[0])
@@ -129,7 +163,8 @@ class TestVCycle:
         assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
     def test_contraction_p1(self):
-        h = poisson_hierarchy(1, 64, n_levels=4)
+        h = poisson_hierarchy(1, 64, direct_threshold=8)
+        assert h.n_levels == 4
         A = h.fine.A
         rng = np.random.default_rng(1)
         b = rng.standard_normal(A.shape[0])
@@ -140,18 +175,24 @@ class TestVCycle:
             factors.append(rep.final_residual_norm / rep.initial_residual_norm)
         assert max(factors) <= 0.2
 
-    def test_two_grid_zero_smoothing_equals_coarse_correction_oracle(self):
-        # with no smoothing at all, one cycle is x + P A_c^{-1} R (b - A x)
-        h = poisson_hierarchy(2, 16, n_levels=2)
+    def test_two_grid_equals_smoothed_coarse_correction_oracle(self):
+        # one 2/3-Jacobi sweep, x + P A_c^{-1} P^T (b - A x), one more sweep
+        h = poisson_hierarchy(2, 16, direct_threshold=15)
+        assert h.n_levels == 2
         A = h.fine.A.toarray()
         P = h.levels[0].P.toarray()
-        Ac = h.levels[0].A.toarray()
+        Ac = P.T @ A @ P
         rng = np.random.default_rng(2)
         b = rng.standard_normal(A.shape[0])
         x0 = rng.standard_normal(A.shape[0])
-        cfg = SmootherConfig(pre=0, post=0)
-        x, _ = v_cycle(h, b, x0, cfg)
-        oracle = x0 + P @ np.linalg.solve(Ac, P.T @ (b - A @ x0))
+
+        def jacobi(x):
+            return x + (2.0 / 3.0) * (b - A @ x) / np.diag(A)
+
+        x1 = jacobi(x0)
+        x2 = x1 + P @ np.linalg.solve(Ac, P.T @ (b - A @ x1))
+        oracle = jacobi(x2)
+        x, _ = v_cycle(h, b, x0)
         assert np.abs(x - oracle).max() <= 1e-11
 
     @pytest.mark.parametrize("p", (1, 2, 3, 4, 5))

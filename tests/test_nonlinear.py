@@ -135,14 +135,6 @@ class TestRunOuter:
         # plain Picard ignores the window, so 0 stays valid
         OuterConfig(accelerator="none", window=0)
 
-    def test_initial_guess_override(self):
-        prob = BratuProblem.manufactured_1d(1.0, 2, 8)
-        start = l2_projection(prob.space, prob.exact).coefficients
-        cfg = OuterConfig(accelerator="none", tol=1e-10, maxiter=50, initial_guess=start)
-        fld, hist = run_outer(prob, cfg)
-        assert hist.converged
-        assert hist.iterations < 20
-
 
 class TestTrendInvariants:
     def test_bratu_error_decreases_under_refinement(self):
