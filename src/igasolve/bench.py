@@ -22,7 +22,10 @@ from pathlib import Path
 from .bspline import MAX_GAUSS_POINTS
 from .extrapolation import Diverged
 from .history import IterationHistory
-from .nonlinear import BratuProblem, MongeAmpereProblem, OuterConfig, run_outer
+from .iga import make_space
+from .multigrid import level_spaces
+from .nonlinear import (DIRECT_THRESHOLD, BratuProblem, MongeAmpereProblem, OuterConfig,
+                        run_outer)
 
 CSV_HEADER = [
     "problem", "method", "lambda", "p", "h", "iter", "relative_residual",
@@ -147,6 +150,8 @@ def parse_config(path) -> ExperimentConfig:
             cfg.tol = positive_float(key, val)
         elif key == "maxiter":
             cfg.maxiter = int(val)
+            if cfg.maxiter < 1:
+                raise ValueError("maxiter must be at least 1")
         elif key == "inner":
             if val not in ("one_vcycle", "vcycle_to_tol"):
                 raise ValueError(f"unknown inner solver {val!r}")
@@ -162,6 +167,11 @@ def parse_config(path) -> ExperimentConfig:
             cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = positive_float(key, val)
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
+    # Every (p, grid) must coarsen to a level the direct solver accepts.
+    dims = 1 if cfg.problem == "bratu1d" else 2
+    for p in cfg.degrees:
+        for n in cfg.grids:
+            level_spaces(make_space(p, n, dims), DIRECT_THRESHOLD)
     return cfg
 
 

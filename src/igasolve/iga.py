@@ -7,22 +7,35 @@ interpolation plus stiffness lifting, spline-field evaluation and L2 norms.
 Assembly loops run element by element with per-direction Gauss tables;
 2D local blocks are formed as outer products of 1D element matrices
 (sum factorization) and scattered into global coordinate triplets.
+
+Order rule: wherever several terms land on one matrix entry or one load
+coefficient, they are summed in input order (ascending element, then local
+index), starting from zero. The structured kernels below keep that order of
+the generic ``coo_matrix.sum_duplicates`` and ``np.add.at`` idioms, so every
+assembled matrix and load vector stays bit-for-bit the same.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bspline
 from .bspline import ElementTable, KnotVector, eval_basis, greville_abscissae, tabulate
 from .linalg import coo_to_csr
 
 log = logging.getLogger(__name__)
+
+# Triplets per chunk of x-elements in 2D assembly. Each chunk is finalised on
+# its own and the chunks are summed left to right, so this partition is part
+# of the rounding of every assembled entry: changing it changes last bits.
+CHUNK_TRIPLETS = 2_000_000
 
 
 class ExpOverflow(Exception):
@@ -119,9 +132,10 @@ def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, dorders) -> np.
         idx = _local_dof_indices(t)
         return np.einsum("eqa,ea->eq", t.basis[dorders[0]], coeffs[idx])
     tx, ty = tables
-    idxx, idxy = _local_dof_indices(tx), _local_dof_indices(ty)
-    C = coeffs.reshape(space.shape)
-    blocks = C[idxx[:, None, :, None], idxy[None, :, None, :]]
+    # (n_ex, n_ey, px+1, py+1) coefficient blocks, gathered as whole windows
+    windows = sliding_window_view(coeffs.reshape(space.shape),
+                                  (tx.basis.shape[3], ty.basis.shape[3]))
+    blocks = np.ascontiguousarray(windows[np.ix_(tx.first_dof, ty.first_dof)])
     return np.einsum(
         "eqa,efab,frb->eqfr", tx.basis[dorders[0]], blocks, ty.basis[dorders[1]],
         optimize=True,
@@ -143,20 +157,36 @@ def _grid_shape(space: SplineSpace, tables) -> tuple[int, ...]:
     return tx.points.shape + ty.points.shape
 
 
+def _shifted_slices(table: ElementTable) -> list[tuple[slice, slice, int]]:
+    """(elements, dofs, a) triples: local function a of a run of elements
+    with consecutive first dofs covers one slice of dofs.
+
+    Ordered by run, then a from p down to 0. Adding the triples in this
+    order hands each dof its element terms in ascending element order.
+    """
+    return [(slice(lo, hi), slice(dof + a, dof + a + hi - lo), a)
+            for lo, hi, dof in table.dof_runs for a in reversed(range(table.basis.shape[3]))]
+
+
 def _scatter_load(space: SplineSpace, tables, integrand: np.ndarray) -> np.ndarray:
-    """Load vector F_i = sum of w * integrand * B_i over the quadrature grid."""
+    """Load vector F_i = sum of w * integrand * B_i over the quadrature grid.
+
+    Element terms are added with one shifted slice add per local function
+    and direction (see :func:`_shifted_slices`), in the order ``np.add.at``
+    would apply them: ascending element (x-major in 2D), from zero.
+    """
     if space.dims == 1:
         (t,) = tables
         loc = np.einsum("eq,eq,eqa->ea", integrand, t.weights, t.basis[0])
-        F = np.zeros(space.n_dof)
-        np.add.at(F, _local_dof_indices(t), loc)
-        return F
-    tx, ty = tables
-    weighted = integrand * tx.weights[:, :, None, None] * ty.weights[None, None, :, :]
-    loc = np.einsum("eqfr,eqa,frb->efab", weighted, tx.basis[0], ty.basis[0], optimize=True)
-    idxx, idxy = _local_dof_indices(tx), _local_dof_indices(ty)
+    else:
+        tx, ty = tables
+        weighted = integrand * tx.weights[:, :, None, None] * ty.weights[None, None, :, :]
+        loc = np.einsum("eqfr,eqa,frb->efab", weighted, tx.basis[0], ty.basis[0],
+                        optimize=True)
     F = np.zeros(space.shape)
-    np.add.at(F, (idxx[:, None, :, None], idxy[None, :, None, :]), loc)
+    for parts in itertools.product(*map(_shifted_slices, tables)):
+        elements, dofs, local = zip(*parts)
+        F[dofs] += loc[elements + local]
     return F.ravel()
 
 
@@ -188,10 +218,9 @@ def _assemble_2d(space: SplineSpace, tables, pairs) -> sp.csr_matrix:
     cols2 = (idxx[:, None, None, :, None, None] * Ny + idxy[None, :, None, None, None, :])
     n = space.n_dof
     acc = None
-    # chunk over x-elements to bound the triplet arrays
     n_ex = idxx.shape[0]
     per_e = idxy.shape[0] * (nx1 * ny1) ** 2
-    chunk = max(1, int(2e6 / per_e))
+    chunk = max(1, int(CHUNK_TRIPLETS / per_e))
     for start in range(0, n_ex, chunk):
         sl = slice(start, min(start + chunk, n_ex))
         vals = np.zeros((sl.stop - sl.start, idxy.shape[0], nx1, nx1, ny1, ny1))

@@ -1,7 +1,9 @@
 """Dense and sparse linear-algebra kernels for assembly, multigrid and extrapolation.
 
 Sparse matrices are assembled as coordinate triplets and finalized to scipy
-CSR (duplicates summed); solves are row sweeps on the finalized matrix.
+CSR; solves are row sweeps on the finalized matrix. Duplicate triplets are
+summed in input order, the order scipy's own COO finalisation uses, which
+keeps every assembled matrix bit-for-bit the same as scipy would build it.
 Dense QR uses modified Gram-Schmidt with a reorthogonalization pass, which
 keeps column appends cheap when extrapolation windows grow one difference
 vector at a time.
@@ -144,10 +146,36 @@ class DenseLU:
 
 
 def coo_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Finalize coordinate triplets to CSR, summing duplicate entries."""
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=shape)
-    mat.sum_duplicates()
-    return mat.tocsr()
+    """Finalize coordinate triplets to CSR, summing duplicate entries.
+
+    One stable sort of the row-major keys orders the triplets, and
+    ``np.add.reduceat`` sums each run of equal keys in input order. This is
+    the permutation and the sum of scipy's ``coo_matrix.sum_duplicates``
+    (``np.lexsort`` by row, then column), so the result is bit-for-bit what
+    ``coo_matrix((vals, (rows, cols))).tocsr()`` gives, index dtype included.
+    Explicit zeros are kept. Raises ValueError for an index outside ``shape``.
+    """
+    n_rows, n_cols = (int(s) for s in shape)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals)
+    if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
+        raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+    if len(vals) == 0:
+        return sp.csr_matrix((n_rows, n_cols), dtype=vals.dtype)
+    for axis, (idx, size) in enumerate(((rows, n_rows), (cols, n_cols))):
+        if idx.min() < 0 or idx.max() >= size:
+            raise ValueError(f"axis {axis} index outside [0, {size})")
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    data = np.add.reduceat(vals[order], run_start, dtype=vals.dtype)
+    first = order[run_start]
+    idx_dtype = np.int32 if max(n_rows, n_cols, len(data)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
+    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix((data, cols[first].astype(idx_dtype), indptr), shape=(n_rows, n_cols))
 
 
 def symmetry_defect(A) -> float:

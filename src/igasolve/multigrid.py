@@ -95,16 +95,15 @@ def _interior_prolongation(coarse: SplineSpace, fine: SplineSpace) -> sp.csr_mat
     return maps[0] if len(maps) == 1 else sp.kron(maps[0], maps[1], format="csr")
 
 
-def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
-                    fine_matrix: sp.csr_matrix | None = None) -> GridHierarchy:
-    """Build a V-cycle hierarchy under the given fine space.
+def level_spaces(fine_space: SplineSpace, direct_threshold: int = 16) -> list[SplineSpace]:
+    """The spaces of the hierarchy under ``fine_space``, fine to coarse.
 
     Each coarser level halves the element count per direction while the
     interior dof count per direction exceeds ``direct_threshold``, the
     element counts stay even and the coarser level keeps interior dof.
     Raises ValueError when the coarsest level would exceed
-    ``MAX_COARSE_DOF``. The full fine stiffness matrix may be passed to
-    avoid reassembly.
+    ``MAX_COARSE_DOF``. Only knot vectors are built, so configs can be
+    checked with it before anything is assembled.
     """
     spaces = [fine_space]  # fine -> coarse
     while True:
@@ -121,7 +120,16 @@ def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
     if n_coarse > MAX_COARSE_DOF:
         raise ValueError(f"{fine_space} coarsens only to {spaces[-1]} with {n_coarse} "
                          f"dof, above the direct-solve limit of {MAX_COARSE_DOF}")
+    return spaces
 
+
+def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
+                    fine_matrix: sp.csr_matrix | None = None) -> GridHierarchy:
+    """Build a V-cycle hierarchy on the levels :func:`level_spaces` chooses.
+
+    The full fine stiffness matrix may be passed to avoid reassembly.
+    """
+    spaces = level_spaces(fine_space, direct_threshold)
     fine_full = fine_matrix if fine_matrix is not None else iga.assemble_stiffness(fine_space)
     levels = [Level(A=apply_dirichlet(fine_space).restrict_matrix(fine_full))]
     for fine, coarse in zip(spaces, spaces[1:]):

@@ -111,6 +111,10 @@ class OuterConfig:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.maxiter < 1:
+            raise ValueError(f"maxiter must be at least 1, got {self.maxiter}")
+        if not self.linear_tol > 0.0:
+            raise ValueError(f"linear_tol must be positive, got {self.linear_tol}")
         if self.accelerator not in ("none", "mpe", "rre", "anderson"):
             raise ValueError(f"unknown accelerator {self.accelerator!r}")
         if self.inner not in ("one_vcycle", "vcycle_to_tol", "direct"):

@@ -166,3 +166,89 @@ def kron_interior_prolongation(maps):
     fine = interior(tuple(m.shape[0] for m in maps))
     coarse = interior(tuple(m.shape[1] for m in maps))
     return P[fine][:, coarse].tocsr()
+
+
+def scipy_coo_to_csr(rows, cols, vals, shape):
+    """COO finalisation through scipy: ``sum_duplicates`` (``np.lexsort``
+    and ``np.add.reduceat``) followed by ``tocsr``."""
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=shape)
+    mat.sum_duplicates()
+    return mat.tocsr()
+
+
+def csr_fingerprint(A):
+    """Type, shape and the dtype and bytes of every CSR array, for bitwise
+    comparisons."""
+    return (type(A).__name__, A.shape) + tuple(
+        (str(a.dtype), a.tobytes()) for a in (A.indptr, A.indices, A.data))
+
+
+def _local_dofs(table):
+    return table.first_dof[:, None] + np.arange(table.basis.shape[3])[None, :]
+
+
+def add_at_scatter_load(space, tables, integrand):
+    """Load vector F_i = sum of w * integrand * B_i, scattered by ``np.add.at``."""
+    if space.dims == 1:
+        (t,) = tables
+        loc = np.einsum("eq,eq,eqa->ea", integrand, t.weights, t.basis[0])
+        F = np.zeros(space.n_dof)
+        np.add.at(F, _local_dofs(t), loc)
+        return F
+    tx, ty = tables
+    weighted = integrand * tx.weights[:, :, None, None] * ty.weights[None, None, :, :]
+    loc = np.einsum("eqfr,eqa,frb->efab", weighted, tx.basis[0], ty.basis[0], optimize=True)
+    idxx, idxy = _local_dofs(tx), _local_dofs(ty)
+    F = np.zeros(space.shape)
+    np.add.at(F, (idxx[:, None, :, None], idxy[None, :, None, :]), loc)
+    return F.ravel()
+
+
+def fancy_grid_values(space, coeffs, tables, dorders):
+    """Field derivative on the quadrature grid from a 4-index fancy gather
+    of the element coefficient blocks."""
+    if space.dims == 1:
+        (t,) = tables
+        idx = _local_dofs(t)
+        return np.einsum("eqa,ea->eq", t.basis[dorders[0]], coeffs[idx])
+    tx, ty = tables
+    idxx, idxy = _local_dofs(tx), _local_dofs(ty)
+    C = coeffs.reshape(space.shape)
+    blocks = C[idxx[:, None, :, None], idxy[None, :, None, :]]
+    return np.einsum(
+        "eqa,efab,frb->eqfr", tx.basis[dorders[0]], blocks, ty.basis[dorders[1]],
+        optimize=True,
+    )
+
+
+def element_matrices_1d(table, du, dv):
+    """Per-element matrices of int B^(du)_a B^(dv)_b."""
+    return np.einsum("eqa,eqb,eq->eab", table.basis[du], table.basis[dv], table.weights)
+
+
+def chunked_assemble_2d(space, tables, pairs):
+    """The 2D triplet assembly as the seed wrote it: chunks of x-elements of
+    at most 2e6 triplets, each finalised by scipy, summed left to right."""
+    tx, ty = tables
+    idxx, idxy = _local_dofs(tx), _local_dofs(ty)
+    nx1, ny1 = idxx.shape[1], idxy.shape[1]
+    Ny = space.shape[1]
+    rows2 = (idxx[:, None, :, None, None, None] * Ny + idxy[None, :, None, None, :, None])
+    cols2 = (idxx[:, None, None, :, None, None] * Ny + idxy[None, :, None, None, None, :])
+    n = space.n_dof
+    acc = None
+    # chunk over x-elements to bound the triplet arrays
+    n_ex = idxx.shape[0]
+    per_e = idxy.shape[0] * (nx1 * ny1) ** 2
+    chunk = max(1, int(2e6 / per_e))
+    for start in range(0, n_ex, chunk):
+        sl = slice(start, min(start + chunk, n_ex))
+        vals = np.zeros((sl.stop - sl.start, idxy.shape[0], nx1, nx1, ny1, ny1))
+        for X, Y in pairs:
+            vals += X[sl, None, :, :, None, None] * Y[None, :, None, None, :, :]
+        shape6 = vals.shape
+        r = np.broadcast_to(rows2[sl], shape6).ravel()
+        c = np.broadcast_to(cols2[sl], shape6).ravel()
+        part = scipy_coo_to_csr(r, c, vals.ravel(), (n, n))
+        acc = part if acc is None else acc + part
+    return acc.tocsr()

@@ -86,13 +86,23 @@ class TestConfigParsing:
         "problem = bratu1d\ntol = -1\n",
         "problem = bratu1d\ninner_tol = 0\n",
         "problem = bratu1d\ninner_tol.p2.g16 = 0\n",
+        "problem = bratu1d\nmaxiter = 0\n",
+        "problem = bratu2d\np = 2\ngrid = 64, 254\n",
+        "problem = monge_ampere\np = 3\ngrid = 254\n",
     ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
-            "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0"])
+            "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0", "maxiter-0",
+            "2d-coarsest-too-large", "monge-ampere-coarsest-too-large"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ValueError):
             parse_config(path)
+
+    def test_1d_grid_with_odd_halving_accepted(self, tmp_path):
+        # 1D N=254 also stops coarsening at N=127, but that is 127 dof
+        path = tmp_path / "ok.cfg"
+        path.write_text("problem = bratu1d\np = 2\ngrid = 254\n")
+        assert parse_config(path).grids == [254]
 
     def test_unknown_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -119,15 +129,6 @@ class TestRunExperiment:
         assert [(r.p, r.method) for r in rows] == [
             (1, "picard"), (1, "mpe(2)"), (2, "picard"), (2, "mpe(2)")]
         assert all(r.converged for r in rows)
-
-    def test_maxiter_zero_single_cell(self, tmp_path):
-        path = tmp_path / "z.cfg"
-        path.write_text("problem = bratu1d\nlambda = 1\np = 1\ngrid = 8\n"
-                        "method = picard\nmaxiter = 0\n")
-        rows = run_experiment(parse_config(path))
-        assert len(rows) == 1
-        assert rows[0].iter == 0
-        assert not rows[0].converged
 
     def test_cell_failure_recorded_not_raised(self, tmp_path):
         # monge_ampere at p=1 violates the degree requirement per cell

@@ -22,6 +22,7 @@ from igasolve.bspline import (
 )
 
 from oracles import naive_bspline, naive_bspline_all, rational_knots, scalar_eval_basis
+from strategies import open_knot_vectors
 
 
 def spline_value(kv, coeffs, t):
@@ -241,6 +242,14 @@ class TestHelpers:
         assert g[-1] == pytest.approx(1.0)
         assert np.all(np.diff(g) > 0)
 
+    def test_dof_runs_split_at_repeated_knots(self):
+        assert tabulate(make_open_uniform_knots(2, 5), 3).dof_runs == ((0, 5, 0),)
+        # a double interior knot at 0.5 makes the first dofs jump 1 -> 3
+        kv = KnotVector(2, [0, 0, 0, 0.25, 0.5, 0.5, 0.75, 1, 1, 1])
+        table = tabulate(kv, 3)
+        assert table.first_dof.tolist() == [0, 1, 3, 4]
+        assert table.dof_runs == ((0, 2, 0), (2, 4, 3))
+
     def test_tabulate_shapes_and_partition(self):
         kv = make_open_uniform_knots(3, 6)
         table = tabulate(kv, 4, max_deriv=2)
@@ -252,20 +261,6 @@ class TestHelpers:
             tabulate(kv, 17)
         with pytest.raises(ValueError):
             tabulate(kv, 4, max_deriv=kv.p + 1)
-
-
-@st.composite
-def open_knot_vectors(draw):
-    """Open knot vectors with non-uniform interior breakpoints of
-    multiplicity up to p on a random interval."""
-    p = draw(st.integers(1, 6))
-    lo = draw(st.integers(-4, 4))
-    width = draw(st.integers(1, 8))
-    cuts = sorted(draw(st.lists(st.integers(1, 999), unique=True, max_size=10)))
-    interior = []
-    for c in cuts:
-        interior += [lo + width * c / 1000] * draw(st.integers(1, p))
-    return KnotVector(p, [lo] * (p + 1) + interior + [lo + width] * (p + 1))
 
 
 class TestScalarOracle:

@@ -1,10 +1,14 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from igasolve import iga
 from igasolve.bspline import make_open_uniform_knots
 from igasolve.iga import (
     DegreeTooLow,
@@ -24,7 +28,16 @@ from igasolve.iga import (
 )
 from igasolve.linalg import symmetry_defect
 
-from oracles import dense_gauss_quadrature
+from oracles import (
+    add_at_scatter_load,
+    chunked_assemble_2d,
+    csr_fingerprint,
+    dense_gauss_quadrature,
+    element_matrices_1d,
+    fancy_grid_values,
+    scipy_coo_to_csr,
+)
+from strategies import open_knot_vectors
 
 
 class TestStiffness1D:
@@ -288,3 +301,62 @@ class TestL2Error:
         u0 = SplineField(space, np.zeros(space.n_dof))
         F2 = assemble_bratu_rhs(space, 0.0, f, u0)
         assert np.abs(F1 - F2).max() <= 1e-13
+
+
+def _seed_assembly(assemble, space):
+    """``assemble(space)`` with scipy's COO finalisation in place of coo_to_csr."""
+    with mock.patch.object(iga, "coo_to_csr", scipy_coo_to_csr):
+        return assemble(space)
+
+
+class TestSeedIdiomOracles:
+    """Assembly, load scatter and coefficient gather against the generic
+    scipy/numpy idioms they replace, bit for bit."""
+
+    @pytest.mark.parametrize("dims,n", [(1, 40), (2, 9)])
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("assemble", [assemble_stiffness, assemble_mass],
+                             ids=["stiffness", "mass"])
+    def test_assembly_matches_scipy_finalisation(self, assemble, p, dims, n):
+        space = make_space(p, n, dims)
+        assert (csr_fingerprint(assemble(space))
+                == csr_fingerprint(_seed_assembly(assemble, space)))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_multi_chunk_stiffness_matches_seed_assembly(self, n):
+        # the chunk partition is part of the rounding, so the oracle keeps its own
+        p = 5
+        space = make_space(p, n, dims=2)
+        per_x_element = n * ((p + 1) ** 2) ** 2
+        assert n > iga.CHUNK_TRIPLETS // per_x_element  # more than one chunk
+        tables = space.tables(0, 1)
+        K = [element_matrices_1d(t, 1, 1) for t in tables]
+        M = [element_matrices_1d(t, 0, 0) for t in tables]
+        seed = chunked_assemble_2d(space, tables, [(K[0], M[1]), (M[0], K[1])])
+        assert csr_fingerprint(assemble_stiffness(space)) == csr_fingerprint(seed)
+
+    @settings(deadline=None, max_examples=60)
+    @given(kvs=st.lists(open_knot_vectors(), min_size=1, max_size=2), data=st.data())
+    def test_nonuniform_assembly_matches_scipy_finalisation(self, kvs, data):
+        space = SplineSpace(tuple(kvs))
+        assemble = data.draw(st.sampled_from([assemble_stiffness, assemble_mass]))
+        assert (csr_fingerprint(assemble(space))
+                == csr_fingerprint(_seed_assembly(assemble, space)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(kvs=st.lists(open_knot_vectors(), min_size=1, max_size=2), data=st.data())
+    def test_scatter_and_gather_match_add_at_and_fancy_gather(self, kvs, data):
+        space = SplineSpace(tuple(kvs))
+        extra = data.draw(st.integers(0, 1))
+        max_deriv = data.draw(st.integers(1, min(space.degrees)))
+        tables = space.tables(extra, max_deriv)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = iga._grid_shape(space, tables)
+        integrand = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        assert (iga._scatter_load(space, tables, integrand).tobytes()
+                == add_at_scatter_load(space, tables, integrand).tobytes())
+        coeffs = rng.standard_normal(space.n_dof)
+        dorders = tuple(data.draw(st.integers(0, max_deriv)) for _ in space.kvs)
+        new = iga._grid_values(space, coeffs, tables, dorders)
+        old = fancy_grid_values(space, coeffs, tables, dorders)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()

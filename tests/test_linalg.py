@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igasolve.linalg import (
     DenseLU,
@@ -15,7 +17,12 @@ from igasolve.linalg import (
     symmetry_defect,
 )
 
-from oracles import forward_substitution_upper, thomas_tridiagonal
+from oracles import (
+    csr_fingerprint,
+    forward_substitution_upper,
+    scipy_coo_to_csr,
+    thomas_tridiagonal,
+)
 
 
 class TestQR:
@@ -165,3 +172,60 @@ class TestSparse:
         assert symmetry_defect(A) == 0.0
         B = sp.csr_matrix(np.array([[1.0, 2.0], [2.5, 3.0]]))
         assert symmetry_defect(B) == pytest.approx(0.5)
+
+
+@st.composite
+def triplets(draw):
+    """Unsorted triplets on a small matrix, so most entries repeat; values of
+    mixed magnitude make every summation order round differently."""
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, n_rows, n)
+    cols = rng.integers(0, n_cols, n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    return rows, cols, vals, (n_rows, n_cols)
+
+
+class TestCooToCsrOracle:
+    """The stable-sort finalisation against scipy's own, bit for bit."""
+
+    @settings(deadline=None)
+    @given(t=triplets())
+    def test_bitwise_equal_to_scipy(self, t):
+        rows, cols, vals, shape = t
+        assert (csr_fingerprint(coo_to_csr(rows, cols, vals, shape))
+                == csr_fingerprint(scipy_coo_to_csr(rows, cols, vals, shape)))
+
+    def test_many_duplicates_of_mixed_magnitude(self):
+        rng = np.random.default_rng(3)
+        n = 20000
+        rows, cols = rng.integers(0, 7, n), rng.integers(0, 5, n)
+        vals = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        assert (csr_fingerprint(coo_to_csr(rows, cols, vals, (7, 5)))
+                == csr_fingerprint(scipy_coo_to_csr(rows, cols, vals, (7, 5))))
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.intp)
+        A = coo_to_csr(empty, empty, np.zeros(0), (4, 3))
+        assert A.shape == (4, 3) and A.nnz == 0
+        assert csr_fingerprint(A) == csr_fingerprint(
+            scipy_coo_to_csr(empty, empty, np.zeros(0), (4, 3)))
+
+    def test_explicit_zeros_kept(self):
+        A = coo_to_csr([0, 0, 1], [1, 1, 0], [1.0, -1.0, 2.0], (2, 2))
+        assert A.nnz == 2 and A[0, 1] == 0.0
+
+    @pytest.mark.parametrize("rows,cols", [
+        ([0, -1], [0, 0]), ([0, 3], [0, 0]), ([0, 0], [-2, 0]), ([0, 0], [0, 2]),
+    ], ids=["row-negative", "row-too-large", "col-negative", "col-too-large"])
+    def test_out_of_range_rejected(self, rows, cols):
+        with pytest.raises(ValueError):
+            coo_to_csr(rows, cols, [1.0, 2.0], (3, 2))
+        with pytest.raises(ValueError):
+            scipy_coo_to_csr(rows, cols, [1.0, 2.0], (3, 2))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            coo_to_csr([0, 1], [0], [1.0, 2.0], (2, 2))

@@ -128,7 +128,12 @@ class TestRunOuter:
         dict(accelerator="mpe", window=0),
         dict(accelerator="rre", window=0),
         dict(accelerator="anderson", window=0),
-    ], ids=["accelerator", "inner", "mpe-window-0", "rre-window-0", "anderson-window-0"])
+        dict(maxiter=0),
+        dict(maxiter=-3),
+        dict(linear_tol=0.0),
+        dict(linear_tol=-1.0),
+    ], ids=["accelerator", "inner", "mpe-window-0", "rre-window-0", "anderson-window-0",
+            "maxiter-0", "maxiter-negative", "linear-tol-0", "linear-tol-negative"])
     def test_bad_config_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             OuterConfig(**kwargs)
