@@ -4,11 +4,9 @@ accelerated Picard solvers for nonlinear elliptic problems."""
 from .bspline import (
     KnotVector,
     eval_basis,
-    gauss_rule,
     greville_abscissae,
     insert_knots,
     make_open_uniform_knots,
-    refine_dyadic,
 )
 from .extrapolation import (
     AndersonState,
@@ -28,16 +26,12 @@ from .iga import (
     SplineField,
     SplineSpace,
     apply_dirichlet,
-    assemble_bratu_rhs,
     assemble_mass,
-    assemble_monge_ampere_rhs,
     assemble_stiffness,
-    eval_field,
     l2_error,
-    l2_projection,
     make_space,
 )
-from .linalg import QRFactors, lu_solve_dense, qr_factor, solve_normal_equations, solve_upper_triangular
+from .linalg import QRFactors, qr_factor, solve_normal_equations, solve_upper_triangular
 from .multigrid import (
     CycleReport,
     GridHierarchy,

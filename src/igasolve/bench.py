@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import math
 import os
 import re
 import sys
@@ -49,7 +50,6 @@ class ExperimentConfig:
     inner: str = "one_vcycle"
     inner_tol: float = 1e-2
     inner_tol_overrides: dict[tuple[int, int], float] = field(default_factory=dict)
-    wave_number: int = 1
 
     def cells(self):
         for lam in self.lambdas:
@@ -118,8 +118,11 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"unknown problem {problem!r}")
     cfg = ExperimentConfig(problem=problem)
 
-    def floats(s):
-        return [float(x) for x in s.split(",") if x.strip()]
+    def finite_floats(key, s):
+        vals = [float(x) for x in s.split(",") if x.strip()]
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"{key} values must be finite")
+        return vals
 
     def positive_ints(key, s):
         vals = [int(x) for x in s.split(",") if x.strip()]
@@ -129,13 +132,13 @@ def parse_config(path) -> ExperimentConfig:
 
     def positive_float(key, s):
         v = float(s)
-        if not v > 0.0:
-            raise ValueError(f"{key} must be positive")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{key} must be positive and finite")
         return v
 
     for key, val in kv.items():
         if key == "lambda":
-            cfg.lambdas = floats(val)
+            cfg.lambdas = finite_floats(key, val)
         elif key == "p":
             cfg.degrees = positive_ints(key, val)
             if max(cfg.degrees, default=1) > MAX_DEGREE:
@@ -158,8 +161,6 @@ def parse_config(path) -> ExperimentConfig:
             cfg.inner = val
         elif key == "inner_tol":
             cfg.inner_tol = positive_float(key, val)
-        elif key == "k":
-            cfg.wave_number = int(val)
         else:
             m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
             if not m:
@@ -167,6 +168,8 @@ def parse_config(path) -> ExperimentConfig:
             cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = positive_float(key, val)
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
+    if cfg.problem == "monge_ampere" and min(cfg.degrees) < 2:
+        raise ValueError("monge_ampere needs p values of at least 2")
     # Every (p, grid) must coarsen to a level the direct solver accepts.
     dims = 1 if cfg.problem == "bratu1d" else 2
     for p in cfg.degrees:
@@ -177,7 +180,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def _build_problem(cfg: ExperimentConfig, lam: float, p: int, n: int):
     if cfg.problem == "bratu1d":
-        return BratuProblem.manufactured_1d(lam, p, n, k=cfg.wave_number)
+        return BratuProblem.manufactured_1d(lam, p, n)
     if cfg.problem == "bratu2d":
         return BratuProblem.manufactured_2d(lam, p, n)
     return MongeAmpereProblem.manufactured(p, n)
@@ -312,35 +315,48 @@ def _cmd_run(cfg_path: Path, out_dir: Path, parallel: int) -> int:
     return 0
 
 
+# Selector keys and the type each value must parse as.
+_SELECTOR_KEYS = {"method": str, "lambda": float, "p": int, "grid": int}
+
+
 def parse_cell_selector(sel: str):
-    """Parse 'method=rre(5),lambda=7,p=5,grid=64' into a cell filter."""
+    """Parse 'method=rre(5),lambda=7,p=5,grid=64' into a cell filter.
+
+    Raises ValueError for a part without '=', an unknown or repeated key or
+    a value of the wrong type, so a typo cannot silently select other cells.
+    """
     want: dict[str, str] = {}
     for part in sel.split(","):
         part = part.strip()
         if not part:
             continue
         # method tokens contain parentheses, e.g. rre(5); only split on the first '='
-        key, val = (s.strip() for s in part.split("=", 1))
-        want[key.lower()] = val
+        key, eq, val = part.partition("=")
+        key, val = key.strip().lower(), val.strip()
+        if not eq or key not in _SELECTOR_KEYS or key in want:
+            raise ValueError(f"bad cell selector part {part!r}: expected each of "
+                             + ", ".join(f"{k}=..." for k in _SELECTOR_KEYS) + " at most once")
+        try:
+            _SELECTOR_KEYS[key](val)
+        except ValueError:
+            raise ValueError(f"bad {key} value {val!r} in cell selector") from None
+        want[key] = val
     return want
 
 
 def _match_cell(cell, want) -> bool:
     lam, p, n, method = cell
-    if "method" in want and want["method"] != method:
-        return False
-    if "lambda" in want and float(want["lambda"]) != lam:
-        return False
-    if "p" in want and int(want["p"]) != p:
-        return False
-    if "grid" in want and int(want["grid"]) != n:
-        return False
-    return True
+    values = {"method": method, "lambda": lam, "p": p, "grid": n}
+    return all(_SELECTOR_KEYS[key](val) == values[key] for key, val in want.items())
 
 
 def _cmd_history(cfg_path: Path, selector: str, out_path: Path | None) -> int:
     cfg = parse_config(cfg_path)
-    want = parse_cell_selector(selector)
+    try:
+        want = parse_cell_selector(selector)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     matches = [c for c in cfg.cells() if _match_cell(c, want)]
     if len(matches) != 1:
         print(f"selector matches {len(matches)} cells, need exactly 1", file=sys.stderr)

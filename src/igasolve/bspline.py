@@ -1,5 +1,5 @@
 """Open knot vectors, Cox-de Boor basis evaluation, Gauss quadrature on knot
-spans, and knot insertion (dyadic two-scale refinement).
+spans, and knot insertion (the two-scale relation of nested spaces).
 
 Basis values and derivatives follow the classical triangular-table algorithm
 for the recurrence
@@ -22,10 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import coo_to_csr
-
-
-class InvalidInterval(Exception):
-    """Interval [a, b] with a >= b."""
 
 
 class OutOfDomain(Exception):
@@ -121,37 +117,15 @@ class BasisEvaluation:
         return self.span_index - (self.derivs.shape[1] - 1)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    points: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class RefinementMap:
-    """Two-scale relation between nested spline spaces.
-
-    ``P`` has shape (fine.n_basis, coarse.n_basis); a coarse spline with
-    coefficients c is reproduced exactly on the fine space by P @ c.
-    """
-
-    coarse: KnotVector
-    fine: KnotVector
-    P: sp.csr_matrix
-
-
-def make_open_uniform_knots(p: int, n_elements: int, interval=(0.0, 1.0)) -> KnotVector:
-    """Open uniform knot vector with n_elements spans on [a, b].
+def make_open_uniform_knots(p: int, n_elements: int) -> KnotVector:
+    """Open uniform knot vector with n_elements spans on [0, 1].
 
     The basis has N = n_elements + p functions.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if a >= b:
-        raise InvalidInterval(f"need a < b, got [{a}, {b}]")
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
-    inner = np.linspace(a, b, n_elements + 1)
-    knots = np.concatenate([np.full(p, a), inner, np.full(p, b)])
+    inner = np.linspace(0.0, 1.0, n_elements + 1)
+    knots = np.concatenate([np.full(p, 0.0), inner, np.full(p, 1.0)])
     return KnotVector(p, knots)
 
 
@@ -258,15 +232,6 @@ def _legendre_nodes(n_points: int):
     return np.polynomial.legendre.leggauss(n_points)
 
 
-def gauss_rule(n_points: int, span=(0.0, 1.0)) -> QuadratureRule:
-    """Gauss-Legendre rule mapped to [a, b]; exact on polynomials of degree
-    2*n_points - 1."""
-    x, w = _legendre_nodes(n_points)
-    a, b = float(span[0]), float(span[1])
-    half = 0.5 * (b - a)
-    return QuadratureRule(points=a + half * (x + 1.0), weights=half * w)
-
-
 def _single_insertion(p: int, knots: np.ndarray, u: float):
     """Boehm insertion of one knot u strictly inside the domain.
 
@@ -289,8 +254,13 @@ def _single_insertion(p: int, knots: np.ndarray, u: float):
     return new_knots, S
 
 
-def insert_knots(kv: KnotVector, values) -> RefinementMap:
-    """Insert the given knot values (strictly inside the domain) one by one."""
+def insert_knots(kv: KnotVector, values) -> sp.csr_matrix:
+    """Two-scale matrix of inserting the given knot values (strictly inside
+    the domain) one by one.
+
+    The matrix has shape (fine n_basis, coarse n_basis); a coarse spline with
+    coefficients c is reproduced exactly on the refined knot vector by P @ c.
+    """
     a, b = kv.domain
     values = np.sort(np.asarray(values, dtype=float))
     if values.size and (values[0] <= a or values[-1] >= b):
@@ -300,16 +270,7 @@ def insert_knots(kv: KnotVector, values) -> RefinementMap:
     for u in values:
         knots, S = _single_insertion(kv.p, knots, float(u))
         P = S @ P
-    return RefinementMap(coarse=kv, fine=KnotVector(kv.p, knots), P=P.tocsr())
-
-
-def refine_dyadic(kv: KnotVector) -> RefinementMap:
-    """Insert the midpoint of every element of a uniform open knot vector."""
-    bp = kv.breakpoints
-    h = np.diff(bp)
-    if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
-        raise ValueError("refine_dyadic requires uniform interior knots")
-    return insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
+    return P.tocsr()
 
 
 @dataclass(frozen=True)
@@ -321,15 +282,10 @@ class ElementTable:
     local function 0.
     """
 
-    kv: KnotVector
     points: np.ndarray
     weights: np.ndarray
     basis: np.ndarray
     first_dof: np.ndarray
-
-    @property
-    def n_quad(self) -> int:
-        return self.points.shape[1]
 
     @cached_property
     def dof_runs(self) -> tuple[tuple[int, int, int], ...]:
@@ -346,12 +302,12 @@ def tabulate(kv: KnotVector, n_qp: int, max_deriv: int = 1) -> ElementTable:
     x, w = _legendre_nodes(n_qp)
     spans = kv.element_spans
     p = kv.p
-    # The affine map of gauss_rule, applied to every span at once.
+    # The Gauss-Legendre rule mapped affinely to every span at once.
     a = kv.knots[spans][:, None]
     half = 0.5 * (kv.knots[spans + 1][:, None] - a)
     points = a + half * (x + 1.0)
     weights = half * w
     ders = _basis_derivs(kv, points.ravel(), np.repeat(spans, n_qp), max_deriv)
     basis = ders.reshape(max_deriv + 1, p + 1, len(spans), n_qp).transpose(0, 2, 3, 1)
-    return ElementTable(kv=kv, points=points, weights=weights,
+    return ElementTable(points=points, weights=weights,
                         basis=np.ascontiguousarray(basis), first_dof=spans - p)

@@ -359,17 +359,6 @@ class AndersonState:
         return F, Gm
 
 
-def beta_from_theta(theta: np.ndarray) -> np.ndarray:
-    """Map the unconstrained solution back to the affine-combination weights."""
-    theta = np.asarray(theta, dtype=float)
-    beta = np.empty(len(theta) + 1)
-    beta[0] = theta[0] if len(theta) else 1.0
-    beta[1:-1] = theta[1:] - theta[:-1]
-    if len(theta):
-        beta[-1] = 1.0 - theta[-1]
-    return beta
-
-
 def anderson_step(state: AndersonState, s_k, G_sk) -> np.ndarray:
     """One Anderson update x_{k+1} = G(s_k) - G_k theta.
 

@@ -40,7 +40,3 @@ class IterationHistory:
     @property
     def iterations(self) -> int:
         return self.records[-1].iteration if self.records else 0
-
-    @property
-    def final_residual(self) -> float:
-        return self.records[-1].relative_residual if self.records else float("nan")

@@ -2,7 +2,7 @@
 
 Stiffness/mass matrices, nonlinear load vectors for the Bratu and
 Monge-Ampere fixed-point maps, Dirichlet handling by boundary-coefficient
-interpolation plus stiffness lifting, spline-field evaluation and L2 norms.
+interpolation plus stiffness lifting, and L2 error norms.
 
 Assembly loops run element by element with per-direction Gauss tables;
 2D local blocks are formed as outer products of 1D element matrices
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bspline
-from .bspline import ElementTable, KnotVector, eval_basis, greville_abscissae, tabulate
+from .bspline import ElementTable, KnotVector, greville_abscissae, tabulate
 from .linalg import coo_to_csr
 
 log = logging.getLogger(__name__)
@@ -56,8 +55,6 @@ class SplineSpace:
     """
 
     def __init__(self, knotvectors):
-        if isinstance(knotvectors, KnotVector):
-            knotvectors = (knotvectors,)
         kvs = tuple(knotvectors)
         if len(kvs) not in (1, 2):
             raise ValueError("only 1D and 2D spaces are supported")
@@ -110,9 +107,6 @@ class SplineField:
         self.coefficients = np.asarray(self.coefficients, dtype=float).ravel()
         if self.coefficients.size != self.space.n_dof:
             raise ValueError("coefficient length does not match the space")
-
-    def eval(self, point):
-        return eval_field(self, point)
 
 
 def _local_dof_indices(table: ElementTable) -> np.ndarray:
@@ -277,14 +271,6 @@ def bratu_load(space: SplineSpace, f_vals, lam: float, coeffs: np.ndarray) -> np
     return _scatter_load(space, tables, f_vals - lam * np.exp(u_vals))
 
 
-def assemble_bratu_rhs(space: SplineSpace, lam: float, f, u_prev: SplineField | None) -> np.ndarray:
-    """:func:`bratu_load` for a source callable (None for zero) and a zero
-    default lagged iterate."""
-    f_vals = _call_on_grid(f, space, space.tables(0, 1)) if f is not None else 0.0
-    coeffs = u_prev.coefficients if u_prev is not None else np.zeros(space.n_dof)
-    return bratu_load(space, f_vals, lam, coeffs)
-
-
 def monge_ampere_operator(lap: np.ndarray, det_hess: np.ndarray, f_vals):
     """Pointwise G(u) = ((lap u)^2 + 2 (f - det H(u)))^(1/2), radicand clamped at 0.
 
@@ -314,57 +300,6 @@ def monge_ampere_load(space: SplineSpace, f_vals, coeffs: np.ndarray) -> np.ndar
     return _scatter_load(space, tables, -g_vals)
 
 
-def assemble_monge_ampere_rhs(space: SplineSpace, f, u_prev: SplineField) -> np.ndarray:
-    """:func:`monge_ampere_load` for a source callable."""
-    if min(space.degrees) < 2:
-        raise DegreeTooLow("Monge-Ampere assembly needs p >= 2")
-    if space.dims != 2:
-        raise ValueError("only the planar case d = 2 is implemented")
-    f_vals = _call_on_grid(f, space, space.tables(0, 2))
-    return monge_ampere_load(space, f_vals, u_prev.coefficients)
-
-
-def eval_field(field: SplineField, point):
-    """Value, gradient and Hessian of the spline at one point.
-
-    Gradient has shape (dims,), the Hessian (dims, dims). For p = 1 the
-    (piecewise zero) second derivatives are reported as zero.
-    """
-    space = field.space
-    evs = []
-    for kv, x in zip(space.kvs, np.atleast_1d(np.asarray(point, dtype=float))):
-        evs.append(eval_basis(kv, float(x), max_deriv=min(2, kv.p)))
-
-    def der(ev, r):
-        return ev.derivs[r] if r < ev.derivs.shape[0] else np.zeros_like(ev.derivs[0])
-
-    if space.dims == 1:
-        (ev,) = evs
-        sl = slice(ev.first_dof, ev.first_dof + ev.derivs.shape[1])
-        c = field.coefficients[sl]
-        value = float(der(ev, 0) @ c)
-        grad = np.array([der(ev, 1) @ c])
-        hess = np.array([[der(ev, 2) @ c]])
-        return value, grad, hess
-
-    evx, evy = evs
-    C = field.coefficients.reshape(space.shape)
-    blk = C[
-        evx.first_dof: evx.first_dof + evx.derivs.shape[1],
-        evy.first_dof: evy.first_dof + evy.derivs.shape[1],
-    ]
-
-    def combine(rx, ry):
-        return float(der(evx, rx) @ blk @ der(evy, ry))
-
-    value = combine(0, 0)
-    grad = np.array([combine(1, 0), combine(0, 1)])
-    hess = np.array(
-        [[combine(2, 0), combine(1, 1)], [combine(1, 1), combine(0, 2)]]
-    )
-    return value, grad, hess
-
-
 class DirichletLayout:
     """Interior/boundary dof split with boundary coefficient values."""
 
@@ -386,16 +321,6 @@ class DirichletLayout:
     def coupling(self, A: sp.csr_matrix) -> sp.csr_matrix:
         """Interior x boundary block used for the lifting correction."""
         return A[self.interior][:, self.boundary].tocsr()
-
-    def restrict_vector(self, F: np.ndarray) -> np.ndarray:
-        return F[self.interior]
-
-    def lift_vector(self, A: sp.csr_matrix, F: np.ndarray) -> np.ndarray:
-        """Interior right-hand side including -A_ib * g_b."""
-        rhs = F[self.interior]
-        if len(self.boundary) and np.any(self.boundary_values != 0.0):
-            rhs = rhs - self.coupling(A) @ self.boundary_values
-        return rhs
 
     def expand(self, u_interior: np.ndarray) -> np.ndarray:
         full = np.zeros(self.n_dof)
@@ -465,11 +390,3 @@ def l2_error(field: SplineField, exact) -> float:
     w = tx.weights[:, :, None, None] * ty.weights[None, None, :, :]
     return float(np.sqrt(np.sum(diff2 * w)))
 
-
-def l2_projection(space: SplineSpace, f) -> SplineField:
-    """Global L2 projection of a function onto the spline space."""
-    tables = space.tables(1, 1)
-    M = assemble_mass(space)
-    rhs = _scatter_load(space, tables, _call_on_grid(f, space, tables))
-    coeffs = spla.spsolve(M.tocsc(), rhs)
-    return SplineField(space, coeffs)

@@ -116,11 +116,6 @@ def solve_normal_equations(R, rhs) -> np.ndarray:
     return scipy.linalg.solve_triangular(R, y, lower=False)
 
 
-def lu_solve_dense(A, b) -> np.ndarray:
-    """Direct dense solve A x = b via LU with partial pivoting."""
-    return DenseLU(A).solve(b)
-
-
 class DenseLU:
     """Cached LU factorization for repeated coarsest-grid solves."""
 
@@ -176,11 +171,3 @@ def coo_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
     indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
     np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
     return sp.csr_matrix((data, cols[first].astype(idx_dtype), indptr), shape=(n_rows, n_cols))
-
-
-def symmetry_defect(A) -> float:
-    """max |A - A^T| over stored entries, for symmetry assertions."""
-    d = A - A.T
-    if sp.issparse(d):
-        return float(abs(d).max()) if d.nnz else 0.0
-    return float(np.abs(d).max(initial=0.0))

@@ -43,7 +43,6 @@ class ZeroDiagonal(Exception):
 class CycleReport:
     initial_residual_norm: float
     final_residual_norm: float
-    levels_visited: int
     n_cycles: int = 1
     converged: bool = True
 
@@ -91,7 +90,7 @@ def _interior_prolongation(coarse: SplineSpace, fine: SplineSpace) -> sp.csr_mat
     maps = []
     for kvc, kvf in zip(coarse.kvs, fine.kvs):
         inserted = np.setdiff1d(kvf.breakpoints, kvc.breakpoints)
-        maps.append(insert_knots(kvc, inserted).P[1:-1, 1:-1])
+        maps.append(insert_knots(kvc, inserted)[1:-1, 1:-1])
     return maps[0] if len(maps) == 1 else sp.kron(maps[0], maps[1], format="csr")
 
 
@@ -162,7 +161,7 @@ def v_cycle(h: GridHierarchy, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray
     x = _vcycle_recursive(h, h.n_levels - 1, np.asarray(b, dtype=float),
                           np.asarray(x0, dtype=float))
     r1 = float(np.linalg.norm(b - A @ x))
-    return x, CycleReport(r0, r1, levels_visited=h.n_levels)
+    return x, CycleReport(r0, r1)
 
 
 def solve_to_tolerance(h: GridHierarchy, b: np.ndarray, x0: np.ndarray, tol: float = 1e-8,
@@ -186,5 +185,4 @@ def solve_to_tolerance(h: GridHierarchy, b: np.ndarray, x0: np.ndarray, tol: flo
         x = _vcycle_recursive(h, h.n_levels - 1, b, x)
         res = float(np.linalg.norm(b - A @ x))
         n += 1
-    return x, CycleReport(r0, res, levels_visited=h.n_levels, n_cycles=n,
-                          converged=res / denom <= tol)
+    return x, CycleReport(r0, res, n_cycles=n, converged=res / denom <= tol)

@@ -34,9 +34,9 @@ class BratuProblem:
     exact: object | None = None
 
     @staticmethod
-    def manufactured_1d(lam: float, p: int, n_elements: int, k: int = 1) -> "BratuProblem":
-        """u = sin(2 k pi x) with the matching source term."""
-        w = 2.0 * k * np.pi
+    def manufactured_1d(lam: float, p: int, n_elements: int) -> "BratuProblem":
+        """u = sin(2 pi x) with the matching source term."""
+        w = 2.0 * np.pi
 
         def u(x):
             return np.sin(w * x)
@@ -73,6 +73,8 @@ class MongeAmpereProblem:
     def __post_init__(self):
         if min(self.space.degrees) < 2:
             raise iga.DegreeTooLow("Monge-Ampere needs spline degree p >= 2")
+        if self.space.dims != 2:
+            raise ValueError("only the planar case d = 2 is implemented")
 
     @staticmethod
     def manufactured(p: int, n_elements: int) -> "MongeAmpereProblem":
@@ -109,8 +111,8 @@ class OuterConfig:
     linear_tol: float = 1e-2
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be at least 1, got {self.maxiter}")
         if not self.linear_tol > 0.0:

@@ -1,13 +1,19 @@
 """Independent reference computations used by the test suite.
 
-Everything here is deliberately naive (direct recursions, dense algebra,
-hand-rolled eliminations) so it shares no code path with the package.
+Most of it is deliberately naive (direct recursions, dense algebra,
+hand-rolled eliminations) so it shares no code path with the package. The
+last helpers are test fixtures the package does not ship: a Gauss rule on
+one span, a point evaluator and the global L2 projection.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from igasolve import iga
+from igasolve.bspline import eval_basis
 
 
 def naive_bspline(t, k, i, knots):
@@ -252,3 +258,32 @@ def chunked_assemble_2d(space, tables, pairs):
         part = scipy_coo_to_csr(r, c, vals.ravel(), (n, n))
         acc = part if acc is None else acc + part
     return acc.tocsr()
+
+
+def gauss_rule(n_points, span=(0.0, 1.0)):
+    """Gauss-Legendre (points, weights) mapped to [a, b]; exact on
+    polynomials of degree 2*n_points - 1."""
+    x, w = np.polynomial.legendre.leggauss(n_points)
+    a, b = float(span[0]), float(span[1])
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
+
+def spline_point_value(field, point):
+    """Value of a spline field at one point, from the active basis values."""
+    space = field.space
+    evs = [eval_basis(kv, float(x)) for kv, x in zip(space.kvs, np.atleast_1d(point))]
+    C = field.coefficients.reshape(space.shape)
+    value = C[tuple(slice(ev.first_dof, ev.first_dof + len(ev.values)) for ev in evs)]
+    for ev in reversed(evs):
+        value = value @ ev.values
+    return float(value)
+
+
+def l2_projection(space, f):
+    """Global L2 projection of a function onto the spline space."""
+    tables = space.tables(1, 1)
+    M = iga.assemble_mass(space)
+    rhs = iga._scatter_load(space, tables, iga._call_on_grid(f, space, tables))
+    coeffs = spla.spsolve(M.tocsc(), rhs)
+    return iga.SplineField(space, coeffs)

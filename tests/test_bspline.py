@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 
 from igasolve.bspline import (
     MAX_GAUSS_POINTS,
-    InvalidInterval,
     KnotVector,
     OutOfDomain,
     UnsupportedOrder,
     eval_basis,
     find_span,
-    gauss_rule,
     greville_abscissae,
     insert_knots,
     make_open_uniform_knots,
-    refine_dyadic,
     tabulate,
 )
 
-from oracles import naive_bspline, naive_bspline_all, rational_knots, scalar_eval_basis
+from oracles import gauss_rule, naive_bspline, naive_bspline_all, rational_knots, scalar_eval_basis
 from strategies import open_knot_vectors
 
 
@@ -45,10 +42,6 @@ class TestKnotVectors:
         kv = make_open_uniform_knots(3, 1)
         assert np.allclose(kv.knots, [0, 0, 0, 0, 1, 1, 1, 1])
         assert kv.n_basis == 4
-
-    def test_invalid_interval(self):
-        with pytest.raises(InvalidInterval):
-            make_open_uniform_knots(2, 4, (1.0, 1.0))
 
     def test_not_open_rejected(self):
         with pytest.raises(ValueError):
@@ -148,46 +141,57 @@ class TestBasisProperties:
             assert abs(der2 - fd2) <= 1e-4 * max(1.0, abs(der2))
 
 
+def span_rule(n_points, a, b):
+    """Points and weights ``tabulate`` uses on the single element [a, b]."""
+    table = tabulate(KnotVector(1, [a, a, b, b]), n_points, max_deriv=0)
+    return table.points[0], table.weights[0]
+
+
 class TestGauss:
     def test_one_point(self):
-        rule = gauss_rule(1, (0.0, 1.0))
-        assert np.allclose(rule.points, [0.5])
-        assert np.allclose(rule.weights, [1.0])
+        points, weights = span_rule(1, 0.0, 1.0)
+        assert np.allclose(points, [0.5])
+        assert np.allclose(weights, [1.0])
 
     def test_two_points_textbook(self):
-        rule = gauss_rule(2, (-1.0, 1.0))
-        assert np.allclose(sorted(rule.points), [-1 / np.sqrt(3), 1 / np.sqrt(3)])
-        assert np.allclose(rule.weights, [1.0, 1.0])
+        points, weights = span_rule(2, -1.0, 1.0)
+        assert np.allclose(sorted(points), [-1 / np.sqrt(3), 1 / np.sqrt(3)])
+        assert np.allclose(weights, [1.0, 1.0])
 
     def test_three_points_integrate_x5(self):
-        rule = gauss_rule(3, (0.0, 1.0))
-        assert abs(np.sum(rule.weights * rule.points**5) - 1.0 / 6.0) <= 1e-15
+        points, weights = span_rule(3, 0.0, 1.0)
+        assert abs(np.sum(weights * points**5) - 1.0 / 6.0) <= 1e-15
 
     def test_weights_sum_to_span_length(self):
         for n in (1, 4, 9, 16):
-            rule = gauss_rule(n, (0.25, 0.75))
-            assert abs(rule.weights.sum() - 0.5) <= 1e-14
-            assert np.all(rule.weights > 0)
+            points, weights = span_rule(n, 0.25, 0.75)
+            assert abs(weights.sum() - 0.5) <= 1e-14
+            assert np.all(weights > 0)
 
     def test_exactness_degree(self):
         for n in (2, 5, 8):
-            rule = gauss_rule(n, (0.0, 2.0))
+            points, weights = span_rule(n, 0.0, 2.0)
             k = 2 * n - 1
             exact = 2.0 ** (k + 1) / (k + 1)
-            assert abs(np.sum(rule.weights * rule.points**k) - exact) <= 1e-12 * exact
+            assert abs(np.sum(weights * points**k) - exact) <= 1e-12 * exact
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrder):
-            gauss_rule(0)
+            span_rule(0, 0.0, 1.0)
         with pytest.raises(UnsupportedOrder):
-            gauss_rule(17)
+            span_rule(17, 0.0, 1.0)
+
+
+def bisect(kv):
+    """Two-scale matrix of inserting every element midpoint."""
+    bp = kv.breakpoints
+    return insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
 
 
 class TestRefinement:
     def test_p1_is_linear_interpolation_stencil(self):
         kv = make_open_uniform_knots(1, 2)
-        rm = refine_dyadic(kv)
-        P = rm.P.toarray()
+        P = bisect(kv).toarray()
         # endpoint rows pass coefficients through; midpoint rows average
         assert np.allclose(P[0], [1, 0, 0])
         assert np.allclose(P[1], [0.5, 0.5, 0])
@@ -197,41 +201,35 @@ class TestRefinement:
 
     def test_quadratic_reproduction(self):
         kv = make_open_uniform_knots(2, 2)
-        rm = refine_dyadic(kv)
         # coefficients of x^2 - x + 0.25 via Greville collocation are exact
         # for quadratics; just check an arbitrary coarse spline pointwise
         coeffs = np.array([0.25, -0.25, 0.25, 0.75])
-        fine = rm.P @ coeffs
+        fine = bisect(kv) @ coeffs
+        kv_fine = make_open_uniform_knots(2, 4)
         for t in np.linspace(0.0, 1.0, 100):
             assert abs(spline_value(kv, coeffs, t)
-                       - spline_value(rm.fine, fine, t)) <= 1e-12
+                       - spline_value(kv_fine, fine, t)) <= 1e-12
 
     @pytest.mark.parametrize("p", (1, 2, 3, 4, 5))
     def test_row_sums_one(self, p):
-        rm = refine_dyadic(make_open_uniform_knots(p, 4))
-        sums = np.asarray(rm.P.sum(axis=1)).ravel()
+        sums = np.asarray(bisect(make_open_uniform_knots(p, 4)).sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("p", (1, 2, 3, 5))
     def test_random_coarse_spline_reproduced(self, p):
         kv = make_open_uniform_knots(p, 8)
-        rm = refine_dyadic(kv)
         rng = np.random.default_rng(300 + p)
         coeffs = rng.standard_normal(kv.n_basis)
-        fine = rm.P @ coeffs
+        fine = bisect(kv) @ coeffs
+        kv_fine = make_open_uniform_knots(p, 16)
         for t in np.linspace(0.0, 1.0, 100):
             assert abs(spline_value(kv, coeffs, t)
-                       - spline_value(rm.fine, fine, t)) <= 1e-12
+                       - spline_value(kv_fine, fine, t)) <= 1e-12
 
     def test_insert_knots_outside_domain_rejected(self):
         kv = make_open_uniform_knots(2, 4)
         with pytest.raises(OutOfDomain):
             insert_knots(kv, [1.5])
-
-    def test_nonuniform_rejected(self):
-        kv = KnotVector(1, [0, 0, 0.3, 1, 1])
-        with pytest.raises(ValueError):
-            refine_dyadic(kv)
 
 
 class TestHelpers:
@@ -277,9 +275,8 @@ class TestScalarOracle:
         weights = np.empty((len(spans), n_qp))
         basis = np.empty((max_deriv + 1, len(spans), n_qp, kv.p + 1))
         for e, j in enumerate(spans):
-            rule = gauss_rule(n_qp, (U[j], U[j + 1]))
-            points[e], weights[e] = rule.points, rule.weights
-            for q, t in enumerate(rule.points):
+            points[e], weights[e] = gauss_rule(n_qp, (U[j], U[j + 1]))
+            for q, t in enumerate(points[e]):
                 span, basis[:, e, q, :] = scalar_eval_basis(kv, float(t), max_deriv)
                 assert span == j
         assert np.array_equal(table.points, points)

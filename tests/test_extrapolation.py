@@ -8,7 +8,6 @@ from igasolve.extrapolation import (
     ZeroDenominator,
     anderson_solve,
     anderson_step,
-    beta_from_theta,
     fixed_point_solve,
     generalized_residual,
     mpe_extrapolate,
@@ -316,12 +315,6 @@ class TestAnderson:
         xstar = np.array([2.0, 8.0 / 3.0])
         # the informative secant data still contributes: closer than G(x)
         assert np.linalg.norm(out - xstar) <= np.linalg.norm(G(x) - xstar) + 1e-12
-
-    def test_beta_theta_mapping(self):
-        theta = np.array([0.25, 0.75])
-        beta = beta_from_theta(theta)
-        assert np.allclose(beta, [0.25, 0.5, 0.25])
-        assert beta.sum() == pytest.approx(1.0)
 
     def test_anderson_solve_affine(self):
         rng = np.random.default_rng(13)

@@ -10,11 +10,9 @@ from igasolve.linalg import (
     SingularMatrix,
     SingularTriangular,
     coo_to_csr,
-    lu_solve_dense,
     qr_factor,
     solve_normal_equations,
     solve_upper_triangular,
-    symmetry_defect,
 )
 
 from oracles import (
@@ -125,23 +123,23 @@ class TestNormalEquations:
 class TestDenseLU:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(lu_solve_dense(np.eye(3), b), b)
+        assert np.allclose(DenseLU(np.eye(3)).solve(b), b)
 
     def test_diagonal(self):
-        x = lu_solve_dense(np.diag([2.0, 3.0]), np.array([2.0, 6.0]))
+        x = DenseLU(np.diag([2.0, 3.0])).solve(np.array([2.0, 6.0]))
         assert np.allclose(x, [1.0, 2.0])
 
     def test_poisson_vs_thomas_oracle(self):
         n = 7
         A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         b = np.ones(n)
-        x = lu_solve_dense(A, b)
+        x = DenseLU(A).solve(b)
         ref = thomas_tridiagonal(-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1), b)
         assert np.allclose(x, ref, atol=1e-12)
 
     def test_singular(self):
         with pytest.raises(SingularMatrix):
-            lu_solve_dense(np.ones((3, 3)), np.ones(3))
+            DenseLU(np.ones((3, 3))).solve(np.ones(3))
 
     def test_cached_factorization_reuse(self):
         rng = np.random.default_rng(5)
@@ -166,12 +164,6 @@ class TestSparse:
         for _ in range(5):
             x = rng.standard_normal(50)
             assert np.linalg.norm(A @ x - D @ x) <= 1e-14 * max(np.linalg.norm(D @ x), 1.0)
-
-    def test_symmetry_defect(self):
-        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
-        assert symmetry_defect(A) == 0.0
-        B = sp.csr_matrix(np.array([[1.0, 2.0], [2.5, 3.0]]))
-        assert symmetry_defect(B) == pytest.approx(0.5)
 
 
 @st.composite

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from igasolve import iga
 from igasolve.extrapolation import Diverged, fixed_point_solve
-from igasolve.iga import SplineField, assemble_bratu_rhs, l2_error, l2_projection, make_space
+from igasolve.iga import SplineField, bratu_load, l2_error, make_space
 from igasolve.nonlinear import (
     BratuContext,
     BratuProblem,
@@ -13,6 +14,8 @@ from igasolve.nonlinear import (
     make_context,
     run_outer,
 )
+
+from oracles import l2_projection
 
 
 def picard_map(prob, u, **cfg):
@@ -29,7 +32,9 @@ class TestBratuMap:
         u1, ctx = picard_map(prob, u0, **cfg)
         lay = ctx.layout
         # oracle: direct Galerkin solve of the Poisson problem
-        F = assemble_bratu_rhs(prob.space, 0.0, prob.f, None)
+        space = prob.space
+        F = bratu_load(space, iga._call_on_grid(prob.f, space, space.tables(0, 1)), 0.0,
+                       np.zeros(space.n_dof))
         ref = spla.spsolve(ctx.A.tocsc(), F[lay.interior])
         assert np.abs(u1.coefficients[lay.interior] - ref).max() <= 1e-10 * np.abs(ref).max()
         # the linear problem is a fixed point after one application
@@ -132,8 +137,9 @@ class TestRunOuter:
         dict(maxiter=-3),
         dict(linear_tol=0.0),
         dict(linear_tol=-1.0),
+        dict(tol=float("nan")),
     ], ids=["accelerator", "inner", "mpe-window-0", "rre-window-0", "anderson-window-0",
-            "maxiter-0", "maxiter-negative", "linear-tol-0", "linear-tol-negative"])
+            "maxiter-0", "maxiter-negative", "linear-tol-0", "linear-tol-negative", "tol-nan"])
     def test_bad_config_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             OuterConfig(**kwargs)
