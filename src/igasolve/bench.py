@@ -23,8 +23,7 @@ from pathlib import Path
 from .bspline import MAX_GAUSS_POINTS
 from .extrapolation import Diverged
 from .history import IterationHistory
-from .iga import make_space
-from .multigrid import level_spaces
+from .multigrid import MAX_FINE_DOF, level_spaces
 from .nonlinear import (DIRECT_THRESHOLD, BratuProblem, MongeAmpereProblem, OuterConfig,
                         run_outer)
 
@@ -36,6 +35,12 @@ CSV_HEADER = [
 _METHOD_RE = re.compile(r"^(picard|picard_slu)$|^(mpe|rre|aa)\((\d+)\)$")
 # The L2 error is integrated with p+2 Gauss points per span.
 MAX_DEGREE = MAX_GAUSS_POINTS - 2
+# Each problem's dimension and its manufactured instance for (lambda, p, grid).
+_PROBLEMS = {
+    "bratu1d": (1, BratuProblem.manufactured_1d),
+    "bratu2d": (2, BratuProblem.manufactured_2d),
+    "monge_ampere": (2, lambda lam, p, n: MongeAmpereProblem.manufactured(p, n)),
+}
 
 
 @dataclass
@@ -47,7 +52,6 @@ class ExperimentConfig:
     methods: list[str] = field(default_factory=lambda: ["picard"])
     tol: float = 1e-12
     maxiter: int = 1000
-    inner: str = "one_vcycle"
     inner_tol: float = 1e-2
     inner_tol_overrides: dict[tuple[int, int], float] = field(default_factory=dict)
 
@@ -90,14 +94,14 @@ def parse_method(token: str) -> tuple[str, int]:
         raise ValueError(f"bad method {token!r}")
     if m.group(1):
         return m.group(1), 0
-    window = int(m.group(3))
-    if window < 1:
-        raise ValueError(f"bad method {token!r}: window must be at least 1")
-    return m.group(2), window
+    return m.group(2), int(m.group(3))
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a key = value config file; comma-separated values form lists."""
+    """Read a key = value config file; comma-separated values form lists.
+
+    Values are checked by the objects the cells build, built here up front.
+    """
     kv: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -114,7 +118,7 @@ def parse_config(path) -> ExperimentConfig:
     if "problem" not in kv:
         raise ValueError("config has no problem key")
     problem = kv.pop("problem")
-    if problem not in ("bratu1d", "bratu2d", "monge_ampere"):
+    if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     cfg = ExperimentConfig(problem=problem)
 
@@ -130,12 +134,6 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{key} values must be at least 1")
         return vals
 
-    def positive_float(key, s):
-        v = float(s)
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{key} must be positive and finite")
-        return v
-
     for key, val in kv.items():
         if key == "lambda":
             cfg.lambdas = finite_floats(key, val)
@@ -147,49 +145,39 @@ def parse_config(path) -> ExperimentConfig:
             cfg.grids = positive_ints(key, val)
         elif key == "method":
             cfg.methods = [t.strip() for t in val.split(",") if t.strip()]
-            for t in cfg.methods:
-                parse_method(t)
         elif key == "tol":
-            cfg.tol = positive_float(key, val)
+            cfg.tol = float(val)
         elif key == "maxiter":
             cfg.maxiter = int(val)
-            if cfg.maxiter < 1:
-                raise ValueError("maxiter must be at least 1")
-        elif key == "inner":
-            if val not in ("one_vcycle", "vcycle_to_tol"):
-                raise ValueError(f"unknown inner solver {val!r}")
-            cfg.inner = val
         elif key == "inner_tol":
-            cfg.inner_tol = positive_float(key, val)
+            cfg.inner_tol = float(val)
         else:
             m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
             if not m:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = positive_float(key, val)
+            cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = float(val)
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
-    if cfg.problem == "monge_ampere" and min(cfg.degrees) < 2:
-        raise ValueError("monge_ampere needs p values of at least 2")
-    # Every (p, grid) must coarsen to a level the direct solver accepts.
-    dims = 1 if cfg.problem == "bratu1d" else 2
+
+    dims, build = _PROBLEMS[cfg.problem]
     for p in cfg.degrees:
         for n in cfg.grids:
-            level_spaces(make_space(p, n, dims), DIRECT_THRESHOLD)
+            # counted before the space exists: a huge grid's knots are big too
+            if (n + p) ** dims > MAX_FINE_DOF:
+                raise ValueError(f"p = {p}, grid = {n} has {(n + p) ** dims} dof, above "
+                                 f"the limit of {MAX_FINE_DOF}")
+            level_spaces(build(cfg.lambdas[0], p, n).space, DIRECT_THRESHOLD)
+    for cell in cfg.cells():
+        _outer_config(cfg, *cell)
+    for linear_tol in (cfg.inner_tol, *cfg.inner_tol_overrides.values()):
+        OuterConfig(linear_tol=linear_tol)  # also the ones no cell reads
     return cfg
-
-
-def _build_problem(cfg: ExperimentConfig, lam: float, p: int, n: int):
-    if cfg.problem == "bratu1d":
-        return BratuProblem.manufactured_1d(lam, p, n)
-    if cfg.problem == "bratu2d":
-        return BratuProblem.manufactured_2d(lam, p, n)
-    return MongeAmpereProblem.manufactured(p, n)
 
 
 def _outer_config(cfg: ExperimentConfig, lam: float, p: int, n: int, method: str) -> OuterConfig:
     kind, window = parse_method(method)
     acc = {"picard": "none", "picard_slu": "none", "aa": "anderson"}.get(kind, kind)
-    inner = "direct" if kind == "picard_slu" else cfg.inner
+    inner = "direct" if kind == "picard_slu" else OuterConfig.inner
     return OuterConfig(accelerator=acc, window=window, tol=cfg.tol,
                        maxiter=cfg.maxiter, inner=inner,
                        linear_tol=cfg.linear_tol_for(p, n))
@@ -202,7 +190,7 @@ def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
     hist = IterationHistory()
     note = ""
     try:
-        problem = _build_problem(cfg, lam, p, n)
+        problem = _PROBLEMS[cfg.problem][1](lam, p, n)
         field_, hist = run_outer(problem, _outer_config(cfg, lam, p, n, method))
     except Diverged as exc:
         note = f"diverged: {exc}"
@@ -218,9 +206,9 @@ def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
         relative_residual=last.relative_residual if last else float("nan"),
         l2_err=last.l2_error if last else float("nan"),
         cpu_s=cpu,
-        rhs_time_s=last.rhs_s if last else 0.0,
-        mg_time_s=last.mg_s if last else 0.0,
-        extrapol_time_s=last.extrapol_s if last else 0.0,
+        rhs_time_s=hist.timers.rhs_s,
+        mg_time_s=hist.timers.mg_s,
+        extrapol_time_s=hist.timers.extrapol_s,
         converged=hist.converged,
         note=note,
     )
@@ -304,8 +292,7 @@ def _render(rows) -> str:
     return "\n".join(lines)
 
 
-def _cmd_run(cfg_path: Path, out_dir: Path, parallel: int) -> int:
-    cfg = parse_config(cfg_path)
+def _cmd_run(cfg: ExperimentConfig, cfg_path: Path, out_dir: Path, parallel: int) -> int:
     rows = run_experiment(cfg, parallel=parallel)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / (Path(cfg_path).stem + ".csv")
@@ -350,8 +337,7 @@ def _match_cell(cell, want) -> bool:
     return all(_SELECTOR_KEYS[key](val) == values[key] for key, val in want.items())
 
 
-def _cmd_history(cfg_path: Path, selector: str, out_path: Path | None) -> int:
-    cfg = parse_config(cfg_path)
+def _cmd_history(cfg: ExperimentConfig, selector: str, out_path: Path | None) -> int:
     try:
         want = parse_cell_selector(selector)
     except ValueError as exc:
@@ -401,11 +387,15 @@ def main(argv=None) -> int:
     p_hist.add_argument("--out", type=Path, default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args.config, args.out, args.parallel)
-    if args.command == "table":
-        return _cmd_run(find_table_config(args.number), args.out, args.parallel)
-    return _cmd_history(args.config, args.cell, args.out)
+    try:
+        cfg_path = find_table_config(args.number) if args.command == "table" else args.config
+        cfg = parse_config(cfg_path)
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if args.command == "history":
+        return _cmd_history(cfg, args.cell, args.out)
+    return _cmd_run(cfg, cfg_path, args.out, args.parallel)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 Implements reduced rank extrapolation (RRE) and minimal polynomial
 extrapolation (MPE) on a sliding window of iterates, their restarted
-drivers, and Anderson acceleration in unconstrained least-squares form.
+driver, and Anderson acceleration in unconstrained least-squares form.
+Plain Picard iteration is Anderson acceleration of depth 0 (Walker & Ni,
+SINUM 2011); both drivers add their extrapolation time to the history's
+``timers``.
 
 Both polynomial methods factor the first-difference matrix
 DeltaS = [ds_k, ..., ds_{k+q}] as QR and form
@@ -210,7 +213,7 @@ _EXTRAPOLATORS = {"mpe": mpe_extrapolate, "rre": rre_extrapolate}
 
 
 def _relative_residual(x_new, x_old) -> float:
-    with np.errstate(all="ignore"):  # non-finite values are caught by _guard
+    with np.errstate(all="ignore"):  # non-finite values are caught by _record
         num = np.linalg.norm(x_new - x_old)
         den = np.linalg.norm(x_new)
         if den == 0.0:
@@ -218,9 +221,15 @@ def _relative_residual(x_new, x_old) -> float:
         return float(num / den)
 
 
-def _guard(rel: float, hist: IterationHistory) -> None:
+def _record(hist: IterationHistory, iteration: int, x_new, x_old, observer) -> float:
+    """Record one map application; raise Diverged if its residual blew up."""
+    rel = _relative_residual(x_new, x_old)
+    rec = hist.append(iteration, rel)
+    if observer:
+        observer(rec, x_new)
     if not np.isfinite(rel) or rel > DIVERGE_LIMIT:
         raise Diverged(f"relative residual {rel:.3e}", hist)
+    return rel
 
 
 def _apply(G, x, hist: IterationHistory):
@@ -232,26 +241,14 @@ def _apply(G, x, hist: IterationHistory):
         raise
 
 
-def fixed_point_solve(G, x0, tol: float, maxiter: int, observer=None
+def fixed_point_solve(G, x0, tol: float, maxiter: int, observer=None,
+                      timers: PhaseTimers | None = None
                       ) -> tuple[np.ndarray, IterationHistory]:
-    """Plain fixed-point iteration x <- G(x) with a relative-residual stop."""
-    hist = IterationHistory()
-    x = np.asarray(x0, dtype=float)
-    for k in range(1, maxiter + 1):
-        x_new = _apply(G, x, hist)
-        rel = _relative_residual(x_new, x)
-        rec = hist.append(k, rel)
-        if observer:
-            observer(rec, x_new)
-        _guard(rel, hist)
-        x = x_new
-        if rel <= tol:
-            hist.converged = True
-            break
-    return x, hist
+    """Plain fixed-point iteration x <- G(x): AA(0), whose step returns G(x)."""
+    return anderson_solve(G, x0, 0, tol, maxiter, observer=observer, timers=timers)
 
 
-def _extrapolate_shrinking(window, extrapolate, timers: PhaseTimers | None):
+def _extrapolate_shrinking(window, extrapolate, timers: PhaseTimers):
     """Extrapolate the window, shrinking q on rank problems; q is restored
     for the next cycle by the caller.
 
@@ -270,8 +267,7 @@ def _extrapolate_shrinking(window, extrapolate, timers: PhaseTimers | None):
                 qq -= 1
         return window[-1], None
     finally:
-        if timers is not None:
-            timers.extrapol_s += time.perf_counter() - t0
+        timers.extrapol_s += time.perf_counter() - t0
 
 
 def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
@@ -291,7 +287,7 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
     if q < 1:
         raise ValueError("restart number q must be >= 1")
     extrapolate = _EXTRAPOLATORS[method]
-    hist = IterationHistory()
+    hist = IterationHistory() if timers is None else IterationHistory(timers=timers)
     x = np.asarray(x0, dtype=float)
     evals = 0
     while evals < maxiter:
@@ -301,18 +297,14 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
                 break
             s = _apply(G, window[-1], hist)
             evals += 1
-            rel = _relative_residual(s, window[-1])
-            rec = hist.append(evals, rel)
-            if observer:
-                observer(rec, s)
-            _guard(rel, hist)
+            rel = _record(hist, evals, s, window[-1], observer)
             window.append(s)
             if rel <= tol:
                 hist.converged = True
                 return s, hist
         if len(window) < 2:
             break
-        x, r_gen = _extrapolate_shrinking(window, extrapolate, timers)
+        x, r_gen = _extrapolate_shrinking(window, extrapolate, hist.timers)
         if r_gen is not None and hist.records:
             den = np.linalg.norm(x)
             rel_last = hist.records[-1].relative_residual
@@ -387,21 +379,16 @@ def anderson_step(state: AndersonState, s_k, G_sk) -> np.ndarray:
 def anderson_solve(G, x0, m: int, tol: float, maxiter: int,
                    observer=None, timers: PhaseTimers | None = None
                    ) -> tuple[np.ndarray, IterationHistory]:
-    """Anderson-accelerated fixed-point iteration AA(m)."""
-    hist = IterationHistory()
+    """Anderson-accelerated fixed-point iteration AA(m); m = 0 is plain Picard."""
+    hist = IterationHistory() if timers is None else IterationHistory(timers=timers)
     state = AndersonState(m)
     s = np.asarray(x0, dtype=float)
     for k in range(1, maxiter + 1):
         g = _apply(G, s, hist)
         t0 = time.perf_counter()
         x_next = anderson_step(state, s, g)
-        if timers is not None:
-            timers.extrapol_s += time.perf_counter() - t0
-        rel = _relative_residual(x_next, s)
-        rec = hist.append(k, rel)
-        if observer:
-            observer(rec, x_next)
-        _guard(rel, hist)
+        hist.timers.extrapol_s += time.perf_counter() - t0
+        rel = _record(hist, k, x_next, s, observer)
         s = x_next
         if rel <= tol:
             hist.converged = True

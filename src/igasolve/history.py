@@ -1,4 +1,4 @@
-"""Per-iteration records shared by the outer solvers and the benchmark CLI."""
+"""Per-iteration records of an outer solve and its whole-solve phase totals."""
 
 from __future__ import annotations
 
@@ -19,10 +19,6 @@ class IterationRecord:
     iteration: int
     relative_residual: float
     l2_error: float = float("nan")
-    cpu_s: float = 0.0
-    rhs_s: float = 0.0
-    mg_s: float = 0.0
-    extrapol_s: float = 0.0
 
 
 @dataclass
@@ -31,6 +27,7 @@ class IterationHistory:
 
     records: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
+    timers: PhaseTimers = field(default_factory=PhaseTimers)
 
     def append(self, iteration: int, relative_residual: float) -> IterationRecord:
         rec = IterationRecord(iteration=iteration, relative_residual=relative_residual)

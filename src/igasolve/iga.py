@@ -44,7 +44,7 @@ class ExpOverflow(Exception):
     """
 
 
-class DegreeTooLow(Exception):
+class DegreeTooLow(ValueError):
     """Operation requires second derivatives (p >= 2)."""
 
 

@@ -31,6 +31,11 @@ OMEGA = 2.0 / 3.0
 # Shipped grids stop at 35^2 = 1225 dof; a 2D grid whose element count turns
 # odd early (N=254 stops at N=127, 16129 dof, 2.1 GB) is refused instead.
 MAX_COARSE_DOF = 4096
+# Largest fine space a config may ask for. A 2D p=5 cell peaks at about
+# 5 KB of resident memory per dof (170, 200 and 454 MB at 4761, 17689 and
+# 68121 dof), so 2^18 dof is about 1.5 GB; a grid the parser accepts must
+# not exhaust the machine and take the whole sweep down with it.
+MAX_FINE_DOF = 2**18
 
 
 class ZeroDiagonal(Exception):

@@ -151,6 +151,20 @@ def affine_window(M, b, s0, n_steps):
     return out
 
 
+def plain_fixed_point(G, x0, tol, maxiter):
+    """x <- G(x) until ||x_new - x|| / ||x_new|| <= tol: the Picard loop
+    written out, with its relative residuals."""
+    x = np.asarray(x0, dtype=float)
+    residuals = []
+    for _ in range(maxiter):
+        x_new = G(x)
+        residuals.append(float(np.linalg.norm(x_new - x) / np.linalg.norm(x_new)))
+        x = x_new
+        if residuals[-1] <= tol:
+            break
+    return x, residuals
+
+
 def moore_penrose_residual(dS):
     """r~ = (I - D2S D2S^+) ds_0 by explicit pseudoinverse."""
     d2S = np.diff(dS, axis=1)

@@ -20,6 +20,7 @@ from igasolve.bench import (
     run_experiment,
 )
 from igasolve.history import IterationHistory
+from igasolve.nonlinear import MongeAmpereProblem, OuterConfig, run_outer
 
 TINY_CFG = """
 problem = bratu1d
@@ -96,11 +97,16 @@ class TestConfigParsing:
         "problem = bratu1d\ninner_tol.p2.g16 = inf\n",
         "problem = monge_ampere\np = 1, 2\ngrid = 8\n",
         "problem = bratu1d\nk = 1\n",
+        "problem = bratu1d\ninner = one_vcycle\n",
+        "problem = bratu1d\np = 2\ninner_tol.p3.g64 = 0\n",
+        "problem = bratu2d\np = 5\ngrid = 4096\n",
+        "problem = bratu1d\ngrid = 1048576\n",
     ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
             "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0", "maxiter-0",
             "2d-coarsest-too-large", "monge-ampere-coarsest-too-large", "lambda-nan",
             "lambda-inf", "tol-inf", "inner-tol-inf", "inner-tol-override-inf",
-            "monge-ampere-p-1", "k"])
+            "monge-ampere-p-1", "k", "inner-key", "inner-tol-override-outside-sweep-0",
+            "2d-grid-4096", "1d-grid-1048576"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -150,15 +156,30 @@ class TestRunExperiment:
         assert rows[1].converged
 
     def test_monge_ampere_one_vcycle_runs_to_tolerance(self):
-        rows = {}
-        for inner in ("one_vcycle", "vcycle_to_tol"):
-            # at p=2, N=64 is the smallest grid whose hierarchy has more than one level
-            cfg = ExperimentConfig(problem="monge_ampere", degrees=[2], grids=[64],
-                                   methods=["rre(3)"], tol=1e-6, maxiter=50, inner=inner)
-            rows[inner], _ = run_cell(cfg, (0.0, 2, 64, "rre(3)"))
-        a, b = rows["one_vcycle"], rows["vcycle_to_tol"]
-        assert a.converged and not a.note
-        assert (a.iter, a.relative_residual, a.l2_err) == (b.iter, b.relative_residual, b.l2_err)
+        # a config names no inner solver, yet Monge-Ampere cells run V-cycles
+        # to inner_tol; at p=2, N=64 is the smallest grid whose hierarchy has
+        # more than one level, so one V-cycle per step would differ
+        cfg = ExperimentConfig(problem="monge_ampere", degrees=[2], grids=[64],
+                               methods=["rre(3)"], tol=1e-6, maxiter=50)
+        row, _ = run_cell(cfg, (0.0, 2, 64, "rre(3)"))
+        _, hist = run_outer(MongeAmpereProblem.manufactured(2, 64),
+                            OuterConfig(accelerator="rre", window=3, tol=1e-6, maxiter=50,
+                                        inner="vcycle_to_tol", linear_tol=cfg.inner_tol))
+        last = hist.records[-1]
+        assert row.converged and not row.note
+        assert (row.iter, row.relative_residual, row.l2_err) == \
+               (hist.iterations, last.relative_residual, last.l2_error)
+
+    def test_timing_columns_are_phase_totals(self):
+        cfg = ExperimentConfig(problem="bratu2d", lambdas=[1.0], degrees=[2], grids=[16],
+                               methods=["picard", "rre(3)", "aa(3)"], tol=1e-8, maxiter=100)
+        for cell in cfg.cells():
+            row, _ = run_cell(cfg, cell)
+            assert row.converged and not row.note
+            assert row.rhs_time_s > 0.0 and row.mg_time_s > 0.0
+            assert row.rhs_time_s + row.mg_time_s + row.extrapol_time_s <= row.cpu_s
+            if row.method != "picard":
+                assert row.extrapol_time_s > 0.0
 
     def test_parallel_matches_sequential(self, tiny_cfg):
         seq = run_experiment(tiny_cfg, parallel=1)
@@ -287,6 +308,20 @@ class TestCli:
                    "--cell", "method=mpe(2),p=2", "--out", str(out)])
         assert rc == 0
         assert out.is_file()
+
+    @pytest.mark.parametrize("command", ["run", "history"])
+    @pytest.mark.parametrize("text", ["problem = bratu1d\ntol = inf\n", None],
+                             ids=["rejected", "missing"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        extra = ["--out", str(tmp_path)] if command == "run" else ["--cell", "p=2"]
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert ("tol" if text else "bad.cfg") in err
+        assert list(tmp_path.iterdir()) == ([cfg] if text else [])
 
     def test_history_ambiguous_selector(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

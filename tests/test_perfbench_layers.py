@@ -1,12 +1,16 @@
-"""The benchmark's tracer must find every layer it wraps.
+"""The benchmark's tracer must find every layer it wraps, and its setup
+marker must fire before the first Picard step.
 
 ``perfbench/tracer.py`` wraps igasolve functions by the names their callers
 look up; a refactor that renames or deletes one leaves that layer's metric
-at zero. These tests load the tracer read-only and patch nothing.
+at zero. ``perfbench/worker.py`` splits a cell into setup and solve time at
+the entry into an outer driver. These tests load both files read-only and
+undo every change loading them makes.
 """
 
 import importlib.util
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -16,16 +20,33 @@ import pytest
 from igasolve import bench, extrapolation, iga, linalg, multigrid, nonlinear
 from igasolve.iga import make_space
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(monkeypatch, name, path):
+    """Import ``path`` as module ``name``, registered until teardown."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no cache files in perfbench/
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def tracer(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no cache files in perfbench/
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load(monkeypatch, "perfbench_tracer", PERFBENCH / "tracer.py")
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """perfbench/worker.py; what its import sets is put back at teardown."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the worker sets them to 1 itself
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for name in ("tracer", "workloads"):  # the worker's sibling imports
+        load(monkeypatch, name, PERFBENCH / f"{name}.py")
+    return load(monkeypatch, "perfbench_worker", PERFBENCH / "worker.py")
 
 
 def test_every_traced_layer_resolves(tracer):
@@ -54,3 +75,27 @@ def test_traced_results_have_the_read_fields(tracer):
     assert t.counts["multigrid.coarse_dof"] == h.levels[0].A.shape[0]
     assert t.counts["multigrid.cycles"] >= 2
     assert len(t.contraction) == 2
+
+
+def test_setup_marker_precedes_first_step(worker, monkeypatch):
+    for name in ("fixed_point_solve", "restarted_solve", "anderson_solve"):
+        # CellClock replaces these; teardown puts the originals back
+        monkeypatch.setattr(extrapolation, name, getattr(extrapolation, name))
+    clock = worker.CellClock(extrapolation)
+    marks = []
+    step = nonlinear._PicardContext.step
+
+    def marked_step(self, x):
+        marks.append(clock.setup_end)
+        return step(self, x)
+
+    monkeypatch.setattr(nonlinear._PicardContext, "step", marked_step)
+    cfg = bench.ExperimentConfig(problem="bratu1d", degrees=[2], grids=[8], tol=1e-8,
+                                 methods=["picard", "aa(2)", "mpe(2)", "rre(2)"], maxiter=50)
+    for cell in cfg.cells():
+        clock.setup_end = None
+        marks.clear()
+        t0 = time.perf_counter()
+        row, _ = bench.run_cell(cfg, cell)
+        assert row.converged and not row.note
+        assert marks[0] is not None and t0 < marks[0], cell
