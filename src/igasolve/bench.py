@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bspline import MAX_GAUSS_POINTS
-from .extrapolation import Diverged
-from .history import IterationHistory
+from .history import Diverged, IterationHistory
 from .multigrid import MAX_FINE_DOF, level_spaces
 from .nonlinear import (DIRECT_THRESHOLD, BratuProblem, MongeAmpereProblem, OuterConfig,
                         run_outer)
@@ -134,6 +133,12 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{key} values must be at least 1")
         return vals
 
+    def linear_tol(key, s):
+        try:
+            return OuterConfig(linear_tol=float(s)).linear_tol
+        except ValueError as exc:
+            raise ValueError(f"{key} = {s}: {exc}") from None
+
     for key, val in kv.items():
         if key == "lambda":
             cfg.lambdas = finite_floats(key, val)
@@ -150,12 +155,12 @@ def parse_config(path) -> ExperimentConfig:
         elif key == "maxiter":
             cfg.maxiter = int(val)
         elif key == "inner_tol":
-            cfg.inner_tol = float(val)
+            cfg.inner_tol = linear_tol(key, val)
         else:
             m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
             if not m:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = float(val)
+            cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = linear_tol(key, val)
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
 
@@ -169,8 +174,6 @@ def parse_config(path) -> ExperimentConfig:
             level_spaces(build(cfg.lambdas[0], p, n).space, DIRECT_THRESHOLD)
     for cell in cfg.cells():
         _outer_config(cfg, *cell)
-    for linear_tol in (cfg.inner_tol, *cfg.inner_tol_overrides.values()):
-        OuterConfig(linear_tol=linear_tol)  # also the ones no cell reads
     return cfg
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import IterationHistory, PhaseTimers
+from .history import Diverged, IterationHistory, PhaseTimers
 from .linalg import (
     RANK_DROP_TOL,
     RankDeficient,
@@ -39,17 +39,6 @@ DIVERGE_LIMIT = 1e10
 
 class ZeroDenominator(Exception):
     """The gamma normalization sum vanished (eigenvalue-one pathology)."""
-
-
-class Diverged(Exception):
-    """The outer residual blew up or became non-finite.
-
-    Carries the partial iteration history when raised from a driver.
-    """
-
-    def __init__(self, message: str, history: IterationHistory | None = None):
-        super().__init__(message)
-        self.history = history
 
 
 @dataclass
@@ -302,10 +291,8 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
             if rel <= tol:
                 hist.converged = True
                 return s, hist
-        if len(window) < 2:
-            break
         x, r_gen = _extrapolate_shrinking(window, extrapolate, hist.timers)
-        if r_gen is not None and hist.records:
+        if r_gen is not None:
             den = np.linalg.norm(x)
             rel_last = hist.records[-1].relative_residual
             if den > 0.0:

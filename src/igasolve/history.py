@@ -1,4 +1,5 @@
-"""Per-iteration records of an outer solve and its whole-solve phase totals."""
+"""Per-iteration records of an outer solve, its whole-solve phase totals
+and the divergence that can end it."""
 
 from __future__ import annotations
 
@@ -37,3 +38,14 @@ class IterationHistory:
     @property
     def iterations(self) -> int:
         return self.records[-1].iteration if self.records else 0
+
+
+class Diverged(Exception):
+    """The outer residual blew up or became non-finite.
+
+    Carries the partial iteration history when raised from a driver.
+    """
+
+    def __init__(self, message: str, history: IterationHistory | None = None):
+        super().__init__(message)
+        self.history = history

@@ -27,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bspline
 from .bspline import ElementTable, KnotVector, greville_abscissae, tabulate
+from .history import Diverged
 from .linalg import coo_to_csr
 
 log = logging.getLogger(__name__)
@@ -37,7 +38,7 @@ log = logging.getLogger(__name__)
 CHUNK_TRIPLETS = 2_000_000
 
 
-class ExpOverflow(Exception):
+class ExpOverflow(Diverged):
     """The lagged Bratu iterate exceeds the exp() range at a quadrature point.
 
     Signals divergence of the outer iteration.
@@ -382,8 +383,7 @@ def l2_error(field: SplineField, exact) -> float:
     space = field.space
     tables = space.tables(1, 1)
     u_vals = _grid_values(space, field.coefficients, tables, (0,) * space.dims)
-    e_vals = _call_on_grid(exact, space, tables) if exact is not None else 0.0
-    diff2 = (u_vals - e_vals) ** 2
+    diff2 = (u_vals - _call_on_grid(exact, space, tables)) ** 2
     if space.dims == 1:
         return float(np.sqrt(np.sum(diff2 * tables[0].weights)))
     tx, ty = tables

@@ -1,23 +1,24 @@
 """Outer Picard drivers for the Bratu and Monge-Ampere problems.
 
-The Bratu fixed-point map applies one warm-started V-cycle to the lagged
-linear system per outer step; the Monge-Ampere map solves its inner Poisson
-problem with V-cycles to a per-grid tolerance. Either map can be wrapped by
-the plain, MPE-, RRE- or Anderson-accelerated outer loops, stopping on the
-relative residual between successive control-point vectors.
+A problem supplies its Dirichlet data ``g``, the derivative order
+``load_deriv`` of the tables its source lives on, its ``load`` and the flag
+``inner_to_tol``; one context makes the Picard map from them. An inner
+solve is a sparse LU (``inner="direct"``) or a fixed number of V-cycles:
+one, or for ``vcycle_to_tol`` and ``inner_to_tol`` problems the count the
+first solve needed to reach ``linear_tol``. The map can be wrapped by the
+plain, MPE-, RRE- or Anderson-accelerated outer loops.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import extrapolation, iga
-from .extrapolation import Diverged
 from .history import IterationHistory, PhaseTimers
 from .iga import SplineField, SplineSpace, make_space
 from .multigrid import build_hierarchy, solve_to_tolerance, v_cycle
@@ -27,11 +28,17 @@ from .multigrid import build_hierarchy, solve_to_tolerance, v_cycle
 class BratuProblem:
     """-lap u + lam e^u = f with homogeneous Dirichlet data."""
 
-    dims: int
     lam: float
     f: object
     space: SplineSpace
     exact: object | None = None
+
+    g: ClassVar[None] = None
+    load_deriv: ClassVar[int] = 1
+    inner_to_tol: ClassVar[bool] = False
+
+    def load(self, f_vals, x_full: np.ndarray) -> np.ndarray:
+        return iga.bratu_load(self.space, f_vals, self.lam, x_full)
 
     @staticmethod
     def manufactured_1d(lam: float, p: int, n_elements: int) -> "BratuProblem":
@@ -44,8 +51,7 @@ class BratuProblem:
         def f(x):
             return w**2 * np.sin(w * x) + lam * np.exp(np.sin(w * x))
 
-        return BratuProblem(dims=1, lam=lam, f=f, exact=u,
-                            space=make_space(p, n_elements, dims=1))
+        return BratuProblem(lam=lam, f=f, exact=u, space=make_space(p, n_elements, dims=1))
 
     @staticmethod
     def manufactured_2d(lam: float, p: int, n_elements: int) -> "BratuProblem":
@@ -57,8 +63,7 @@ class BratuProblem:
         def f(x, y):
             return 2.0 * (y - y**2) + 2.0 * (x - x**2) + lam * np.exp(u(x, y))
 
-        return BratuProblem(dims=2, lam=lam, f=f, exact=u,
-                            space=make_space(p, n_elements, dims=2))
+        return BratuProblem(lam=lam, f=f, exact=u, space=make_space(p, n_elements, dims=2))
 
 
 @dataclass
@@ -69,6 +74,9 @@ class MongeAmpereProblem:
     g: object
     space: SplineSpace
     exact: object | None = None
+
+    load_deriv: ClassVar[int] = 2
+    inner_to_tol: ClassVar[bool] = True
 
     def __post_init__(self):
         if min(self.space.degrees) < 2:
@@ -86,8 +94,10 @@ class MongeAmpereProblem:
         def f(x, y):
             return (1.0 + x**2 + y**2) * np.exp(x**2 + y**2)
 
-        return MongeAmpereProblem(f=f, g=u, exact=u,
-                                  space=make_space(p, n_elements, dims=2))
+        return MongeAmpereProblem(f=f, g=u, exact=u, space=make_space(p, n_elements, dims=2))
+
+    def load(self, f_vals, x_full: np.ndarray) -> np.ndarray:
+        return iga.monge_ampere_load(self.space, f_vals, x_full)
 
 
 # Coarsening stops at <= 36 interior dof per direction: grids up to N=32
@@ -138,16 +148,26 @@ class _PicardContext:
         self.cfg = cfg
         self.space = problem.space
         self.timers = PhaseTimers()
-        g = getattr(problem, "g", None)
-        self.layout = iga.apply_dirichlet(self.space, g)
+        self.layout = iga.apply_dirichlet(self.space, problem.g)
         full = iga.assemble_stiffness(self.space)
         self.hier = build_hierarchy(self.space, direct_threshold=DIRECT_THRESHOLD,
                                     fine_matrix=full)
         self.A = self.hier.fine.A
         self._lift_vec = self.layout.coupling(full) @ self.layout.boundary_values
-        self._direct = None
-        if cfg.inner == "direct":
-            self._direct = spla.splu(self.A.tocsc())
+        self._f_vals = iga._call_on_grid(problem.f, self.space,
+                                         self.space.tables(0, problem.load_deriv))
+        self._lu = None
+        # V-cycles per inner solve, None until the first solve to linear_tol
+        # sets it: a data-dependent count makes the map discontinuous at the
+        # stopping boundary and stalls the outer iteration near it
+        to_tol = cfg.inner == "vcycle_to_tol" or problem.inner_to_tol
+        self._n_cycles: int | None = None if to_tol else 1
+
+    def _factor(self):
+        """Sparse LU of the interior stiffness, built on first use."""
+        if self._lu is None:
+            self._lu = spla.splu(self.A.tocsc())
+        return self._lu
 
     def initial_guess(self) -> np.ndarray:
         """Harmonic lift of the boundary data (zero for homogeneous problems).
@@ -159,8 +179,7 @@ class _PicardContext:
         layer-free.
         """
         if np.any(self.layout.boundary_values != 0.0):
-            u_int = spla.spsolve(self.A.tocsc(), -self._lift_vec)
-            return self.layout.expand(u_int)
+            return self.layout.expand(self._factor().solve(-self._lift_vec))
         return self.layout.expand(np.zeros(self.layout.n_interior))
 
     def l2(self, x_full: np.ndarray) -> float:
@@ -169,61 +188,8 @@ class _PicardContext:
         return iga.l2_error(SplineField(self.space, x_full), self.problem.exact)
 
     def _solve(self, rhs_int: np.ndarray, x_int: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        if cfg.inner == "direct":
-            return self._direct.solve(rhs_int)
-        if cfg.inner == "one_vcycle":
-            return v_cycle(self.hier, rhs_int, x_int)[0]
-        return solve_to_tolerance(self.hier, rhs_int, x_int, tol=cfg.linear_tol,
-                                  maxiter=LINEAR_MAXITER)[0]
-
-    def step(self, x_full: np.ndarray) -> np.ndarray:
-        interior = self.layout.interior
-        x_int = x_full[interior]
-        t0 = time.perf_counter()
-        rhs_int = self._load(x_full)[interior] - self._lift_vec
-        t1 = time.perf_counter()
-        out_int = self._solve(rhs_int, x_int)
-        t2 = time.perf_counter()
-        self.timers.rhs_s += t1 - t0
-        self.timers.mg_s += t2 - t1
-        out = x_full.copy()
-        out[interior] = out_int
-        return out
-
-    def _load(self, x_full: np.ndarray) -> np.ndarray:
-        """Full load vector for the lagged iterate."""
-        raise NotImplementedError
-
-
-class BratuContext(_PicardContext):
-    def __init__(self, problem: BratuProblem, cfg: OuterConfig):
-        super().__init__(problem, cfg)
-        self._f_vals = iga._call_on_grid(problem.f, self.space, self.space.tables(0, 1))
-
-    def _load(self, x_full):
-        return iga.bratu_load(self.space, self._f_vals, self.problem.lam, x_full)
-
-
-class MongeAmpereContext(_PicardContext):
-    """Monge-Ampere Picard map.
-
-    The inner Poisson solves keep the V-cycle count frozen at whatever the
-    first step needed to reach linear_tol: a data-dependent cycle count
-    makes the composite map discontinuous at the stopping boundary and
-    stalls the outer iteration near it.
-    """
-
-    def __init__(self, problem: MongeAmpereProblem, cfg: OuterConfig):
-        if cfg.inner == "one_vcycle":
-            cfg = dataclasses.replace(cfg, inner="vcycle_to_tol")
-        super().__init__(problem, cfg)
-        self._f_vals = iga._call_on_grid(problem.f, self.space, self.space.tables(0, 2))
-        self._n_cycles: int | None = None
-
-    def _solve(self, rhs_int, x_int):
-        if self.cfg.inner != "vcycle_to_tol":
-            return super()._solve(rhs_int, x_int)
+        if self.cfg.inner == "direct":
+            return self._factor().solve(rhs_int)
         if self._n_cycles is None:
             out, rep = solve_to_tolerance(self.hier, rhs_int, x_int, tol=self.cfg.linear_tol,
                                           maxiter=LINEAR_MAXITER)
@@ -234,16 +200,23 @@ class MongeAmpereContext(_PicardContext):
             out, _ = v_cycle(self.hier, rhs_int, out)
         return out
 
-    def _load(self, x_full):
-        return iga.monge_ampere_load(self.space, self._f_vals, x_full)
+    def step(self, x_full: np.ndarray) -> np.ndarray:
+        interior = self.layout.interior
+        x_int = x_full[interior]
+        t0 = time.perf_counter()
+        rhs_int = self.problem.load(self._f_vals, x_full)[interior] - self._lift_vec
+        t1 = time.perf_counter()
+        out_int = self._solve(rhs_int, x_int)
+        t2 = time.perf_counter()
+        self.timers.rhs_s += t1 - t0
+        self.timers.mg_s += t2 - t1
+        out = x_full.copy()
+        out[interior] = out_int
+        return out
 
 
-def make_context(problem, cfg: OuterConfig):
-    if isinstance(problem, BratuProblem):
-        return BratuContext(problem, cfg)
-    if isinstance(problem, MongeAmpereProblem):
-        return MongeAmpereContext(problem, cfg)
-    raise TypeError(f"unsupported problem type {type(problem).__name__}")
+def make_context(problem, cfg: OuterConfig) -> _PicardContext:
+    return _PicardContext(problem, cfg)
 
 
 def run_outer(problem, cfg: OuterConfig) -> tuple[SplineField, IterationHistory]:
@@ -258,23 +231,17 @@ def run_outer(problem, cfg: OuterConfig) -> tuple[SplineField, IterationHistory]
     def observer(rec, x_full):
         rec.l2_error = ctx.l2(x_full)
 
-    def G(x):
-        try:
-            return ctx.step(x)
-        except iga.ExpOverflow as exc:
-            raise Diverged(str(exc)) from exc
-
     x0 = ctx.initial_guess()
     acc = cfg.accelerator
     if acc == "none":
-        x, hist = extrapolation.fixed_point_solve(G, x0, cfg.tol, cfg.maxiter,
+        x, hist = extrapolation.fixed_point_solve(ctx.step, x0, cfg.tol, cfg.maxiter,
                                                   observer=observer, timers=ctx.timers)
     elif acc in ("mpe", "rre"):
-        x, hist = extrapolation.restarted_solve(G, x0, acc, cfg.window, cfg.tol,
+        x, hist = extrapolation.restarted_solve(ctx.step, x0, acc, cfg.window, cfg.tol,
                                                 cfg.maxiter, observer=observer,
                                                 timers=ctx.timers)
     else:
-        x, hist = extrapolation.anderson_solve(G, x0, cfg.window, cfg.tol,
+        x, hist = extrapolation.anderson_solve(ctx.step, x0, cfg.window, cfg.tol,
                                                cfg.maxiter, observer=observer,
                                                timers=ctx.timers)
     return SplineField(problem.space, x), hist

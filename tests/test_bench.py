@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestConfigParsing:
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ValueError):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("inner_tol", "0"), ("inner_tol.p2.g16", "0"), ("inner_tol", "inf"),
+    ], ids=["inner-tol-0", "inner-tol-override-0", "inner-tol-inf"])
+    def test_bad_inner_tol_names_its_key(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = bratu1d\np = 2\ngrid = 16\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{key} = {value}")):
             parse_config(path)
 
     def test_1d_grid_with_odd_halving_accepted(self, tmp_path):

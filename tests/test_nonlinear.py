@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from igasolve import iga
+from igasolve import iga, nonlinear
 from igasolve.extrapolation import Diverged
-from igasolve.iga import SplineField, bratu_load, l2_error, make_space
+from igasolve.iga import ExpOverflow, SplineField, bratu_load, l2_error, make_space
+from igasolve.multigrid import v_cycle
 from igasolve.nonlinear import (
-    BratuContext,
     BratuProblem,
-    MongeAmpereContext,
     MongeAmpereProblem,
     OuterConfig,
     make_context,
@@ -78,6 +77,53 @@ class TestMongeAmpereMap:
             MongeAmpereProblem(f=lambda x, y: 1.0, g=None, space=make_space(1, 8, dims=2))
 
 
+class TestInnerSolve:
+    def test_one_vcycle_step_is_one_v_cycle_bitwise(self):
+        prob = BratuProblem.manufactured_2d(3.0, 3, 16)
+        ctx = make_context(prob, OuterConfig())
+        x = ctx.step(ctx.initial_guess())
+        interior = ctx.layout.interior
+        space = prob.space
+        f_vals = iga._call_on_grid(prob.f, space, space.tables(0, 1))
+        rhs = bratu_load(space, f_vals, prob.lam, x)[interior] - ctx._lift_vec
+        ref = v_cycle(ctx.hier, rhs, x[interior])[0]
+        out = ctx.step(x)
+        assert out[interior].tobytes() == ref.tobytes()
+        assert np.all(np.delete(out, interior) == np.delete(x, interior))
+
+    def test_bratu_vcycle_to_tol_freezes_cycle_count(self, monkeypatch):
+        ctx = make_context(BratuProblem.manufactured_2d(1.0, 2, 64),
+                           OuterConfig(inner="vcycle_to_tol", linear_tol=1e-6))
+        assert ctx.hier.n_levels > 1
+        calls = {"v_cycle": 0, "solve_to_tolerance": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nonlinear, name, counting(name, getattr(nonlinear, name)))
+        x = ctx.step(ctx.initial_guess())
+        assert calls == {"v_cycle": 0, "solve_to_tolerance": 1}
+        n = ctx._n_cycles
+        assert n > 1
+        for k in (1, 2):
+            x = ctx.step(x)
+            assert calls == {"v_cycle": k * n, "solve_to_tolerance": 1}
+        assert ctx._n_cycles == n
+
+    @pytest.mark.parametrize("p, n", [(2, 16), (3, 32)])
+    def test_monge_ampere_lift_equals_spsolve_bitwise(self, p, n):
+        prob = MongeAmpereProblem.manufactured(p, n)
+        ctx = make_context(prob, OuterConfig())
+        lay = ctx.layout
+        lift = lay.coupling(iga.assemble_stiffness(prob.space)) @ lay.boundary_values
+        ref = spla.spsolve(ctx.A.tocsc(), -lift)
+        assert ctx.initial_guess()[lay.interior].tobytes() == ref.tobytes()
+
+
 class TestRunOuter:
     def test_huge_tolerance_stops_immediately(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
@@ -98,7 +144,7 @@ class TestRunOuter:
         prob = BratuProblem.manufactured_1d(2.0, 2, 16)
         cfg = OuterConfig(accelerator="none", tol=1e-10, maxiter=40)
         fld, hist = run_outer(prob, cfg)
-        ctx = BratuContext(BratuProblem.manufactured_1d(2.0, 2, 16),
+        ctx = make_context(BratuProblem.manufactured_1d(2.0, 2, 16),
                            OuterConfig(accelerator="none", tol=1e-10, maxiter=40))
         x, residuals = plain_fixed_point(ctx.step, ctx.initial_guess(), 1e-10, 40)
         assert np.all(fld.coefficients == x)
@@ -110,6 +156,14 @@ class TestRunOuter:
         cfg = OuterConfig(accelerator="none", tol=1e-12, maxiter=50)
         with pytest.raises(Diverged):
             run_outer(prob, cfg)
+
+    def test_overflow_diverged_carries_history(self):
+        prob = BratuProblem.manufactured_1d(1e6, 1, 8)
+        cfg = OuterConfig(accelerator="none", tol=1e-12, maxiter=50)
+        with pytest.raises(Diverged) as ei:
+            run_outer(prob, cfg)
+        assert isinstance(ei.value, ExpOverflow)
+        assert ei.value.history is not None and ei.value.history.records
 
     def test_history_records_phases_and_l2(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
@@ -176,7 +230,7 @@ class TestTrendInvariants:
         prob = MongeAmpereProblem.manufactured(2, 32)
         cfg = OuterConfig(accelerator="none", tol=1e-10, maxiter=5,
                           inner="vcycle_to_tol", linear_tol=1e-3)
-        ctx = MongeAmpereContext(prob, cfg)
+        ctx = make_context(prob, cfg)
         x = ctx.initial_guess()
         ctx.step(x)
         assert ctx._n_cycles is not None and ctx._n_cycles >= 1
