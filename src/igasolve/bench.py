@@ -34,11 +34,12 @@ CSV_HEADER = [
 _METHOD_RE = re.compile(r"^(picard|picard_slu)$|^(mpe|rre|aa)\((\d+)\)$")
 # The L2 error is integrated with p+2 Gauss points per span.
 MAX_DEGREE = MAX_GAUSS_POINTS - 2
-# Each problem's dimension and its manufactured instance for (lambda, p, grid).
+# Each problem's dimension, whether it reads lambda, and its manufactured
+# instance for (lambda, p, grid).
 _PROBLEMS = {
-    "bratu1d": (1, BratuProblem.manufactured_1d),
-    "bratu2d": (2, BratuProblem.manufactured_2d),
-    "monge_ampere": (2, lambda lam, p, n: MongeAmpereProblem.manufactured(p, n)),
+    "bratu1d": (1, True, BratuProblem.manufactured_1d),
+    "bratu2d": (2, True, BratuProblem.manufactured_2d),
+    "monge_ampere": (2, False, lambda lam, p, n: MongeAmpereProblem.manufactured(p, n)),
 }
 
 
@@ -141,6 +142,8 @@ def parse_config(path) -> ExperimentConfig:
 
     for key, val in kv.items():
         if key == "lambda":
+            if not _PROBLEMS[problem][1]:
+                raise ValueError(f"{problem} has no lambda")
             cfg.lambdas = finite_floats(key, val)
         elif key == "p":
             cfg.degrees = positive_ints(key, val)
@@ -164,7 +167,7 @@ def parse_config(path) -> ExperimentConfig:
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
 
-    dims, build = _PROBLEMS[cfg.problem]
+    dims, _, build = _PROBLEMS[cfg.problem]
     for p in cfg.degrees:
         for n in cfg.grids:
             # counted before the space exists: a huge grid's knots are big too
@@ -193,7 +196,7 @@ def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
     hist = IterationHistory()
     note = ""
     try:
-        problem = _PROBLEMS[cfg.problem][1](lam, p, n)
+        problem = _PROBLEMS[cfg.problem][2](lam, p, n)
         field_, hist = run_outer(problem, _outer_config(cfg, lam, p, n, method))
     except Diverged as exc:
         note = f"diverged: {exc}"
@@ -297,10 +300,9 @@ def _render(rows) -> str:
 
 def _cmd_run(cfg: ExperimentConfig, cfg_path: Path, out_dir: Path, parallel: int) -> int:
     rows = run_experiment(cfg, parallel=parallel)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = out_dir / (Path(cfg_path).stem + ".csv")
-    emit_csv(rows, out_csv)
     print(_render(rows))
+    emit_csv(rows, out_csv)
     print(f"wrote {out_csv}")
     return 0
 
@@ -340,12 +342,7 @@ def _match_cell(cell, want) -> bool:
     return all(_SELECTOR_KEYS[key](val) == values[key] for key, val in want.items())
 
 
-def _cmd_history(cfg: ExperimentConfig, selector: str, out_path: Path | None) -> int:
-    try:
-        want = parse_cell_selector(selector)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def _cmd_history(cfg: ExperimentConfig, want: dict[str, str], out_path: Path | None) -> int:
     matches = [c for c in cfg.cells() if _match_cell(c, want)]
     if len(matches) != 1:
         print(f"selector matches {len(matches)} cells, need exactly 1", file=sys.stderr)
@@ -355,8 +352,8 @@ def _cmd_history(cfg: ExperimentConfig, selector: str, out_path: Path | None) ->
     if out_path is None:
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", f"{cfg.problem}_{method}_l{lam}_p{p}_g{n}")
         out_path = Path(f"history_{safe}.csv")
-    emit_history(hist, out_path)
     print(_render([row]))
+    emit_history(hist, out_path)
     print(f"wrote {out_path}")
     return 0
 
@@ -393,11 +390,18 @@ def main(argv=None) -> int:
     try:
         cfg_path = find_table_config(args.number) if args.command == "table" else args.config
         cfg = parse_config(cfg_path)
+        # a bad selector or unusable output path fails here, before any cell runs
+        if args.command != "history":
+            args.out.mkdir(parents=True, exist_ok=True)
+        else:
+            want = parse_cell_selector(args.cell)
+            if args.out is not None:
+                args.out.parent.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
     if args.command == "history":
-        return _cmd_history(cfg, args.cell, args.out)
+        return _cmd_history(cfg, want, args.out)
     return _cmd_run(cfg, cfg_path, args.out, args.parallel)
 
 

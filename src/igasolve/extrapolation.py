@@ -268,10 +268,12 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
     applications building q+1 differences), extrapolates, and restarts from
     the extrapolated point. One iteration means one application of G. The
     relative residual is checked after every application and, through the
-    generalized residual (free by the lambda shortcut), after every
-    extrapolation, so a converged extrapolant stops the loop without
-    further map applications; the cycle's record keeps the smaller of the
-    two residuals.
+    generalized residual ||DeltaS gamma|| formed from the window (no map
+    application), after every extrapolation, so a converged extrapolant
+    stops the loop without further map applications; the cycle's record
+    keeps the smaller of the two residuals. A rejected prediction leaves the
+    record, and the observer's last call, on the last map application,
+    although the extrapolant is what the loop returns.
     """
     if q < 1:
         raise ValueError("restart number q must be >= 1")
@@ -341,8 +343,9 @@ class AndersonState:
 def anderson_step(state: AndersonState, s_k, G_sk) -> np.ndarray:
     """One Anderson update x_{k+1} = G(s_k) - G_k theta.
 
-    theta solves min ||f_k - F_k theta||_2 by QR; rank-deficient windows drop
-    their oldest column first. With an empty history the step is a plain
+    theta solves min ||f_k - F_k theta||_2 by QR; a window wider than f_k
+    keeps its newest len(f_k) columns, and rank-deficient windows drop their
+    oldest column first. With an empty history the step is a plain
     fixed-point step.
     """
     s_k = np.asarray(s_k, dtype=float)
@@ -352,6 +355,7 @@ def anderson_step(state: AndersonState, s_k, G_sk) -> np.ndarray:
     if state.depth == 0 or state.m == 0:
         return G_sk.copy()
     F, Gm = state.difference_matrices()
+    F, Gm = F[:, -len(f_k):], Gm[:, -len(f_k):]
     while F.shape[1] > 0:
         try:
             fac = qr_factor(F)

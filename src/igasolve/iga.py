@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,19 +138,13 @@ def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, dorders) -> np.
     )
 
 
-def _quad_points(space: SplineSpace, tables):
-    """Quadrature point coordinates, broadcastable against grid values."""
-    if space.dims == 1:
-        return (tables[0].points,)
-    tx, ty = tables
-    return tx.points[:, :, None, None], ty.points[None, None, :, :]
-
-
-def _grid_shape(space: SplineSpace, tables) -> tuple[int, ...]:
-    if space.dims == 1:
-        return tables[0].points.shape
-    tx, ty = tables
-    return tx.points.shape + ty.points.shape
+def _on_grid(per_direction) -> tuple[np.ndarray, ...]:
+    """Per-direction (n_el, nq) arrays (points or weights), each reshaped to
+    broadcast over the (n_el, nq) or (n_ex, nqx, n_ey, nqy) quadrature grid."""
+    if len(per_direction) == 1:
+        return tuple(per_direction)
+    ax, ay = per_direction
+    return ax[:, :, None, None], ay[None, None, :, :]
 
 
 def _shifted_slices(table: ElementTable) -> list[tuple[slice, slice, int]]:
@@ -175,8 +170,8 @@ def _scatter_load(space: SplineSpace, tables, integrand: np.ndarray) -> np.ndarr
         loc = np.einsum("eq,eq,eqa->ea", integrand, t.weights, t.basis[0])
     else:
         tx, ty = tables
-        weighted = integrand * tx.weights[:, :, None, None] * ty.weights[None, None, :, :]
-        loc = np.einsum("eqfr,eqa,frb->efab", weighted, tx.basis[0], ty.basis[0],
+        wx, wy = _on_grid([tx.weights, ty.weights])
+        loc = np.einsum("eqfr,eqa,frb->efab", integrand * wx * wy, tx.basis[0], ty.basis[0],
                         optimize=True)
     F = np.zeros(space.shape)
     for parts in itertools.product(*map(_shifted_slices, tables)):
@@ -251,16 +246,17 @@ def assemble_mass(space: SplineSpace) -> sp.csr_matrix:
     return _assemble_2d(space, tables, [(Mx, My)])
 
 
-def _call_on_grid(func, space, tables):
-    pts = _quad_points(space, tables)
+def _call_on_grid(func, tables):
+    """``func`` of one coordinate per direction on the quadrature grid."""
+    pts = _on_grid([t.points for t in tables])
     vals = np.asarray(func(*pts), dtype=float)
-    return np.broadcast_to(vals, _grid_shape(space, tables))
+    return np.broadcast_to(vals, np.broadcast(*pts).shape)
 
 
 def bratu_load(space: SplineSpace, f_vals, lam: float, coeffs: np.ndarray) -> np.ndarray:
     """Load vector F_i = int (f - lam * exp(u)) B_i over all dof.
 
-    ``f_vals`` holds the source on the ``space.tables(0, 1)`` quadrature grid
+    ``f_vals`` holds the source on the ``space.tables()`` quadrature grid
     (or a broadcastable scalar) and ``coeffs`` the full coefficients of the
     lagged iterate u. Raises :class:`ExpOverflow` when u exceeds 700
     anywhere, which signals a diverging outer iteration.
@@ -287,7 +283,7 @@ def monge_ampere_operator(lap: np.ndarray, det_hess: np.ndarray, f_vals):
 def monge_ampere_load(space: SplineSpace, f_vals, coeffs: np.ndarray) -> np.ndarray:
     """Load vector F_i = -int G(u) B_i for the Laplacian fixed-point map.
 
-    ``f_vals`` holds the source on the ``space.tables(0, 2)`` quadrature grid
+    ``f_vals`` holds the source on the ``space.tables()`` quadrature grid
     and ``coeffs`` the full coefficients of the lagged iterate u. Logs a
     warning when the radicand is clamped on more than 1% of the points.
     """
@@ -312,16 +308,8 @@ class DirichletLayout:
         mask[self.boundary] = False
         self.interior = np.flatnonzero(mask)
 
-    @property
-    def n_interior(self) -> int:
-        return len(self.interior)
-
     def restrict_matrix(self, A: sp.csr_matrix) -> sp.csr_matrix:
         return A[self.interior][:, self.interior].tocsr()
-
-    def coupling(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        """Interior x boundary block used for the lifting correction."""
-        return A[self.interior][:, self.boundary].tocsr()
 
     def expand(self, u_interior: np.ndarray) -> np.ndarray:
         full = np.zeros(self.n_dof)
@@ -383,10 +371,7 @@ def l2_error(field: SplineField, exact) -> float:
     space = field.space
     tables = space.tables(1, 1)
     u_vals = _grid_values(space, field.coefficients, tables, (0,) * space.dims)
-    diff2 = (u_vals - _call_on_grid(exact, space, tables)) ** 2
-    if space.dims == 1:
-        return float(np.sqrt(np.sum(diff2 * tables[0].weights)))
-    tx, ty = tables
-    w = tx.weights[:, :, None, None] * ty.weights[None, None, :, :]
-    return float(np.sqrt(np.sum(diff2 * w)))
+    diff2 = (u_vals - _call_on_grid(exact, tables)) ** 2
+    weights = math.prod(_on_grid([t.weights for t in tables]))
+    return float(np.sqrt(np.sum(diff2 * weights)))
 

@@ -128,14 +128,15 @@ def level_spaces(fine_space: SplineSpace, direct_threshold: int = 16) -> list[Sp
 
 
 def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
-                    fine_matrix: sp.csr_matrix | None = None) -> GridHierarchy:
+                    A: sp.csr_matrix | None = None) -> GridHierarchy:
     """Build a V-cycle hierarchy on the levels :func:`level_spaces` chooses.
 
-    The full fine stiffness matrix may be passed to avoid reassembly.
+    ``A`` is the fine operator on interior dof, assembled here if not given.
     """
     spaces = level_spaces(fine_space, direct_threshold)
-    fine_full = fine_matrix if fine_matrix is not None else iga.assemble_stiffness(fine_space)
-    levels = [Level(A=apply_dirichlet(fine_space).restrict_matrix(fine_full))]
+    if A is None:
+        A = apply_dirichlet(fine_space).restrict_matrix(iga.assemble_stiffness(fine_space))
+    levels = [Level(A=A)]
     for fine, coarse in zip(spaces, spaces[1:]):
         P = _interior_prolongation(coarse, fine)
         R = P.T.tocsr()

@@ -1,12 +1,14 @@
 """Outer Picard drivers for the Bratu and Monge-Ampere problems.
 
-A problem supplies its Dirichlet data ``g``, the derivative order
-``load_deriv`` of the tables its source lives on, its ``load`` and the flag
-``inner_to_tol``; one context makes the Picard map from them. An inner
-solve is a sparse LU (``inner="direct"``) or a fixed number of V-cycles:
-one, or for ``vcycle_to_tol`` and ``inner_to_tol`` problems the count the
-first solve needed to reach ``linear_tol``. The map can be wrapped by the
-plain, MPE-, RRE- or Anderson-accelerated outer loops.
+A problem supplies its Dirichlet data ``g``, its ``load`` and the flag
+``inner_to_tol``; one context makes the Picard map from them. The context
+restricts the stiffness to interior dof once: that operator is the fine
+level of the multigrid hierarchy, the matrix of the sparse LU and the source
+of the Dirichlet lift. An inner solve is that LU (``inner="direct"``) or a
+fixed number of V-cycles: one, or for ``vcycle_to_tol`` and ``inner_to_tol``
+problems the count the first solve needed to reach ``linear_tol``. The map
+is driven by the restarted MPE/RRE loop or by the Anderson loop, whose
+depth 0 is plain Picard.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class BratuProblem:
     exact: object | None = None
 
     g: ClassVar[None] = None
-    load_deriv: ClassVar[int] = 1
     inner_to_tol: ClassVar[bool] = False
 
     def load(self, f_vals, x_full: np.ndarray) -> np.ndarray:
@@ -75,7 +76,6 @@ class MongeAmpereProblem:
     space: SplineSpace
     exact: object | None = None
 
-    load_deriv: ClassVar[int] = 2
     inner_to_tol: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -150,12 +150,12 @@ class _PicardContext:
         self.timers = PhaseTimers()
         self.layout = iga.apply_dirichlet(self.space, problem.g)
         full = iga.assemble_stiffness(self.space)
-        self.hier = build_hierarchy(self.space, direct_threshold=DIRECT_THRESHOLD,
-                                    fine_matrix=full)
-        self.A = self.hier.fine.A
-        self._lift_vec = self.layout.coupling(full) @ self.layout.boundary_values
-        self._f_vals = iga._call_on_grid(problem.f, self.space,
-                                         self.space.tables(0, problem.load_deriv))
+        self.A = self.layout.restrict_matrix(full)
+        self.hier = build_hierarchy(self.space, DIRECT_THRESHOLD, self.A)
+        # the lift: interior columns meet exact zeros in x_boundary
+        self._x_boundary = self.layout.expand(np.zeros(len(self.layout.interior)))
+        self._lift_vec = (full @ self._x_boundary)[self.layout.interior]
+        self._f_vals = iga._call_on_grid(problem.f, self.space.tables())
         self._lu = None
         # V-cycles per inner solve, None until the first solve to linear_tol
         # sets it: a data-dependent count makes the map discontinuous at the
@@ -180,7 +180,7 @@ class _PicardContext:
         """
         if np.any(self.layout.boundary_values != 0.0):
             return self.layout.expand(self._factor().solve(-self._lift_vec))
-        return self.layout.expand(np.zeros(self.layout.n_interior))
+        return self._x_boundary.copy()
 
     def l2(self, x_full: np.ndarray) -> float:
         if self.problem.exact is None:
@@ -233,15 +233,13 @@ def run_outer(problem, cfg: OuterConfig) -> tuple[SplineField, IterationHistory]
 
     x0 = ctx.initial_guess()
     acc = cfg.accelerator
-    if acc == "none":
-        x, hist = extrapolation.fixed_point_solve(ctx.step, x0, cfg.tol, cfg.maxiter,
-                                                  observer=observer, timers=ctx.timers)
-    elif acc in ("mpe", "rre"):
+    if acc in ("mpe", "rre"):
         x, hist = extrapolation.restarted_solve(ctx.step, x0, acc, cfg.window, cfg.tol,
                                                 cfg.maxiter, observer=observer,
                                                 timers=ctx.timers)
     else:
-        x, hist = extrapolation.anderson_solve(ctx.step, x0, cfg.window, cfg.tol,
-                                               cfg.maxiter, observer=observer,
-                                               timers=ctx.timers)
+        # plain Picard is Anderson acceleration of depth 0
+        m = cfg.window if acc == "anderson" else 0
+        x, hist = extrapolation.anderson_solve(ctx.step, x0, m, cfg.tol, cfg.maxiter,
+                                               observer=observer, timers=ctx.timers)
     return SplineField(problem.space, x), hist

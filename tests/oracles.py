@@ -298,6 +298,6 @@ def l2_projection(space, f):
     """Global L2 projection of a function onto the spline space."""
     tables = space.tables(1, 1)
     M = iga.assemble_mass(space)
-    rhs = iga._scatter_load(space, tables, iga._call_on_grid(f, space, tables))
+    rhs = iga._scatter_load(space, tables, iga._call_on_grid(f, tables))
     coeffs = spla.spsolve(M.tocsc(), rhs)
     return iga.SplineField(space, coeffs)

@@ -102,12 +102,13 @@ class TestConfigParsing:
         "problem = bratu1d\np = 2\ninner_tol.p3.g64 = 0\n",
         "problem = bratu2d\np = 5\ngrid = 4096\n",
         "problem = bratu1d\ngrid = 1048576\n",
+        "problem = monge_ampere\nlambda = 1, 2\n",
     ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
             "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0", "maxiter-0",
             "2d-coarsest-too-large", "monge-ampere-coarsest-too-large", "lambda-nan",
             "lambda-inf", "tol-inf", "inner-tol-inf", "inner-tol-override-inf",
             "monge-ampere-p-1", "k", "inner-key", "inner-tol-override-outside-sweep-0",
-            "2d-grid-4096", "1d-grid-1048576"])
+            "2d-grid-4096", "1d-grid-1048576", "monge-ampere-lambda"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -190,6 +191,13 @@ class TestRunExperiment:
             assert row.rhs_time_s + row.mg_time_s + row.extrapol_time_s <= row.cpu_s
             if row.method != "picard":
                 assert row.extrapol_time_s > 0.0
+
+    def test_anderson_window_wider_than_iterate(self):
+        # 3 dof at p=1, N=2: aa(5) reaches more difference columns than rows
+        cfg = ExperimentConfig(problem="bratu1d", lambdas=[7.0], degrees=[1], grids=[2],
+                               methods=["aa(5)"])
+        row, _ = run_cell(cfg, next(cfg.cells()))
+        assert row.converged and not row.note and row.iter > 4
 
     def test_parallel_matches_sequential(self, tiny_cfg):
         seq = run_experiment(tiny_cfg, parallel=1)
@@ -317,6 +325,26 @@ class TestCli:
         rc = main(["history", "--config", str(cfg),
                    "--cell", "method=mpe(2),p=2", "--out", str(out)])
         assert rc == 0
+        assert out.is_file()
+
+    def test_run_out_is_a_file_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("igasolve.bench.run_experiment", no_sweep)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "taken" in capsys.readouterr().err
+
+    def test_history_into_missing_directory(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "new" / "hist.csv"
+        assert main(["history", "--config", str(cfg),
+                     "--cell", "method=picard,p=1", "--out", str(out)]) == 0
         assert out.is_file()
 
     @pytest.mark.parametrize("command", ["run", "history"])

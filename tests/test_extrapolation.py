@@ -323,6 +323,14 @@ class TestAnderson:
         assert hist.converged
         assert np.linalg.norm(x - xstar) <= 1e-10 * np.linalg.norm(xstar)
 
+    def test_window_wider_than_iterate(self):
+        # depth 5 on 3 unknowns: the window keeps its newest 3 columns
+        rng = np.random.default_rng(14)
+        M, b, xstar = random_affine(rng, 3, rho=0.9)
+        x, hist = anderson_solve(lambda v: M @ v + b, np.zeros(3), 5, 1e-13, 100)
+        assert hist.converged and hist.iterations > 4  # more columns than rows
+        assert np.linalg.norm(x - xstar) <= 1e-10 * np.linalg.norm(xstar)
+
 
 class TestFixedPoint:
     def test_records_every_application(self):

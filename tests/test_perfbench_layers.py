@@ -99,3 +99,25 @@ def test_setup_marker_precedes_first_step(worker, monkeypatch):
         row, _ = bench.run_cell(cfg, cell)
         assert row.converged and not row.note
         assert marks[0] is not None and t0 < marks[0], cell
+
+
+def test_picard_cell_enters_the_outer_loop_once(tracer, monkeypatch):
+    class Undone(tracer.Tracer):
+        """Wraps like the benchmark; teardown puts every wrapped name back."""
+
+        def wrap(self, owner, attr, name, on_result=None):
+            fn = tracer._lookup(owner, attr)
+            if fn is not None:
+                put = monkeypatch.setitem if isinstance(owner, dict) else monkeypatch.setattr
+                put(owner, attr, fn)
+            super().wrap(owner, attr, name, on_result)
+
+    modules = types.SimpleNamespace(bench=bench, extrapolation=extrapolation, iga=iga,
+                                    linalg=linalg, multigrid=multigrid, nonlinear=nonlinear)
+    t = Undone()
+    tracer.install_layers(t, modules)
+    cfg = bench.ExperimentConfig(problem="bratu1d", degrees=[2], grids=[8], tol=1e-8,
+                                 maxiter=50)
+    row, _ = bench.run_cell(cfg, next(cfg.cells()))
+    assert row.method == "picard" and row.converged
+    assert t.calls["extrapolation.outer_loop"] == 1
