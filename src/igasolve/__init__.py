@@ -23,7 +23,6 @@ from .extrapolation import (
 from .history import IterationHistory, IterationRecord
 from .iga import (
     DirichletLayout,
-    SplineField,
     SplineSpace,
     apply_dirichlet,
     assemble_mass,

@@ -34,12 +34,13 @@ CSV_HEADER = [
 _METHOD_RE = re.compile(r"^(picard|picard_slu)$|^(mpe|rre|aa)\((\d+)\)$")
 # The L2 error is integrated with p+2 Gauss points per span.
 MAX_DEGREE = MAX_GAUSS_POINTS - 2
-# Each problem's dimension, whether it reads lambda, and its manufactured
-# instance for (lambda, p, grid).
+# Each problem's dimension, the config key its cells never read, and its
+# manufactured instance for (lambda, p, grid). Bratu cells run one V-cycle
+# or the sparse LU, so no inner tolerance reaches them.
 _PROBLEMS = {
-    "bratu1d": (1, True, BratuProblem.manufactured_1d),
-    "bratu2d": (2, True, BratuProblem.manufactured_2d),
-    "monge_ampere": (2, False, lambda lam, p, n: MongeAmpereProblem.manufactured(p, n)),
+    "bratu1d": (1, "inner_tol", BratuProblem.manufactured_1d),
+    "bratu2d": (2, "inner_tol", BratuProblem.manufactured_2d),
+    "monge_ampere": (2, "lambda", lambda lam, p, n: MongeAmpereProblem.manufactured(p, n)),
 }
 
 
@@ -122,48 +123,50 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"unknown problem {problem!r}")
     cfg = ExperimentConfig(problem=problem)
 
-    def finite_floats(key, s):
+    def finite_floats(s):
         vals = [float(x) for x in s.split(",") if x.strip()]
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"{key} values must be finite")
+            raise ValueError("values must be finite")
         return vals
 
-    def positive_ints(key, s):
+    def positive_ints(s):
         vals = [int(x) for x in s.split(",") if x.strip()]
         if any(v < 1 for v in vals):
-            raise ValueError(f"{key} values must be at least 1")
+            raise ValueError("values must be at least 1")
         return vals
 
-    def linear_tol(key, s):
-        try:
-            return OuterConfig(linear_tol=float(s)).linear_tol
-        except ValueError as exc:
-            raise ValueError(f"{key} = {s}: {exc}") from None
+    def linear_tol(s):
+        return OuterConfig(linear_tol=float(s)).linear_tol
 
+    unread = _PROBLEMS[problem][1]
     for key, val in kv.items():
-        if key == "lambda":
-            if not _PROBLEMS[problem][1]:
-                raise ValueError(f"{problem} has no lambda")
-            cfg.lambdas = finite_floats(key, val)
-        elif key == "p":
-            cfg.degrees = positive_ints(key, val)
-            if max(cfg.degrees, default=1) > MAX_DEGREE:
-                raise ValueError(f"p values must be at most {MAX_DEGREE}")
-        elif key == "grid":
-            cfg.grids = positive_ints(key, val)
-        elif key == "method":
-            cfg.methods = [t.strip() for t in val.split(",") if t.strip()]
-        elif key == "tol":
-            cfg.tol = float(val)
-        elif key == "maxiter":
-            cfg.maxiter = int(val)
-        elif key == "inner_tol":
-            cfg.inner_tol = linear_tol(key, val)
-        else:
-            m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
-            if not m:
-                raise ValueError(f"unknown config key {key!r}")
-            cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = linear_tol(key, val)
+        try:
+            if key == "lambda":
+                cfg.lambdas = finite_floats(val)
+            elif key == "p":
+                cfg.degrees = positive_ints(val)
+                if max(cfg.degrees, default=1) > MAX_DEGREE:
+                    raise ValueError(f"values must be at most {MAX_DEGREE}")
+            elif key == "grid":
+                cfg.grids = positive_ints(val)
+            elif key == "method":
+                cfg.methods = [t.strip() for t in val.split(",") if t.strip()]
+            elif key == "tol":
+                cfg.tol = float(val)
+            elif key == "maxiter":
+                cfg.maxiter = int(val)
+            elif key == "inner_tol":
+                cfg.inner_tol = linear_tol(val)
+            else:
+                m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
+                if not m:
+                    raise ValueError("unknown config key")
+                cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = linear_tol(val)
+            # checked after the value, so a bad value is reported as such
+            if key.split(".")[0] == unread:
+                raise ValueError(f"{problem} cells never read {unread}")
+        except ValueError as exc:
+            raise ValueError(f"{key} = {val}: {exc}") from None
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
 
@@ -197,7 +200,7 @@ def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
     note = ""
     try:
         problem = _PROBLEMS[cfg.problem][2](lam, p, n)
-        field_, hist = run_outer(problem, _outer_config(cfg, lam, p, n, method))
+        _, hist = run_outer(problem, _outer_config(cfg, lam, p, n, method))
     except Diverged as exc:
         note = f"diverged: {exc}"
         if exc.history is not None:

@@ -81,14 +81,6 @@ class KnotVector:
         """Span index of every nonempty knot interval, left to right."""
         return np.flatnonzero(np.diff(self.knots) > 0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KnotVector)
-            and self.p == other.p
-            and self.knots.shape == other.knots.shape
-            and bool(np.all(self.knots == other.knots))
-        )
-
     def __repr__(self):
         a, b = self.domain
         return f"KnotVector(p={self.p}, n_elements={self.n_elements}, domain=[{a}, {b}])"

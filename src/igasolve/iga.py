@@ -2,7 +2,8 @@
 
 Stiffness/mass matrices, nonlinear load vectors for the Bratu and
 Monge-Ampere fixed-point maps, Dirichlet handling by boundary-coefficient
-interpolation plus stiffness lifting, and L2 error norms.
+interpolation plus stiffness lifting, and L2 error norms. A spline function
+is its full coefficient vector on a :class:`SplineSpace`.
 
 Assembly loops run element by element with per-direction Gauss tables;
 2D local blocks are formed as outer products of 1D element matrices
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,19 +96,6 @@ def make_space(p, n_elements, dims: int = 1) -> SplineSpace:
     """Uniform open spline space on [0, 1]^dims, same degree and resolution per direction."""
     kv = bspline.make_open_uniform_knots(p, n_elements)
     return SplineSpace((kv,) * dims)
-
-
-@dataclass
-class SplineField:
-    """A spline function given by its control-point vector."""
-
-    space: SplineSpace
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float).ravel()
-        if self.coefficients.size != self.space.n_dof:
-            raise ValueError("coefficient length does not match the space")
 
 
 def _local_dof_indices(table: ElementTable) -> np.ndarray:
@@ -366,11 +353,14 @@ def apply_dirichlet(space: SplineSpace, g=None) -> DirichletLayout:
     return DirichletLayout(space.n_dof, boundary, coeffs.ravel()[boundary])
 
 
-def l2_error(field: SplineField, exact) -> float:
-    """sqrt(int (u_h - exact)^2) with p+2 Gauss points per span."""
-    space = field.space
+def l2_error(space: SplineSpace, coeffs, exact) -> float:
+    """sqrt(int (u_h - exact)^2) of the spline with full coefficient vector
+    ``coeffs``, with p+2 Gauss points per span."""
+    coeffs = np.asarray(coeffs, dtype=float).ravel()
+    if coeffs.size != space.n_dof:
+        raise ValueError(f"{coeffs.size} coefficients for a space of {space.n_dof} dof")
     tables = space.tables(1, 1)
-    u_vals = _grid_values(space, field.coefficients, tables, (0,) * space.dims)
+    u_vals = _grid_values(space, coeffs, tables, (0,) * space.dims)
     diff2 = (u_vals - _call_on_grid(exact, tables)) ** 2
     weights = math.prod(_on_grid([t.weights for t in tables]))
     return float(np.sqrt(np.sum(diff2 * weights)))

@@ -23,7 +23,8 @@ RANK_DROP_TOL = 1e-13
 
 
 class RankDeficient(Exception):
-    """A QR column collapsed under the drop tolerance.
+    """A QR column, or a triangular factor's diagonal entry, fell under the
+    drop tolerance.
 
     Extrapolation callers react by shrinking the window.
     """
@@ -31,14 +32,6 @@ class RankDeficient(Exception):
     def __init__(self, column: int):
         super().__init__(f"column {column} is numerically rank deficient")
         self.column = column
-
-
-class SingularTriangular(Exception):
-    """Zero or sub-tolerance diagonal entry in a triangular solve."""
-
-    def __init__(self, index: int):
-        super().__init__(f"triangular matrix has negligible diagonal at index {index}")
-        self.index = index
 
 
 class SingularMatrix(Exception):
@@ -87,10 +80,9 @@ def qr_factor(M) -> QRFactors:
 
 def _check_triangular_diag(R: np.ndarray) -> None:
     diag = np.abs(np.diag(R))
-    tol = RANK_DROP_TOL * diag.max(initial=0.0)
-    bad = np.flatnonzero(diag <= tol)
+    bad = np.flatnonzero(diag <= RANK_DROP_TOL * diag.max(initial=0.0))
     if bad.size:
-        raise SingularTriangular(int(bad[0]))
+        raise RankDeficient(int(bad[0]))
 
 
 def solve_upper_triangular(R, b) -> np.ndarray:

@@ -8,7 +8,8 @@ of the Dirichlet lift. An inner solve is that LU (``inner="direct"``) or a
 fixed number of V-cycles: one, or for ``vcycle_to_tol`` and ``inner_to_tol``
 problems the count the first solve needed to reach ``linear_tol``. The map
 is driven by the restarted MPE/RRE loop or by the Anderson loop, whose
-depth 0 is plain Picard.
+depth 0 is plain Picard. An iterate is its full coefficient vector, as the
+map, its start vector and :func:`run_outer`'s result all are.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from . import extrapolation, iga
 from .history import IterationHistory, PhaseTimers
-from .iga import SplineField, SplineSpace, make_space
+from .iga import SplineSpace, make_space
 from .multigrid import build_hierarchy, solve_to_tolerance, v_cycle
 
 
@@ -182,11 +183,6 @@ class _PicardContext:
             return self.layout.expand(self._factor().solve(-self._lift_vec))
         return self._x_boundary.copy()
 
-    def l2(self, x_full: np.ndarray) -> float:
-        if self.problem.exact is None:
-            return float("nan")
-        return iga.l2_error(SplineField(self.space, x_full), self.problem.exact)
-
     def _solve(self, rhs_int: np.ndarray, x_int: np.ndarray) -> np.ndarray:
         if self.cfg.inner == "direct":
             return self._factor().solve(rhs_int)
@@ -219,27 +215,26 @@ def make_context(problem, cfg: OuterConfig) -> _PicardContext:
     return _PicardContext(problem, cfg)
 
 
-def run_outer(problem, cfg: OuterConfig) -> tuple[SplineField, IterationHistory]:
+def run_outer(problem, cfg: OuterConfig) -> tuple[np.ndarray, IterationHistory]:
     """Drive the selected accelerator around the problem's Picard map.
 
     Stops when ||U^n - U^{n-1}|| / ||U^n|| <= tol or after maxiter map
-    applications; the history records every application with, when an exact
-    solution is known, the L2 error, and carries the context's timers.
+    applications. Returns the driver's full coefficient vector and its
+    history, which records every application with, when an exact solution
+    is known, the L2 error, and carries the context's timers.
     """
     ctx = make_context(problem, cfg)
-
-    def observer(rec, x_full):
-        rec.l2_error = ctx.l2(x_full)
+    observer = None
+    if problem.exact is not None:
+        def observer(rec, x_full):
+            rec.l2_error = iga.l2_error(problem.space, x_full, problem.exact)
 
     x0 = ctx.initial_guess()
     acc = cfg.accelerator
     if acc in ("mpe", "rre"):
-        x, hist = extrapolation.restarted_solve(ctx.step, x0, acc, cfg.window, cfg.tol,
-                                                cfg.maxiter, observer=observer,
-                                                timers=ctx.timers)
-    else:
-        # plain Picard is Anderson acceleration of depth 0
-        m = cfg.window if acc == "anderson" else 0
-        x, hist = extrapolation.anderson_solve(ctx.step, x0, m, cfg.tol, cfg.maxiter,
-                                               observer=observer, timers=ctx.timers)
-    return SplineField(problem.space, x), hist
+        return extrapolation.restarted_solve(ctx.step, x0, acc, cfg.window, cfg.tol,
+                                             cfg.maxiter, observer=observer, timers=ctx.timers)
+    # plain Picard is Anderson acceleration of depth 0
+    m = cfg.window if acc == "anderson" else 0
+    return extrapolation.anderson_solve(ctx.step, x0, m, cfg.tol, cfg.maxiter,
+                                        observer=observer, timers=ctx.timers)

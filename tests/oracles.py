@@ -283,11 +283,10 @@ def gauss_rule(n_points, span=(0.0, 1.0)):
     return a + half * (x + 1.0), half * w
 
 
-def spline_point_value(field, point):
-    """Value of a spline field at one point, from the active basis values."""
-    space = field.space
+def spline_point_value(space, coeffs, point):
+    """Value of a spline at one point, from the active basis values."""
     evs = [eval_basis(kv, float(x)) for kv, x in zip(space.kvs, np.atleast_1d(point))]
-    C = field.coefficients.reshape(space.shape)
+    C = np.asarray(coeffs, dtype=float).reshape(space.shape)
     value = C[tuple(slice(ev.first_dof, ev.first_dof + len(ev.values)) for ev in evs)]
     for ev in reversed(evs):
         value = value @ ev.values
@@ -295,9 +294,8 @@ def spline_point_value(field, point):
 
 
 def l2_projection(space, f):
-    """Global L2 projection of a function onto the spline space."""
+    """Coefficients of the global L2 projection of a function onto the spline space."""
     tables = space.tables(1, 1)
     M = iga.assemble_mass(space)
     rhs = iga._scatter_load(space, tables, iga._call_on_grid(f, tables))
-    coeffs = spla.spsolve(M.tocsc(), rhs)
-    return iga.SplineField(space, coeffs)
+    return spla.spsolve(M.tocsc(), rhs)

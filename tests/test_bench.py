@@ -103,12 +103,16 @@ class TestConfigParsing:
         "problem = bratu2d\np = 5\ngrid = 4096\n",
         "problem = bratu1d\ngrid = 1048576\n",
         "problem = monge_ampere\nlambda = 1, 2\n",
+        "problem = bratu1d\ninner_tol = 1e-3\n",
+        "problem = bratu1d\ninner_tol.p2.g8 = 1e-3\n",
+        "problem = bratu2d\ninner_tol = 1e-3\n",
     ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
             "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0", "maxiter-0",
             "2d-coarsest-too-large", "monge-ampere-coarsest-too-large", "lambda-nan",
             "lambda-inf", "tol-inf", "inner-tol-inf", "inner-tol-override-inf",
             "monge-ampere-p-1", "k", "inner-key", "inner-tol-override-outside-sweep-0",
-            "2d-grid-4096", "1d-grid-1048576", "monge-ampere-lambda"])
+            "2d-grid-4096", "1d-grid-1048576", "monge-ampere-lambda", "bratu-inner-tol",
+            "bratu-inner-tol-override", "bratu2d-inner-tol"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -123,6 +127,25 @@ class TestConfigParsing:
         path.write_text(f"problem = bratu1d\np = 2\ngrid = 16\n{key} = {value}\n")
         with pytest.raises(ValueError, match=re.escape(f"{key} = {value}")):
             parse_config(path)
+
+    @pytest.mark.parametrize("problem, line, reason", [
+        ("bratu1d", "tol = abc", "could not convert string to float"),
+        ("bratu1d", "maxiter = 1.5", "invalid literal for int()"),
+        ("bratu1d", "lambda = x", "could not convert string to float"),
+        ("bratu1d", "grid = 8, x", "invalid literal for int()"),
+        ("bratu1d", "p = 2, 15", "values must be at most 14"),
+        ("bratu1d", "smoothing = 3", "unknown config key"),
+        ("bratu1d", "inner_tol = 1e-3", "bratu1d cells never read inner_tol"),
+        ("bratu2d", "inner_tol.p2.g8 = 1e-3", "bratu2d cells never read inner_tol"),
+        ("monge_ampere", "lambda = 1", "monge_ampere cells never read lambda"),
+    ], ids=["tol-abc", "maxiter-1.5", "lambda-x", "grid-x", "p-15", "unknown-key",
+            "bratu-inner-tol", "bratu-inner-tol-override", "monge-ampere-lambda"])
+    def test_parse_error_names_key_and_value(self, tmp_path, problem, line, reason):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = {problem}\n{line}\n")
+        with pytest.raises(ValueError) as ei:
+            parse_config(path)
+        assert str(ei.value).startswith(f"{line}: {reason}")
 
     def test_1d_grid_with_odd_halving_accepted(self, tmp_path):
         # 1D N=254 also stops coarsening at N=127, but that is 127 dof

@@ -27,6 +27,19 @@ def random_affine(rng, dim, rho=0.8):
     return M, b, xstar
 
 
+# Four differences in 6 dimensions. The QR accepts column 2 because it
+# measures its 1e-14 remainder against R[0,0] = 1e-3; the triangular solves
+# measure it against the largest diagonal entry, 1, and reject it.
+DEPENDENT_DIFFS = [1e-3 * np.eye(6)[0], np.eye(6)[1],
+                   0.5 * np.eye(6)[1] + 1e-14 * np.eye(6)[2], np.eye(6)[3]]
+
+
+def replay(diffs):
+    """A map that adds the given differences one call at a time."""
+    it = iter(diffs)
+    return lambda x: x + next(it)
+
+
 class TestWindows:
     def test_differences_accumulated_exactly(self):
         rng = np.random.default_rng(0)
@@ -190,6 +203,17 @@ class TestRestartedDriver:
         assert hist.converged
         assert np.linalg.norm(x - xstar) <= 1e-10 * np.linalg.norm(xstar)
 
+    @pytest.mark.parametrize("method, kept", [("mpe", 4), ("rre", 3)])
+    def test_dependent_window_shrinks(self, method, kept):
+        # MPE shrinks once; RRE's normal equations see the same remainder
+        # on the tail diagonal at q=2 and shrink once more
+        x0 = np.ones(6)
+        x, hist = restarted_solve(replay(DEPENDENT_DIFFS), x0, method, 3, 1e-12, 4)
+        iterates = np.cumsum([x0, *DEPENDENT_DIFFS], axis=0)
+        extrapolate = mpe_extrapolate if method == "mpe" else rre_extrapolate
+        assert hist.iterations == 4
+        assert np.array_equal(x, extrapolate(IterateWindow.from_iterates(iterates[:kept])).t)
+
     def test_scalar_divergent_affine_recovers_antilimit(self):
         # rho(M) > 1 with 1 not an eigenvalue: extrapolation still recovers
         # the (anti-)fixed point from the divergent sequence
@@ -315,6 +339,16 @@ class TestAnderson:
         xstar = np.array([2.0, 8.0 / 3.0])
         # the informative secant data still contributes: closer than G(x)
         assert np.linalg.norm(out - xstar) <= np.linalg.norm(G(x) - xstar) + 1e-12
+
+    def test_dependent_window_drops_oldest_columns(self):
+        # the three differences as F columns: the triangular solve rejects
+        # column 2, then the QR of the newest two rejects column 1
+        st, one = AndersonState(3), AndersonState(1)
+        f = [np.zeros(6), *np.cumsum(DEPENDENT_DIFFS[:3], axis=0)]
+        for f_k in f:
+            out = anderson_step(st, np.zeros(6), f_k)
+        anderson_step(one, np.zeros(6), f[-2])
+        assert np.array_equal(out, anderson_step(one, np.zeros(6), f[-1]))
 
     def test_anderson_solve_affine(self):
         rng = np.random.default_rng(13)

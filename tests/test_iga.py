@@ -13,7 +13,6 @@ from igasolve.bspline import make_open_uniform_knots
 from igasolve.iga import (
     DegreeTooLow,
     ExpOverflow,
-    SplineField,
     SplineSpace,
     apply_dirichlet,
     assemble_mass,
@@ -151,7 +150,7 @@ class TestMongeAmpereRhs:
         space = make_space(2, 4, dims=2)
         u = l2_projection(space, lambda x, y: 0.5 * (x**2 + y**2))
         F = monge_ampere_load(space, source_on_grid(lambda x, y: np.ones_like(x), space),
-                              u.coefficients)
+                              u)
         ref = bratu_load(space, source_on_grid(lambda x, y: -2.0 * np.ones_like(x), space),
                          0.0, np.zeros(space.n_dof))
         assert np.abs(F - ref).max() <= 1e-10
@@ -221,13 +220,12 @@ class TestDirichlet:
             space = make_space(p, n, dims=2)
             lay = apply_dirichlet(space, g)
             full = lay.expand(np.zeros(lay.interior.size))
-            field = SplineField(space, full)
             h = 1.0 / n
             worst = 0.0
             for s in np.linspace(0.0, 1.0, 50):
                 for pt, ref in (((s, 0.0), g(s, 0.0)), ((s, 1.0), g(s, 1.0)),
                                 ((0.0, s), g(0.0, s)), ((1.0, s), g(1.0, s))):
-                    worst = max(worst, abs(spline_point_value(field, pt) - ref))
+                    worst = max(worst, abs(spline_point_value(space, full, pt) - ref))
             assert worst <= 10.0 * h ** (p + 1)
 
     def test_expand_roundtrip(self):
@@ -241,26 +239,31 @@ class TestDirichlet:
 class TestL2Error:
     def test_self_is_zero(self):
         space = make_space(3, 6)
-        field = l2_projection(space, lambda x: np.sin(2 * np.pi * x))
+        coeffs = l2_projection(space, lambda x: np.sin(2 * np.pi * x))
 
         def as_spline(x):
             flat = np.asarray(x, dtype=float).ravel()
-            out = np.array([spline_point_value(field, v) for v in flat])
+            out = np.array([spline_point_value(space, coeffs, v) for v in flat])
             return out.reshape(np.shape(x))
 
-        assert l2_error(field, as_spline) <= 1e-13
+        assert l2_error(space, coeffs, as_spline) <= 1e-13
 
     def test_zero_vs_one_on_square(self):
         space = make_space(2, 4, dims=2)
-        field = SplineField(space, np.zeros(space.n_dof))
-        assert l2_error(field, lambda x, y: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
+        coeffs = np.zeros(space.n_dof)
+        assert l2_error(space, coeffs, lambda x, y: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", (35, 37))
+    def test_wrong_length_rejected(self, n):
+        with pytest.raises(ValueError, match="36 dof"):
+            l2_error(make_space(2, 4, dims=2), np.zeros(n), lambda x, y: x)
 
     def test_projection_error_small_and_high_order(self):
         errs = {}
         for n in (16, 64):
             space = make_space(3, n)
-            field = l2_projection(space, lambda x: np.sin(2 * np.pi * x))
-            errs[n] = l2_error(field, lambda x: np.sin(2 * np.pi * x))
+            coeffs = l2_projection(space, lambda x: np.sin(2 * np.pi * x))
+            errs[n] = l2_error(space, coeffs, lambda x: np.sin(2 * np.pi * x))
         # measured once with the quadrature oracle and frozen: 5.9985e-08
         assert errs[64] <= 1e-7
         assert errs[64] == pytest.approx(5.9985e-08, rel=1e-3)
@@ -272,8 +275,8 @@ class TestL2Error:
         errs = {}
         for n in (16, 64):
             space = make_space(p, n)
-            field = l2_projection(space, lambda x: np.sin(2 * np.pi * x))
-            errs[n] = l2_error(field, lambda x: np.sin(2 * np.pi * x))
+            coeffs = l2_projection(space, lambda x: np.sin(2 * np.pi * x))
+            errs[n] = l2_error(space, coeffs, lambda x: np.sin(2 * np.pi * x))
         order = np.log(errs[16] / errs[64]) / np.log(4.0)
         assert order >= p + 0.7
 

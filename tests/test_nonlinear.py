@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from igasolve import iga, nonlinear
 from igasolve.extrapolation import Diverged
-from igasolve.iga import ExpOverflow, SplineField, bratu_load, l2_error, make_space
+from igasolve.iga import ExpOverflow, bratu_load, l2_error, make_space
 from igasolve.multigrid import v_cycle
 from igasolve.nonlinear import (
     BratuProblem,
@@ -18,15 +18,15 @@ from oracles import l2_projection, plain_fixed_point
 
 
 def picard_map(prob, u, **cfg):
-    """One application of the problem's Picard map to the spline field u."""
+    """One application of the problem's Picard map to the coefficient vector u."""
     ctx = make_context(prob, OuterConfig(**cfg))
-    return SplineField(prob.space, ctx.step(u.coefficients)), ctx
+    return ctx.step(u), ctx
 
 
 class TestBratuMap:
     def test_lambda_zero_is_plain_poisson_solve(self):
         prob = BratuProblem.manufactured_1d(0.0, 2, 16)
-        u0 = SplineField(prob.space, np.zeros(prob.space.n_dof))
+        u0 = np.zeros(prob.space.n_dof)
         cfg = dict(inner="vcycle_to_tol", linear_tol=1e-14)
         u1, ctx = picard_map(prob, u0, **cfg)
         lay = ctx.layout
@@ -35,17 +35,17 @@ class TestBratuMap:
         F = bratu_load(space, iga._call_on_grid(prob.f, space.tables()), 0.0,
                        np.zeros(space.n_dof))
         ref = spla.spsolve(ctx.A.tocsc(), F[lay.interior])
-        assert np.abs(u1.coefficients[lay.interior] - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(u1[lay.interior] - ref).max() <= 1e-10 * np.abs(ref).max()
         # the linear problem is a fixed point after one application
         u2, _ = picard_map(prob, u1, **cfg)
-        rel = np.linalg.norm(u2.coefficients - u1.coefficients) / np.linalg.norm(u1.coefficients)
+        rel = np.linalg.norm(u2 - u1) / np.linalg.norm(u1)
         assert rel <= 1e-12
 
     def test_exact_projection_nearly_fixed(self):
         prob = BratuProblem.manufactured_1d(1.0, 3, 32)
         u = l2_projection(prob.space, prob.exact)
         out, _ = picard_map(prob, u)
-        rel = np.linalg.norm(out.coefficients - u.coefficients) / np.linalg.norm(u.coefficients)
+        rel = np.linalg.norm(out - u) / np.linalg.norm(u)
         # bounded by discretization plus inner-solve error; pinned once measured
         assert rel <= 2e-4
 
@@ -60,7 +60,7 @@ class TestMongeAmpereMap:
                                   space=make_space(2, 8, dims=2), exact=u_exact)
         u = l2_projection(prob.space, u_exact)
         out, _ = picard_map(prob, u, linear_tol=1e-13)
-        assert l2_error(out, u_exact) <= 1e-10
+        assert l2_error(prob.space, out, u_exact) <= 1e-10
 
     def test_exact_solution_projection_nearly_fixed(self):
         resid = {}
@@ -68,7 +68,7 @@ class TestMongeAmpereMap:
             prob = MongeAmpereProblem.manufactured(2, n)
             u = l2_projection(prob.space, prob.exact)
             out, _ = picard_map(prob, u, linear_tol=1e-12)
-            resid[n] = np.linalg.norm(out.coefficients - u.coefficients) / np.linalg.norm(u.coefficients)
+            resid[n] = np.linalg.norm(out - u) / np.linalg.norm(u)
         assert resid[8] <= 5e-3
         assert resid[16] <= resid[8]  # shrinks under refinement
 
@@ -131,7 +131,7 @@ class TestRunOuter:
     def test_huge_tolerance_stops_immediately(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
         cfg = OuterConfig(accelerator="none", tol=1.0, maxiter=100)
-        fld, hist = run_outer(prob, cfg)
+        _, hist = run_outer(prob, cfg)
         assert hist.converged and hist.iterations == 1
 
     def test_linear_problem_converges_fast_any_accelerator(self):
@@ -139,18 +139,18 @@ class TestRunOuter:
             prob = BratuProblem.manufactured_1d(0.0, 2, 16)
             cfg = OuterConfig(accelerator=acc, window=w, tol=1e-11, maxiter=50,
                               inner="vcycle_to_tol", linear_tol=1e-13)
-            fld, hist = run_outer(prob, cfg)
+            _, hist = run_outer(prob, cfg)
             assert hist.converged
             assert hist.iterations <= 5
 
     def test_accelerator_none_reproduces_raw_picard_bitwise(self):
         prob = BratuProblem.manufactured_1d(2.0, 2, 16)
         cfg = OuterConfig(accelerator="none", tol=1e-10, maxiter=40)
-        fld, hist = run_outer(prob, cfg)
+        x, hist = run_outer(prob, cfg)
         ctx = make_context(BratuProblem.manufactured_1d(2.0, 2, 16),
                            OuterConfig(accelerator="none", tol=1e-10, maxiter=40))
-        x, residuals = plain_fixed_point(ctx.step, ctx.initial_guess(), 1e-10, 40)
-        assert np.all(fld.coefficients == x)
+        x_ref, residuals = plain_fixed_point(ctx.step, ctx.initial_guess(), 1e-10, 40)
+        assert np.all(x == x_ref)
         assert [r.relative_residual for r in hist.records] == residuals
 
     def test_overflow_becomes_diverged(self):
@@ -171,12 +171,28 @@ class TestRunOuter:
     def test_history_records_phases_and_l2(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
         cfg = OuterConfig(accelerator="mpe", window=2, tol=1e-10, maxiter=60)
-        fld, hist = run_outer(prob, cfg)
+        _, hist = run_outer(prob, cfg)
         t = hist.timers
         assert t.rhs_s > 0.0 and t.mg_s >= 0.0 and t.extrapol_s > 0.0
         assert np.isfinite(hist.records[-1].l2_error)
         its = [r.iteration for r in hist.records]
         assert its == sorted(its) and len(set(its)) == len(its)
+
+    @pytest.mark.parametrize("acc, window", [("mpe", 5), ("none", 0)])
+    def test_returned_vector_has_the_last_recorded_l2_error(self, acc, window):
+        prob = BratuProblem.manufactured_1d(1.0, 3, 16)
+        cfg = OuterConfig(accelerator=acc, window=window, tol=1e-12, maxiter=200)
+        x, hist = run_outer(prob, cfg)
+        assert isinstance(x, np.ndarray) and x.shape == (prob.space.n_dof,)
+        assert hist.converged
+        assert l2_error(prob.space, x, prob.exact) == hist.records[-1].l2_error
+
+    def test_no_exact_solution_records_nan(self, monkeypatch):
+        prob = BratuProblem.manufactured_1d(1.0, 2, 8)
+        prob.exact = None
+        monkeypatch.setattr(iga, "l2_error", None)  # never called
+        _, hist = run_outer(prob, OuterConfig(accelerator="rre", window=2, tol=1e-10))
+        assert hist.converged and all(np.isnan(r.l2_error) for r in hist.records)
 
     def test_unknown_accelerator(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
@@ -212,7 +228,7 @@ class TestTrendInvariants:
         for n in (8, 16, 32):
             prob = BratuProblem.manufactured_1d(7.0, 5, n)
             cfg = OuterConfig(accelerator="rre", window=5, tol=1e-12, maxiter=500)
-            fld, hist = run_outer(prob, cfg)
+            _, hist = run_outer(prob, cfg)
             assert hist.converged
             errs.append(hist.records[-1].l2_error)
         assert errs[0] > errs[1] > errs[2]
@@ -223,7 +239,7 @@ class TestTrendInvariants:
             prob = MongeAmpereProblem.manufactured(2, n)
             cfg = OuterConfig(accelerator="rre", window=5, tol=1e-10, maxiter=200,
                               inner="vcycle_to_tol", linear_tol=1e-2)
-            fld, hist = run_outer(prob, cfg)
+            _, hist = run_outer(prob, cfg)
             assert hist.converged
             errs.append(hist.records[-1].l2_error)
         assert errs[0] > errs[1]
