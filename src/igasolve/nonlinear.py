@@ -14,6 +14,8 @@ map, its start vector and :func:`run_outer`'s result all are.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -108,6 +110,9 @@ class MongeAmpereProblem:
 DIRECT_THRESHOLD = 36
 # Most V-cycles one inner solve to linear_tol may take.
 LINEAR_MAXITER = 200
+# glibc's malloc_trim, which hands the heap's free pages back to the OS;
+# None where the C library has no such call.
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 
 @dataclass
@@ -165,10 +170,20 @@ class _PicardContext:
         self._n_cycles: int | None = None if to_tol else 1
 
     def _factor(self):
-        """Sparse LU of the interior stiffness, built on first use."""
-        if self._lu is None:
-            self._lu = spla.splu(self.A.tocsc())
-        return self._lu
+        """Sparse LU of the interior stiffness, built on first use and kept
+        only for direct inner solves: a multigrid context needs it once, for
+        the harmonic lift. The factorisation is a cell's memory peak, so free
+        heap is first handed back to the OS; how much of it stays resident
+        otherwise depends on the heap's layout, which changes run to run.
+        """
+        if self._lu is not None:
+            return self._lu
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+        lu = spla.splu(self.A.tocsc())
+        if self.cfg.inner == "direct":
+            self._lu = lu
+        return lu
 
     def initial_guess(self) -> np.ndarray:
         """Harmonic lift of the boundary data (zero for homogeneous problems).

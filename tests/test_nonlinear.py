@@ -126,6 +126,18 @@ class TestInnerSolve:
         ref = spla.spsolve(ctx.A.tocsc(), -lift)
         assert ctx.initial_guess()[lay.interior].tobytes() == ref.tobytes()
 
+    def test_lift_lu_is_kept_only_for_direct_inner_solves(self):
+        prob = MongeAmpereProblem.manufactured(2, 16)
+        ctx = make_context(prob, OuterConfig())
+        x0 = ctx.initial_guess()
+        assert ctx._lu is None
+        direct = make_context(prob, OuterConfig(inner="direct"))
+        assert direct.initial_guess().tobytes() == x0.tobytes()
+        lu = direct._lu
+        assert lu is not None
+        direct.step(x0)
+        assert direct._lu is lu
+
 
 class TestRunOuter:
     def test_huge_tolerance_stops_immediately(self):
