@@ -22,7 +22,6 @@ from .extrapolation import (
 )
 from .history import IterationHistory, IterationRecord
 from .iga import (
-    DirichletLayout,
     SplineSpace,
     apply_dirichlet,
     assemble_mass,

@@ -167,6 +167,10 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValueError(f"{problem} cells never read {unread}")
         except ValueError as exc:
             raise ValueError(f"{key} = {val}: {exc}") from None
+    for key, val in kv.items():  # the lists may follow an override in the file
+        m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
+        if m and (int(m[1]) not in cfg.degrees or int(m[2]) not in cfg.grids):
+            raise ValueError(f"{key} = {val}: no cell has p = {m[1]} and grid = {m[2]}")
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
 

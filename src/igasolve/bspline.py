@@ -214,7 +214,8 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
     """Knot averages xi*_i = (t_{i+1} + ... + t_{i+p}) / p, one per basis function."""
     p, U = kv.p, kv.knots
     csum = np.concatenate([[0.0], np.cumsum(U)])
-    return (csum[p + 1: p + 1 + kv.n_basis] - csum[1: 1 + kv.n_basis]) / p
+    # differences of a running sum can round past the domain end
+    return np.clip((csum[p + 1: p + 1 + kv.n_basis] - csum[1: 1 + kv.n_basis]) / p, *kv.domain)
 
 
 def _legendre_nodes(n_points: int):

@@ -1,9 +1,11 @@
 """Galerkin assembly on tensor-product B-spline spaces (1D/2D).
 
 Stiffness/mass matrices, nonlinear load vectors for the Bratu and
-Monge-Ampere fixed-point maps, Dirichlet handling by boundary-coefficient
-interpolation plus stiffness lifting, and L2 error norms. A spline function
-is its full coefficient vector on a :class:`SplineSpace`.
+Monge-Ampere fixed-point maps, Dirichlet data and L2 error norms. A spline
+function is its full coefficient vector on a :class:`SplineSpace`, and so
+is its Dirichlet data: :func:`apply_dirichlet` interpolates the boundary
+coefficients and returns them over a zero interior, with the interior dof
+indices (the ``[1:-1]`` block in every direction) that a solve restricts to.
 
 Assembly loops run element by element with per-direction Gauss tables;
 2D local blocks are formed as outer products of 1D element matrices
@@ -104,25 +106,24 @@ def _local_dof_indices(table: ElementTable) -> np.ndarray:
     return table.first_dof[:, None] + np.arange(p1)[None, :]
 
 
-def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, dorders) -> np.ndarray:
-    """Evaluate a coefficient vector's derivative on the quadrature grid.
+def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, *dorders) -> list[np.ndarray]:
+    """Evaluate a coefficient vector's derivatives on the quadrature grid.
 
-    Returns shape (n_el, nq) in 1D and (n_ex, nqx, n_ey, nqy) in 2D;
-    ``dorders`` is the per-direction derivative order.
+    Each of ``dorders`` is one tuple of per-direction derivative orders; one
+    array per tuple comes back, of shape (n_el, nq) in 1D and
+    (n_ex, nqx, n_ey, nqy) in 2D. The coefficient blocks are gathered once.
     """
     if space.dims == 1:
         (t,) = tables
-        idx = _local_dof_indices(t)
-        return np.einsum("eqa,ea->eq", t.basis[dorders[0]], coeffs[idx])
+        blocks = coeffs[_local_dof_indices(t)]
+        return [np.einsum("eqa,ea->eq", t.basis[dx], blocks) for (dx,) in dorders]
     tx, ty = tables
     # (n_ex, n_ey, px+1, py+1) coefficient blocks, gathered as whole windows
     windows = sliding_window_view(coeffs.reshape(space.shape),
                                   (tx.basis.shape[3], ty.basis.shape[3]))
     blocks = np.ascontiguousarray(windows[np.ix_(tx.first_dof, ty.first_dof)])
-    return np.einsum(
-        "eqa,efab,frb->eqfr", tx.basis[dorders[0]], blocks, ty.basis[dorders[1]],
-        optimize=True,
-    )
+    return [np.einsum("eqa,efab,frb->eqfr", tx.basis[dx], blocks, ty.basis[dy], optimize=True)
+            for dx, dy in dorders]
 
 
 def _on_grid(per_direction) -> tuple[np.ndarray, ...]:
@@ -249,7 +250,7 @@ def bratu_load(space: SplineSpace, f_vals, lam: float, coeffs: np.ndarray) -> np
     anywhere, which signals a diverging outer iteration.
     """
     tables = space.tables(0, 1)
-    u_vals = _grid_values(space, coeffs, tables, (0,) * space.dims)
+    (u_vals,) = _grid_values(space, coeffs, tables, (0,) * space.dims)
     if np.max(u_vals) > 700.0:
         raise ExpOverflow("exp argument exceeds 700")
     return _scatter_load(space, tables, f_vals - lam * np.exp(u_vals))
@@ -275,34 +276,11 @@ def monge_ampere_load(space: SplineSpace, f_vals, coeffs: np.ndarray) -> np.ndar
     warning when the radicand is clamped on more than 1% of the points.
     """
     tables = space.tables(0, 2)
-    u_xx = _grid_values(space, coeffs, tables, (2, 0))
-    u_yy = _grid_values(space, coeffs, tables, (0, 2))
-    u_xy = _grid_values(space, coeffs, tables, (1, 1))
+    u_xx, u_yy, u_xy = _grid_values(space, coeffs, tables, (2, 0), (0, 2), (1, 1))
     g_vals, frac = monge_ampere_operator(u_xx + u_yy, u_xx * u_yy - u_xy**2, f_vals)
     if frac > 0.01:
         log.warning("negative radicand clamped on %.1f%% of quadrature points", 100 * frac)
     return _scatter_load(space, tables, -g_vals)
-
-
-class DirichletLayout:
-    """Interior/boundary dof split with boundary coefficient values."""
-
-    def __init__(self, n_dof: int, boundary: np.ndarray, boundary_values: np.ndarray):
-        self.n_dof = n_dof
-        self.boundary = np.asarray(boundary, dtype=int)
-        self.boundary_values = np.asarray(boundary_values, dtype=float)
-        mask = np.ones(n_dof, dtype=bool)
-        mask[self.boundary] = False
-        self.interior = np.flatnonzero(mask)
-
-    def restrict_matrix(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        return A[self.interior][:, self.interior].tocsr()
-
-    def expand(self, u_interior: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.n_dof)
-        full[self.interior] = u_interior
-        full[self.boundary] = self.boundary_values
-        return full
 
 
 def _interpolate_1d(kv: KnotVector, values_at_greville: np.ndarray) -> np.ndarray:
@@ -317,28 +295,23 @@ def _interpolate_1d(kv: KnotVector, values_at_greville: np.ndarray) -> np.ndarra
     return np.linalg.solve(B, values_at_greville)
 
 
-def apply_dirichlet(space: SplineSpace, g=None) -> DirichletLayout:
-    """Dirichlet layout for the whole boundary of the interval/square.
+def apply_dirichlet(space: SplineSpace, g=None) -> tuple[np.ndarray, np.ndarray]:
+    """Interior dof and boundary data for the whole boundary of the interval/square.
 
-    ``g`` is None (or 0) for homogeneous data, else a callable evaluated
-    with one argument per dimension. Boundary coefficients interpolate g at
-    the Greville abscissae of the boundary dof.
+    Returns ``(interior, x_boundary)``: the flat indices of the interior
+    dof, which are the ``[1:-1]`` block in every direction, and the boundary
+    data as a full coefficient vector with a zero interior. ``g`` is None
+    for homogeneous data, else a callable evaluated with one argument per
+    dimension. Boundary coefficients interpolate g at the Greville
+    abscissae of the boundary dof.
     """
-    if space.dims == 1:
-        (kv,) = space.kvs
-        n = kv.n_basis
-        boundary = np.array([0, n - 1])
-        if g is None:
-            vals = np.zeros(2)
-        else:
-            a, b = kv.domain
-            vals = np.array([float(g(a)), float(g(b))])
-        return DirichletLayout(space.n_dof, boundary, vals)
-
-    kvx, kvy = space.kvs
-    nx, ny = space.shape
-    coeffs = np.zeros((nx, ny))
-    if g is not None:
+    interior = np.flatnonzero(np.pad(np.ones([n - 2 for n in space.shape], dtype=bool), 1))
+    coeffs = np.zeros(space.shape)
+    if g is not None and space.dims == 1:
+        a, b = space.kvs[0].domain
+        coeffs[[0, -1]] = float(g(a)), float(g(b))
+    elif g is not None:
+        kvx, kvy = space.kvs
         ax, bx = kvx.domain
         ay, by = kvy.domain
         gx = greville_abscissae(kvx)
@@ -347,10 +320,7 @@ def apply_dirichlet(space: SplineSpace, g=None) -> DirichletLayout:
         coeffs[:, -1] = _interpolate_1d(kvx, np.array([g(x, by) for x in gx]))
         coeffs[0, :] = _interpolate_1d(kvy, np.array([g(ax, y) for y in gy]))
         coeffs[-1, :] = _interpolate_1d(kvy, np.array([g(bx, y) for y in gy]))
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    on_edge = (ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1)
-    boundary = np.flatnonzero(on_edge.ravel())
-    return DirichletLayout(space.n_dof, boundary, coeffs.ravel()[boundary])
+    return interior, coeffs.ravel()
 
 
 def l2_error(space: SplineSpace, coeffs, exact) -> float:
@@ -360,7 +330,7 @@ def l2_error(space: SplineSpace, coeffs, exact) -> float:
     if coeffs.size != space.n_dof:
         raise ValueError(f"{coeffs.size} coefficients for a space of {space.n_dof} dof")
     tables = space.tables(1, 1)
-    u_vals = _grid_values(space, coeffs, tables, (0,) * space.dims)
+    (u_vals,) = _grid_values(space, coeffs, tables, (0,) * space.dims)
     diff2 = (u_vals - _call_on_grid(exact, tables)) ** 2
     weights = math.prod(_on_grid([t.weights for t in tables]))
     return float(np.sqrt(np.sum(diff2 * weights)))

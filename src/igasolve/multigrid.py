@@ -135,7 +135,8 @@ def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
     """
     spaces = level_spaces(fine_space, direct_threshold)
     if A is None:
-        A = apply_dirichlet(fine_space).restrict_matrix(iga.assemble_stiffness(fine_space))
+        interior, _ = apply_dirichlet(fine_space)
+        A = iga.assemble_stiffness(fine_space)[interior][:, interior].tocsr()
     levels = [Level(A=A)]
     for fine, coarse in zip(spaces, spaces[1:]):
         P = _interior_prolongation(coarse, fine)

@@ -2,11 +2,13 @@
 
 A problem supplies its Dirichlet data ``g``, its ``load`` and the flag
 ``inner_to_tol``; one context makes the Picard map from them. The context
-restricts the stiffness to interior dof once: that operator is the fine
-level of the multigrid hierarchy, the matrix of the sparse LU and the source
-of the Dirichlet lift. An inner solve is that LU (``inner="direct"``) or a
-fixed number of V-cycles: one, or for ``vcycle_to_tol`` and ``inner_to_tol``
-problems the count the first solve needed to reach ``linear_tol``. The map
+keeps the interior dof indices and the boundary data as a full coefficient
+vector, and restricts the stiffness to interior dof once: that operator is
+the fine level of the multigrid hierarchy and the matrix of the sparse LU,
+and the full stiffness times the boundary vector is the Dirichlet lift. An
+inner solve is that LU (``inner="direct"``) or a fixed number of V-cycles:
+one, or for ``vcycle_to_tol`` and ``inner_to_tol`` problems the count the
+first solve needed to reach ``linear_tol``, at least one. The map
 is driven by the restarted MPE/RRE loop or by the Anderson loop, whose
 depth 0 is plain Picard. An iterate is its full coefficient vector, as the
 map, its start vector and :func:`run_outer`'s result all are.
@@ -154,13 +156,12 @@ class _PicardContext:
         self.cfg = cfg
         self.space = problem.space
         self.timers = PhaseTimers()
-        self.layout = iga.apply_dirichlet(self.space, problem.g)
+        self.interior, self._x_boundary = iga.apply_dirichlet(self.space, problem.g)
         full = iga.assemble_stiffness(self.space)
-        self.A = self.layout.restrict_matrix(full)
+        self.A = full[self.interior][:, self.interior].tocsr()
         self.hier = build_hierarchy(self.space, DIRECT_THRESHOLD, self.A)
         # the lift: interior columns meet exact zeros in x_boundary
-        self._x_boundary = self.layout.expand(np.zeros(len(self.layout.interior)))
-        self._lift_vec = (full @ self._x_boundary)[self.layout.interior]
+        self._lift_vec = (full @ self._x_boundary)[self.interior]
         self._f_vals = iga._call_on_grid(problem.f, self.space.tables())
         self._lu = None
         # V-cycles per inner solve, None until the first solve to linear_tol
@@ -194,9 +195,10 @@ class _PicardContext:
         for dozens of grid-dependent iterations; the harmonic extension is
         layer-free.
         """
-        if np.any(self.layout.boundary_values != 0.0):
-            return self.layout.expand(self._factor().solve(-self._lift_vec))
-        return self._x_boundary.copy()
+        x = self._x_boundary.copy()
+        if np.any(self._x_boundary):
+            x[self.interior] = self._factor().solve(-self._lift_vec)
+        return x
 
     def _solve(self, rhs_int: np.ndarray, x_int: np.ndarray) -> np.ndarray:
         if self.cfg.inner == "direct":
@@ -205,14 +207,15 @@ class _PicardContext:
             out, rep = solve_to_tolerance(self.hier, rhs_int, x_int, tol=self.cfg.linear_tol,
                                           maxiter=LINEAR_MAXITER)
             self._n_cycles = max(rep.n_cycles, 1)
-            return out
+            if rep.n_cycles:  # else one cycle: an unchanged warm start reads as converged
+                return out
         out = x_int
         for _ in range(self._n_cycles):
             out, _ = v_cycle(self.hier, rhs_int, out)
         return out
 
     def step(self, x_full: np.ndarray) -> np.ndarray:
-        interior = self.layout.interior
+        interior = self.interior
         x_int = x_full[interior]
         t0 = time.perf_counter()
         rhs_int = self.problem.load(self._f_vals, x_full)[interior] - self._lift_vec

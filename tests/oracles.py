@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from igasolve import iga
-from igasolve.bspline import eval_basis
+from igasolve.bspline import eval_basis, greville_abscissae
 
 
 def naive_bspline(t, k, i, knots):
@@ -272,6 +272,42 @@ def chunked_assemble_2d(space, tables, pairs):
         part = scipy_coo_to_csr(r, c, vals.ravel(), (n, n))
         acc = part if acc is None else acc + part
     return acc.tocsr()
+
+
+def seed_dirichlet_split(space, g=None):
+    """The seed's Dirichlet layout: ``(interior, boundary, boundary_values)``
+    from an explicit boundary list in 1D and a meshgrid edge mask in 2D, with
+    boundary coefficients interpolating g at the Greville abscissae."""
+    if space.dims == 1:
+        (kv,) = space.kvs
+        n = kv.n_basis
+        boundary = np.array([0, n - 1])
+        if g is None:
+            vals = np.zeros(2)
+        else:
+            a, b = kv.domain
+            vals = np.array([float(g(a)), float(g(b))])
+    else:
+        kvx, kvy = space.kvs
+        nx, ny = space.shape
+        coeffs = np.zeros((nx, ny))
+        if g is not None:
+            ax, bx = kvx.domain
+            ay, by = kvy.domain
+            gx = greville_abscissae(kvx)
+            gy = greville_abscissae(kvy)
+            coeffs[:, 0] = iga._interpolate_1d(kvx, np.array([g(x, ay) for x in gx]))
+            coeffs[:, -1] = iga._interpolate_1d(kvx, np.array([g(x, by) for x in gx]))
+            coeffs[0, :] = iga._interpolate_1d(kvy, np.array([g(ax, y) for y in gy]))
+            coeffs[-1, :] = iga._interpolate_1d(kvy, np.array([g(bx, y) for y in gy]))
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        on_edge = (ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1)
+        boundary = np.flatnonzero(on_edge.ravel())
+        vals = coeffs.ravel()[boundary]
+    boundary = np.asarray(boundary, dtype=int)
+    mask = np.ones(space.n_dof, dtype=bool)
+    mask[boundary] = False
+    return np.flatnonzero(mask), boundary, np.asarray(vals, dtype=float)
 
 
 def gauss_rule(n_points, span=(0.0, 1.0)):

@@ -106,13 +106,16 @@ class TestConfigParsing:
         "problem = bratu1d\ninner_tol = 1e-3\n",
         "problem = bratu1d\ninner_tol.p2.g8 = 1e-3\n",
         "problem = bratu2d\ninner_tol = 1e-3\n",
+        "problem = monge_ampere\np = 2\ngrid = 8\ninner_tol.p2.g16 = 1e-3\n",
+        "problem = monge_ampere\ninner_tol.p3.g16 = 1e-3\np = 2\ngrid = 16\n",
     ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
             "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0", "maxiter-0",
             "2d-coarsest-too-large", "monge-ampere-coarsest-too-large", "lambda-nan",
             "lambda-inf", "tol-inf", "inner-tol-inf", "inner-tol-override-inf",
             "monge-ampere-p-1", "k", "inner-key", "inner-tol-override-outside-sweep-0",
             "2d-grid-4096", "1d-grid-1048576", "monge-ampere-lambda", "bratu-inner-tol",
-            "bratu-inner-tol-override", "bratu2d-inner-tol"])
+            "bratu-inner-tol-override", "bratu2d-inner-tol",
+            "inner-tol-override-grid-outside-sweep", "inner-tol-override-p-outside-sweep"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -138,8 +141,10 @@ class TestConfigParsing:
         ("bratu1d", "inner_tol = 1e-3", "bratu1d cells never read inner_tol"),
         ("bratu2d", "inner_tol.p2.g8 = 1e-3", "bratu2d cells never read inner_tol"),
         ("monge_ampere", "lambda = 1", "monge_ampere cells never read lambda"),
+        ("monge_ampere", "inner_tol.p2.g17 = 1e-3", "no cell has p = 2 and grid = 17"),
     ], ids=["tol-abc", "maxiter-1.5", "lambda-x", "grid-x", "p-15", "unknown-key",
-            "bratu-inner-tol", "bratu-inner-tol-override", "monge-ampere-lambda"])
+            "bratu-inner-tol", "bratu-inner-tol-override", "monge-ampere-lambda",
+            "inner-tol-override-outside-sweep"])
     def test_parse_error_names_key_and_value(self, tmp_path, problem, line, reason):
         path = tmp_path / "bad.cfg"
         path.write_text(f"problem = {problem}\n{line}\n")
@@ -203,6 +208,14 @@ class TestRunExperiment:
         assert row.converged and not row.note
         assert (row.iter, row.relative_residual, row.l2_err) == \
                (hist.iterations, last.relative_residual, last.l2_error)
+
+    def test_monge_ampere_grid_with_greville_roundoff_runs(self):
+        # unclipped, the last Greville abscissa at p=2, N=7 rounds past the
+        # domain end and the boundary interpolation raises in every cell
+        cfg = ExperimentConfig(problem="monge_ampere", degrees=[2], grids=[7], tol=1e-8,
+                               maxiter=100)
+        row, _ = run_cell(cfg, (0.0, 2, 7, "picard"))
+        assert row.converged and not row.note
 
     def test_timing_columns_are_phase_totals(self):
         cfg = ExperimentConfig(problem="bratu2d", lambdas=[1.0], degrees=[2], grids=[16],

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igasolve.bspline import (
@@ -239,6 +239,17 @@ class TestHelpers:
         assert g[0] == pytest.approx(0.0)
         assert g[-1] == pytest.approx(1.0)
         assert np.all(np.diff(g) > 0)
+
+    @settings(max_examples=200)
+    @example(kv=make_open_uniform_knots(2, 7))
+    @given(kv=st.one_of(open_knot_vectors(),
+                        st.builds(make_open_uniform_knots, st.integers(1, 14),
+                                  st.integers(1, 299))))
+    def test_greville_within_domain(self, kv):
+        # unclipped, the running sum puts p=2, N=7's last abscissa at 1.0000000000000002
+        g = greville_abscissae(kv)
+        lo, hi = kv.domain
+        assert lo <= g.min() and g.max() <= hi
 
     def test_dof_runs_split_at_repeated_knots(self):
         assert tabulate(make_open_uniform_knots(2, 5), 3).dof_runs == ((0, 5, 0),)

@@ -34,6 +34,7 @@ from oracles import (
     fancy_grid_values,
     l2_projection,
     scipy_coo_to_csr,
+    seed_dirichlet_split,
     spline_point_value,
 )
 from strategies import open_knot_vectors
@@ -42,8 +43,8 @@ from strategies import open_knot_vectors
 class TestStiffness1D:
     def test_hat_tridiagonal(self):
         space = make_space(1, 4)
-        lay = apply_dirichlet(space)
-        A = lay.restrict_matrix(assemble_stiffness(space)).toarray()
+        interior, _ = apply_dirichlet(space)
+        A = assemble_stiffness(space)[interior][:, interior].toarray()
         h = 0.25
         expected = (2.0 / h) * np.eye(3) - (1.0 / h) * (np.eye(3, k=1) + np.eye(3, k=-1))
         assert np.abs(A - expected).max() <= 1e-13
@@ -53,8 +54,8 @@ class TestStiffness1D:
         space = make_space(p, n, dims=dims)
         A = assemble_stiffness(space)
         assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
-        lay = apply_dirichlet(space)
-        Ai = lay.restrict_matrix(A)
+        interior, _ = apply_dirichlet(space)
+        Ai = A[interior][:, interior]
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.standard_normal(Ai.shape[0])
@@ -66,8 +67,8 @@ class TestStiffness1D:
 class TestMass:
     def test_hat_tridiagonal(self):
         space = make_space(1, 4)
-        lay = apply_dirichlet(space)
-        M = lay.restrict_matrix(assemble_mass(space)).toarray()
+        interior, _ = apply_dirichlet(space)
+        M = assemble_mass(space)[interior][:, interior].toarray()
         h = 0.25
         expected = (2 * h / 3) * np.eye(3) + (h / 6) * (np.eye(3, k=1) + np.eye(3, k=-1))
         assert np.abs(M - expected).max() <= 1e-14
@@ -196,30 +197,31 @@ class TestMongeAmpereRhs:
 class TestDirichlet:
     def test_homogeneous(self):
         space = make_space(2, 4, dims=2)
-        lay = apply_dirichlet(space)
-        assert np.all(lay.boundary_values == 0.0)
+        interior, x_boundary = apply_dirichlet(space)
+        assert np.all(x_boundary == 0.0)
         nx, ny = space.shape
-        assert len(lay.boundary) == 2 * nx + 2 * ny - 4
-        assert len(lay.interior) + len(lay.boundary) == space.n_dof
+        boundary = np.delete(np.arange(space.n_dof), interior)
+        assert len(boundary) == 2 * nx + 2 * ny - 4
+        assert interior.tolist() == [ix * ny + iy for ix in range(1, nx - 1)
+                                     for iy in range(1, ny - 1)]
         full = assemble_stiffness(space)
-        lift = (full @ lay.expand(np.zeros(lay.interior.size)))[lay.interior]
+        lift = (full @ x_boundary)[interior]
         # bit for bit the interior x boundary block times the boundary data
-        block = full[lay.interior][:, lay.boundary]
-        assert lift.tobytes() == (block @ lay.boundary_values).tobytes()
+        block = full[interior][:, boundary]
+        assert lift.tobytes() == (block @ x_boundary[boundary]).tobytes()
         assert np.abs(lift).max() == 0.0
 
     def test_constant_boundary_exact(self):
         space = make_space(3, 5, dims=2)
-        lay = apply_dirichlet(space, lambda x, y: 1.0)
-        assert np.abs(lay.boundary_values - 1.0).max() <= 1e-12
+        interior, x_boundary = apply_dirichlet(space, lambda x, y: 1.0)
+        assert np.abs(np.delete(x_boundary, interior) - 1.0).max() <= 1e-12
 
     def test_monge_ampere_trace_interpolation(self):
         # piecewise boundary data g = exp(x^2/2) on y=0 etc.
         g = lambda x, y: np.exp(0.5 * (x**2 + y**2))
         for p, n in ((2, 8), (3, 8)):
             space = make_space(p, n, dims=2)
-            lay = apply_dirichlet(space, g)
-            full = lay.expand(np.zeros(lay.interior.size))
+            _, full = apply_dirichlet(space, g)
             h = 1.0 / n
             worst = 0.0
             for s in np.linspace(0.0, 1.0, 50):
@@ -230,10 +232,22 @@ class TestDirichlet:
 
     def test_expand_roundtrip(self):
         space = make_space(2, 4)
-        lay = apply_dirichlet(space, lambda x: float(x))
-        u = lay.expand(np.arange(lay.interior.size, dtype=float))
-        assert u[0] == 0.0 and u[-1] == 1.0
-        assert np.allclose(u[lay.interior], np.arange(lay.interior.size))
+        interior, x_boundary = apply_dirichlet(space, lambda x: float(x))
+        assert interior.tolist() == list(range(1, space.n_dof - 1))
+        assert x_boundary[0] == 0.0 and x_boundary[-1] == 1.0
+        assert np.all(x_boundary[interior] == 0.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(kvs=st.lists(open_knot_vectors(), min_size=1, max_size=2), smooth=st.booleans())
+    def test_split_matches_seed_layout(self, kvs, smooth):
+        space = SplineSpace(tuple(kvs))
+        g = (lambda *xs: np.exp(0.3 * sum(xs)) + np.sin(xs[0])) if smooth else None
+        interior, x_boundary = apply_dirichlet(space, g)
+        ref_interior, boundary, values = seed_dirichlet_split(space, g)
+        assert interior.dtype == ref_interior.dtype
+        assert np.array_equal(interior, ref_interior)
+        assert x_boundary[boundary].tobytes() == values.tobytes()
+        assert np.all(x_boundary[interior] == 0.0)
 
 
 class TestL2Error:
@@ -341,7 +355,12 @@ class TestSeedIdiomOracles:
         assert (iga._scatter_load(space, tables, integrand).tobytes()
                 == add_at_scatter_load(space, tables, integrand).tobytes())
         coeffs = rng.standard_normal(space.n_dof)
-        dorders = tuple(data.draw(st.integers(0, max_deriv)) for _ in space.kvs)
-        new = iga._grid_values(space, coeffs, tables, dorders)
-        old = fancy_grid_values(space, coeffs, tables, dorders)
-        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+        orders = st.tuples(*[st.integers(0, max_deriv)] * space.dims)
+        many = data.draw(st.lists(orders, min_size=1, max_size=4))
+        news = iga._grid_values(space, coeffs, tables, *many)
+        assert len(news) == len(many)
+        for dorders, new in zip(many, news):
+            (single,) = iga._grid_values(space, coeffs, tables, dorders)
+            old = fancy_grid_values(space, coeffs, tables, dorders)
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+            assert new.tobytes() == single.tobytes()

@@ -61,7 +61,8 @@ class TestHierarchy:
         assert hg.n_levels == 2
         coarse = make_space(1, 8)
         Ag = hg.levels[0].A.toarray()
-        Ar = apply_dirichlet(coarse).restrict_matrix(assemble_stiffness(coarse)).toarray()
+        interior, _ = apply_dirichlet(coarse)
+        Ar = assemble_stiffness(coarse)[interior][:, interior].toarray()
         interior = slice(1, -1)
         assert np.abs(Ag[interior, interior] - Ar[interior, interior]).max() <= 1e-12
         assert np.abs(Ag - Ar).max() <= 1e-12  # document: no boundary discrepancy for p=1

@@ -14,7 +14,7 @@ from igasolve.nonlinear import (
     run_outer,
 )
 
-from oracles import l2_projection, plain_fixed_point
+from oracles import l2_projection, plain_fixed_point, seed_dirichlet_split
 
 
 def picard_map(prob, u, **cfg):
@@ -29,13 +29,13 @@ class TestBratuMap:
         u0 = np.zeros(prob.space.n_dof)
         cfg = dict(inner="vcycle_to_tol", linear_tol=1e-14)
         u1, ctx = picard_map(prob, u0, **cfg)
-        lay = ctx.layout
+        interior = ctx.interior
         # oracle: direct Galerkin solve of the Poisson problem
         space = prob.space
         F = bratu_load(space, iga._call_on_grid(prob.f, space.tables()), 0.0,
                        np.zeros(space.n_dof))
-        ref = spla.spsolve(ctx.A.tocsc(), F[lay.interior])
-        assert np.abs(u1[lay.interior] - ref).max() <= 1e-10 * np.abs(ref).max()
+        ref = spla.spsolve(ctx.A.tocsc(), F[interior])
+        assert np.abs(u1[interior] - ref).max() <= 1e-10 * np.abs(ref).max()
         # the linear problem is a fixed point after one application
         u2, _ = picard_map(prob, u1, **cfg)
         rel = np.linalg.norm(u2 - u1) / np.linalg.norm(u1)
@@ -82,7 +82,7 @@ class TestInnerSolve:
         prob = BratuProblem.manufactured_2d(3.0, 3, 16)
         ctx = make_context(prob, OuterConfig())
         x = ctx.step(ctx.initial_guess())
-        interior = ctx.layout.interior
+        interior = ctx.interior
         space = prob.space
         f_vals = iga._call_on_grid(prob.f, space.tables())
         rhs = bratu_load(space, f_vals, prob.lam, x)[interior] - ctx._lift_vec
@@ -114,17 +114,34 @@ class TestInnerSolve:
             assert calls == {"v_cycle": k * n, "solve_to_tolerance": 1}
         assert ctx._n_cycles == n
 
+    def test_first_solve_runs_at_least_one_cycle(self):
+        # at p=2, N=24 the harmonic lift's interior already meets
+        # linear_tol = 1e-2, so solving to tolerance runs no cycle
+        prob = MongeAmpereProblem.manufactured(2, 24)
+        cfg = OuterConfig(tol=1e-10, maxiter=400, linear_tol=1e-2)
+        ctx = make_context(prob, cfg)
+        x0 = ctx.initial_guess()
+        interior = ctx.interior
+        rhs = prob.load(ctx._f_vals, x0)[interior] - ctx._lift_vec
+        x1 = ctx.step(x0)
+        assert ctx._n_cycles == 1
+        assert not np.array_equal(x1, x0)
+        assert x1[interior].tobytes() == v_cycle(ctx.hier, rhs, x0[interior])[0].tobytes()
+        x, hist = run_outer(prob, cfg)
+        assert hist.converged and hist.iterations > 1
+        assert l2_error(prob.space, x, prob.exact) <= 1e-4
+
     @pytest.mark.parametrize("p, n", [(2, 16), (3, 32)])
     def test_monge_ampere_lift_equals_spsolve_bitwise(self, p, n):
         prob = MongeAmpereProblem.manufactured(p, n)
         ctx = make_context(prob, OuterConfig())
-        lay = ctx.layout
+        interior, boundary, values = seed_dirichlet_split(prob.space, prob.g)
         full = iga.assemble_stiffness(prob.space)
         # the interior x boundary block times the boundary data
-        lift = full[lay.interior][:, lay.boundary] @ lay.boundary_values
+        lift = full[interior][:, boundary] @ values
         assert ctx._lift_vec.tobytes() == lift.tobytes()
         ref = spla.spsolve(ctx.A.tocsc(), -lift)
-        assert ctx.initial_guess()[lay.interior].tobytes() == ref.tobytes()
+        assert ctx.initial_guess()[interior].tobytes() == ref.tobytes()
 
     def test_lift_lu_is_kept_only_for_direct_inner_solves(self):
         prob = MongeAmpereProblem.manufactured(2, 16)
