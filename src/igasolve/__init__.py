@@ -9,7 +9,6 @@ from .bspline import (
     make_open_uniform_knots,
 )
 from .extrapolation import (
-    AndersonState,
     ExtrapolationResult,
     IterateWindow,
     anderson_solve,
@@ -29,7 +28,7 @@ from .iga import (
     l2_error,
     make_space,
 )
-from .linalg import QRFactors, qr_factor, solve_normal_equations, solve_upper_triangular
+from .linalg import qr_factor, solve_normal_equations, solve_upper_triangular
 from .multigrid import (
     CycleReport,
     GridHierarchy,

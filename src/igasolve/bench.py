@@ -151,10 +151,12 @@ def parse_config(path) -> ExperimentConfig:
                 cfg.grids = positive_ints(val)
             elif key == "method":
                 cfg.methods = [t.strip() for t in val.split(",") if t.strip()]
+                for method in cfg.methods:
+                    _outer_config(method)
             elif key == "tol":
-                cfg.tol = float(val)
+                cfg.tol = OuterConfig(tol=float(val)).tol
             elif key == "maxiter":
-                cfg.maxiter = int(val)
+                cfg.maxiter = OuterConfig(maxiter=int(val)).maxiter
             elif key == "inner_tol":
                 cfg.inner_tol = linear_tol(val)
             else:
@@ -182,18 +184,15 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValueError(f"p = {p}, grid = {n} has {(n + p) ** dims} dof, above "
                                  f"the limit of {MAX_FINE_DOF}")
             level_spaces(build(cfg.lambdas[0], p, n).space, DIRECT_THRESHOLD)
-    for cell in cfg.cells():
-        _outer_config(cfg, *cell)
     return cfg
 
 
-def _outer_config(cfg: ExperimentConfig, lam: float, p: int, n: int, method: str) -> OuterConfig:
+def _outer_config(method: str, **settings) -> OuterConfig:
+    """The OuterConfig of one method token, with the given other settings."""
     kind, window = parse_method(method)
     acc = {"picard": "none", "picard_slu": "none", "aa": "anderson"}.get(kind, kind)
     inner = "direct" if kind == "picard_slu" else OuterConfig.inner
-    return OuterConfig(accelerator=acc, window=window, tol=cfg.tol,
-                       maxiter=cfg.maxiter, inner=inner,
-                       linear_tol=cfg.linear_tol_for(p, n))
+    return OuterConfig(accelerator=acc, window=window, inner=inner, **settings)
 
 
 def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
@@ -204,7 +203,8 @@ def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
     note = ""
     try:
         problem = _PROBLEMS[cfg.problem][2](lam, p, n)
-        _, hist = run_outer(problem, _outer_config(cfg, lam, p, n, method))
+        _, hist = run_outer(problem, _outer_config(method, tol=cfg.tol, maxiter=cfg.maxiter,
+                                                   linear_tol=cfg.linear_tol_for(p, n)))
     except Diverged as exc:
         note = f"diverged: {exc}"
         if exc.history is not None:

@@ -3,9 +3,11 @@
 Implements reduced rank extrapolation (RRE) and minimal polynomial
 extrapolation (MPE) on a sliding window of iterates, their restarted
 driver, and Anderson acceleration in unconstrained least-squares form.
-Plain Picard iteration is Anderson acceleration of depth 0 (Walker & Ni,
-SINUM 2011); both drivers add their extrapolation time to the history's
-``timers``.
+An Anderson step is a function of its two difference windows, the m newest
+residual differences dF and map-value differences dG, which
+:func:`anderson_solve` keeps. Plain Picard iteration is Anderson
+acceleration of depth 0 (Walker & Ni, SINUM 2011); both drivers add their
+extrapolation time to the history's ``timers``.
 
 Both polynomial methods factor the first-difference matrix
 DeltaS = [ds_k, ..., ds_{k+q}] as QR and form
@@ -21,6 +23,7 @@ R_q d = -r_q with d_q = 1.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ from .history import Diverged, IterationHistory, PhaseTimers
 from .linalg import (
     RANK_DROP_TOL,
     RankDeficient,
+    project_out,
     qr_factor,
     solve_normal_equations,
     solve_upper_triangular,
@@ -97,20 +101,15 @@ def _split_qr(dS: np.ndarray):
     if q > dS.shape[0]:
         # more difference columns than dimensions: necessarily dependent
         raise RankDeficient(dS.shape[0])
-    fac = qr_factor(dS[:, :q])
+    Q, R = qr_factor(dS[:, :q])
     col = dS[:, q].copy()
-    r_q = np.zeros(q)
-    for _ in range(2):
-        s = fac.Q.T @ col
-        r_q += s
-        col -= fac.Q @ s
-    return fac, r_q, float(np.linalg.norm(col))
+    r_q = project_out(Q, col)
+    return Q, R, r_q, float(np.linalg.norm(col))
 
 
-def _combine(w: IterateWindow, fac, gamma: np.ndarray) -> np.ndarray:
-    q = w.q
-    alpha = 1.0 - np.cumsum(gamma[:q])
-    return w.s0 + fac.Q @ (fac.R @ alpha)
+def _combine(w: IterateWindow, Q: np.ndarray, R: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    alpha = 1.0 - np.cumsum(gamma[:w.q])
+    return w.s0 + Q @ (R @ alpha)
 
 
 def _degenerate(w: IterateWindow) -> ExtrapolationResult:
@@ -119,13 +118,12 @@ def _degenerate(w: IterateWindow) -> ExtrapolationResult:
     if norm0 == 0.0:
         raise RankDeficient(0)
     return ExtrapolationResult(t=w.s0 + w.dS[:, 0], gamma=np.array([1.0]),
-                               generalized_residual_norm=norm0,
-                               lambda_shortcut=norm0**2)
+                               generalized_residual_norm=norm0)
 
 
-def _null_coefficients(fac, r_q: np.ndarray) -> np.ndarray:
+def _null_coefficients(R: np.ndarray, r_q: np.ndarray) -> np.ndarray:
     """d = (xi, 1) with R_q xi = -r_q, the minimal-polynomial direction."""
-    return np.append(solve_upper_triangular(fac.R, -r_q), 1.0)
+    return np.append(solve_upper_triangular(R, -r_q), 1.0)
 
 
 def rre_extrapolate(w: IterateWindow) -> ExtrapolationResult:
@@ -139,22 +137,24 @@ def rre_extrapolate(w: IterateWindow) -> ExtrapolationResult:
     """
     q = w.q
     if q == 0:
-        return _degenerate(w)
-    fac, r_q, tail = _split_qr(w.dS)
-    if tail > RANK_DROP_TOL * fac.R[0, 0]:
+        res = _degenerate(w)
+        res.lambda_shortcut = res.generalized_residual_norm**2
+        return res
+    Q, R, r_q, tail = _split_qr(w.dS)
+    if tail > RANK_DROP_TOL * R[0, 0]:
         R_full = np.zeros((q + 1, q + 1))
-        R_full[:q, :q] = fac.R
+        R_full[:q, :q] = R
         R_full[:q, q] = r_q
         R_full[q, q] = tail
         d = solve_normal_equations(R_full, np.ones(q + 1))
         lam = 1.0 / _check_sum(d)
         gamma = lam * d
     else:
-        d = _null_coefficients(fac, r_q)
+        d = _null_coefficients(R, r_q)
         gamma = d / _check_sum(d)
         v = w.dS @ gamma
         lam = float(v @ v)
-    t = _combine(w, fac, gamma)
+    t = _combine(w, Q, R, gamma)
     return ExtrapolationResult(t=t, gamma=gamma,
                                generalized_residual_norm=float(np.sqrt(max(lam, 0.0))),
                                lambda_shortcut=lam)
@@ -166,15 +166,12 @@ def mpe_extrapolate(w: IterateWindow) -> ExtrapolationResult:
     Solves the upper triangular system R_q d = -r_q, fixes d_q = 1 and
     normalizes; the trailing QR diagonal is never needed.
     """
-    q = w.q
-    if q == 0:
-        res = _degenerate(w)
-        return ExtrapolationResult(t=res.t, gamma=res.gamma,
-                                   generalized_residual_norm=res.generalized_residual_norm)
-    fac, r_q, _ = _split_qr(w.dS)
-    d = _null_coefficients(fac, r_q)
+    if w.q == 0:
+        return _degenerate(w)
+    Q, R, r_q, _ = _split_qr(w.dS)
+    d = _null_coefficients(R, r_q)
     gamma = d / _check_sum(d)
-    t = _combine(w, fac, gamma)
+    t = _combine(w, Q, R, gamma)
     # generalized residual r~ = t~ - t = DeltaS @ gamma
     res = float(np.linalg.norm(w.dS @ gamma))
     return ExtrapolationResult(t=t, gamma=gamma, generalized_residual_norm=res)
@@ -277,6 +274,8 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
     """
     if q < 1:
         raise ValueError("restart number q must be >= 1")
+    if method not in _EXTRAPOLATORS:
+        raise ValueError(f"unknown method {method!r}")
     extrapolate = _EXTRAPOLATORS[method]
     hist = IterationHistory() if timers is None else IterationHistory(timers=timers)
     x = np.asarray(x0, dtype=float)
@@ -312,58 +311,26 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
     return x, hist
 
 
-class AndersonState:
-    """History of (f_i, G(s_i)) pairs; at most m+1 retained, newest last."""
-
-    def __init__(self, m: int):
-        if m < 0:
-            raise ValueError("depth m must be >= 0")
-        self.m = m
-        self._f: list[np.ndarray] = []
-        self._g: list[np.ndarray] = []
-
-    def push(self, f: np.ndarray, g: np.ndarray) -> None:
-        self._f.append(f)
-        self._g.append(g)
-        if len(self._f) > self.m + 1:
-            self._f.pop(0)
-            self._g.pop(0)
-
-    @property
-    def depth(self) -> int:
-        """Current window depth m_k = min(m, k)."""
-        return max(0, len(self._f) - 1)
-
-    def difference_matrices(self):
-        F = np.column_stack([self._f[i + 1] - self._f[i] for i in range(self.depth)])
-        Gm = np.column_stack([self._g[i + 1] - self._g[i] for i in range(self.depth)])
-        return F, Gm
-
-
-def anderson_step(state: AndersonState, s_k, G_sk) -> np.ndarray:
+def anderson_step(dF, dG, f_k: np.ndarray, G_sk: np.ndarray) -> np.ndarray:
     """One Anderson update x_{k+1} = G(s_k) - G_k theta.
 
-    theta solves min ||f_k - F_k theta||_2 by QR; a window wider than f_k
-    keeps its newest len(f_k) columns, and rank-deficient windows drop their
-    oldest column first. With an empty history the step is a plain
-    fixed-point step.
+    ``dF`` and ``dG`` hold the window's residual and map-value differences,
+    oldest first; theta solves min ||f_k - F_k theta||_2 by QR, where F_k
+    and G_k stack them as columns. A window wider than f_k keeps its newest
+    len(f_k) columns, and rank-deficient windows drop their oldest column
+    first. With no differences the step is a plain fixed-point step.
     """
-    s_k = np.asarray(s_k, dtype=float)
-    G_sk = np.asarray(G_sk, dtype=float)
-    f_k = G_sk - s_k
-    state.push(f_k, G_sk)
-    if state.depth == 0 or state.m == 0:
+    if not dF:
         return G_sk.copy()
-    F, Gm = state.difference_matrices()
-    F, Gm = F[:, -len(f_k):], Gm[:, -len(f_k):]
+    F = np.column_stack(dF)[:, -len(f_k):]
+    Gm = np.column_stack(dG)[:, -len(f_k):]
     while F.shape[1] > 0:
         try:
-            fac = qr_factor(F)
-            theta = solve_upper_triangular(fac.R, fac.Q.T @ f_k)
+            Q, R = qr_factor(F)
+            theta = solve_upper_triangular(R, Q.T @ f_k)
             return G_sk - Gm @ theta
         except RankDeficient:
-            F = F[:, 1:]
-            Gm = Gm[:, 1:]
+            F, Gm = F[:, 1:], Gm[:, 1:]
     return G_sk.copy()
 
 
@@ -371,13 +338,20 @@ def anderson_solve(G, x0, m: int, tol: float, maxiter: int,
                    observer=None, timers: PhaseTimers | None = None
                    ) -> tuple[np.ndarray, IterationHistory]:
     """Anderson-accelerated fixed-point iteration AA(m); m = 0 is plain Picard."""
+    if m < 0:
+        raise ValueError("depth m must be >= 0")
     hist = IterationHistory() if timers is None else IterationHistory(timers=timers)
-    state = AndersonState(m)
+    dF, dG = deque(maxlen=m), deque(maxlen=m)  # the m newest differences, oldest first
     s = np.asarray(x0, dtype=float)
     for k in range(1, maxiter + 1):
-        g = _apply(G, s, hist)
+        g = np.asarray(_apply(G, s, hist), dtype=float)
         t0 = time.perf_counter()
-        x_next = anderson_step(state, s, g)
+        f = g - s
+        if m and k > 1:
+            dF.append(f - f_prev)
+            dG.append(g - g_prev)
+        f_prev, g_prev = f, g
+        x_next = anderson_step(dF, dG, f, g)
         hist.timers.extrapol_s += time.perf_counter() - t0
         rel = _record(hist, k, x_next, s, observer)
         s = x_next

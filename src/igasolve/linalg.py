@@ -4,15 +4,15 @@ Sparse matrices are assembled as coordinate triplets and finalized to scipy
 CSR; solves are row sweeps on the finalized matrix. Duplicate triplets are
 summed in input order, the order scipy's own COO finalisation uses, which
 keeps every assembled matrix bit-for-bit the same as scipy would build it.
-Dense QR uses modified Gram-Schmidt with a reorthogonalization pass, which
-keeps column appends cheap when extrapolation windows grow one difference
-vector at a time.
+Dense QR is a ``(Q, R)`` pair from modified Gram-Schmidt with a
+reorthogonalization pass; :func:`project_out` is that pass for one vector,
+so an extrapolation window can project its newest difference against the Q
+of the older ones without refactoring them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,22 +38,24 @@ class SingularMatrix(Exception):
     """Dense LU met a numerically singular matrix."""
 
 
-@dataclass(frozen=True)
-class QRFactors:
-    """Thin QR factors: Q has orthonormal columns, R is upper triangular
-    with positive diagonal."""
+def project_out(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Project ``v`` in place off the orthonormal columns of ``Q`` by two
+    modified Gram-Schmidt passes; returns the summed coefficients."""
+    c = np.zeros(Q.shape[1])
+    for _ in range(2):  # MGS pass + reorthogonalization pass
+        s = Q.T @ v
+        c += s
+        v -= Q @ s
+    return c
 
-    Q: np.ndarray
-    R: np.ndarray
 
+def qr_factor(M) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR ``(Q, R)`` of a rows >= cols matrix by modified Gram-Schmidt.
 
-def qr_factor(M) -> QRFactors:
-    """Thin QR of a rows >= cols matrix by modified Gram-Schmidt.
-
-    A second orthogonalization pass against the previous columns keeps
-    ``Q^T Q`` near identity for condition numbers up to ~1e8. A column whose
-    remaining norm falls below ``RANK_DROP_TOL`` relative to ``R[0,0]``
-    raises :class:`RankDeficient` with the offending column index.
+    R has a positive diagonal. A second orthogonalization pass against the
+    previous columns keeps ``Q^T Q`` near identity for condition numbers up
+    to ~1e8. A column whose remaining norm falls below ``RANK_DROP_TOL``
+    relative to ``R[0,0]`` raises :class:`RankDeficient` with its index.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -65,17 +67,14 @@ def qr_factor(M) -> QRFactors:
     R = np.zeros((m, m))
     for j in range(m):
         v = M[:, j].copy()
-        for _ in range(2):  # MGS pass + reorthogonalization pass
-            s = Q[:, :j].T @ v
-            R[:j, j] += s
-            v -= Q[:, :j] @ s
+        R[:j, j] = project_out(Q[:, :j], v)
         rjj = float(np.linalg.norm(v))
         lead = R[0, 0] if j > 0 else rjj
         if not np.isfinite(rjj) or rjj <= RANK_DROP_TOL * lead or rjj == 0.0:
             raise RankDeficient(j)
         R[j, j] = rjj
         Q[:, j] = v / rjj
-    return QRFactors(Q, R)
+    return Q, R
 
 
 def _check_triangular_diag(R: np.ndarray) -> None:

@@ -3,9 +3,11 @@
 Most of it is deliberately naive (direct recursions, dense algebra,
 hand-rolled eliminations) so it shares no code path with the package. The
 last helpers are test fixtures the package does not ship: a Gauss rule on
-one span, a point evaluator and the global L2 projection.
+one span, a point evaluator, the global L2 projection, and the seed's QR and
+Anderson loop, against which the package's are compared bit for bit.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,9 @@ import scipy.sparse.linalg as spla
 
 from igasolve import iga
 from igasolve.bspline import eval_basis, greville_abscissae
+from igasolve.extrapolation import _apply, _record
+from igasolve.history import IterationHistory, PhaseTimers
+from igasolve.linalg import RANK_DROP_TOL, RankDeficient, solve_upper_triangular
 
 
 def naive_bspline(t, k, i, knots):
@@ -335,3 +340,106 @@ def l2_projection(space, f):
     M = iga.assemble_mass(space)
     rhs = iga._scatter_load(space, tables, iga._call_on_grid(f, tables))
     return spla.spsolve(M.tocsc(), rhs)
+
+
+@dataclass(frozen=True)
+class QRFactors:
+    """Thin QR factors: Q has orthonormal columns, R is upper triangular
+    with positive diagonal."""
+
+    Q: np.ndarray
+    R: np.ndarray
+
+
+def seed_qr_factor(M) -> QRFactors:
+    """The seed's thin QR by modified Gram-Schmidt, with its two passes
+    accumulated into ``R`` in place."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    n, m = M.shape
+    if n < m:
+        raise ValueError(f"need rows >= cols, got shape {M.shape}")
+    Q = np.empty((n, m))
+    R = np.zeros((m, m))
+    for j in range(m):
+        v = M[:, j].copy()
+        for _ in range(2):  # MGS pass + reorthogonalization pass
+            s = Q[:, :j].T @ v
+            R[:j, j] += s
+            v -= Q[:, :j] @ s
+        rjj = float(np.linalg.norm(v))
+        lead = R[0, 0] if j > 0 else rjj
+        if not np.isfinite(rjj) or rjj <= RANK_DROP_TOL * lead or rjj == 0.0:
+            raise RankDeficient(j)
+        R[j, j] = rjj
+        Q[:, j] = v / rjj
+    return QRFactors(Q, R)
+
+
+class AndersonState:
+    """The seed's Anderson history of (f_i, G(s_i)) pairs; at most m+1
+    retained, newest last."""
+
+    def __init__(self, m: int):
+        if m < 0:
+            raise ValueError("depth m must be >= 0")
+        self.m = m
+        self._f: list[np.ndarray] = []
+        self._g: list[np.ndarray] = []
+
+    def push(self, f: np.ndarray, g: np.ndarray) -> None:
+        self._f.append(f)
+        self._g.append(g)
+        if len(self._f) > self.m + 1:
+            self._f.pop(0)
+            self._g.pop(0)
+
+    @property
+    def depth(self) -> int:
+        """Current window depth m_k = min(m, k)."""
+        return max(0, len(self._f) - 1)
+
+    def difference_matrices(self):
+        F = np.column_stack([self._f[i + 1] - self._f[i] for i in range(self.depth)])
+        Gm = np.column_stack([self._g[i + 1] - self._g[i] for i in range(self.depth)])
+        return F, Gm
+
+
+def seed_anderson_step(state: AndersonState, s_k, G_sk) -> np.ndarray:
+    """The seed's Anderson update, re-forming every difference of the
+    stored pairs on each step."""
+    s_k = np.asarray(s_k, dtype=float)
+    G_sk = np.asarray(G_sk, dtype=float)
+    f_k = G_sk - s_k
+    state.push(f_k, G_sk)
+    if state.depth == 0 or state.m == 0:
+        return G_sk.copy()
+    F, Gm = state.difference_matrices()
+    F, Gm = F[:, -len(f_k):], Gm[:, -len(f_k):]
+    while F.shape[1] > 0:
+        try:
+            fac = seed_qr_factor(F)
+            theta = solve_upper_triangular(fac.R, fac.Q.T @ f_k)
+            return G_sk - Gm @ theta
+        except RankDeficient:
+            F = F[:, 1:]
+            Gm = Gm[:, 1:]
+    return G_sk.copy()
+
+
+def seed_anderson_solve(G, x0, m: int, tol: float, maxiter: int,
+                        observer=None, timers: PhaseTimers | None = None):
+    """The seed's AA(m) loop over :class:`AndersonState`."""
+    hist = IterationHistory() if timers is None else IterationHistory(timers=timers)
+    state = AndersonState(m)
+    s = np.asarray(x0, dtype=float)
+    for k in range(1, maxiter + 1):
+        g = _apply(G, s, hist)
+        x_next = seed_anderson_step(state, s, g)
+        rel = _record(hist, k, x_next, s, observer)
+        s = x_next
+        if rel <= tol:
+            hist.converged = True
+            break
+    return s, hist

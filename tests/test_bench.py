@@ -142,9 +142,14 @@ class TestConfigParsing:
         ("bratu2d", "inner_tol.p2.g8 = 1e-3", "bratu2d cells never read inner_tol"),
         ("monge_ampere", "lambda = 1", "monge_ampere cells never read lambda"),
         ("monge_ampere", "inner_tol.p2.g17 = 1e-3", "no cell has p = 2 and grid = 17"),
+        ("bratu1d", "method = picard, foo", "bad method 'foo'"),
+        ("bratu1d", "method = mpe(0)", "mpe needs window >= 1, got 0"),
+        ("bratu1d", "tol = nan", "tol must be positive and finite, got nan"),
+        ("bratu1d", "maxiter = 0", "maxiter must be at least 1, got 0"),
     ], ids=["tol-abc", "maxiter-1.5", "lambda-x", "grid-x", "p-15", "unknown-key",
             "bratu-inner-tol", "bratu-inner-tol-override", "monge-ampere-lambda",
-            "inner-tol-override-outside-sweep"])
+            "inner-tol-override-outside-sweep", "method-foo", "method-mpe-0", "tol-nan",
+            "maxiter-0"])
     def test_parse_error_names_key_and_value(self, tmp_path, problem, line, reason):
         path = tmp_path / "bad.cfg"
         path.write_text(f"problem = {problem}\n{line}\n")
@@ -310,37 +315,48 @@ class TestEmitHistory:
         assert worse == 0  # strictly below from iteration 10 on
 
 
+def _assert_matches_golden(table: int, n_rows: int) -> None:
+    """Run a table config and compare it with ``golden/table<n>_golden.csv``.
+
+    Exact match on the structural and iteration columns; the error columns
+    are compared as floats (converged L2 errors tightly, stalled residuals
+    loosely, and roundoff-floor residuals by magnitude only).
+    """
+    from igasolve.bench import run_experiment
+    golden_path = Path(__file__).parent / "golden" / f"table{table}_golden.csv"
+    with open(golden_path, newline="") as fh:
+        golden = list(csv.DictReader(fh))
+    rows = run_experiment(parse_config(find_table_config(table)))
+    assert len(rows) == len(golden) == n_rows
+    for row, want in zip(rows, golden):
+        assert row.problem == want["problem"]
+        assert row.method == want["method"]
+        assert f"{row.lam:.5e}" == want["lambda"]
+        assert row.p == int(want["p"])
+        assert f"{row.h:.5e}" == want["h"]
+        assert row.iter == int(want["iter"])
+        assert ("true" if row.converged else "false") == want["converged"]
+        # golden values carry 6 significant digits; compare above that
+        l2_ref = float(want["l2_err"])
+        assert row.l2_err == pytest.approx(l2_ref, rel=1e-5)
+        res_ref = float(want["relative_residual"])
+        if not row.converged:
+            assert row.relative_residual == pytest.approx(res_ref, rel=1e-5)
+        else:
+            # converged residuals sit near roundoff; pin the magnitude
+            assert row.relative_residual <= 10 * res_ref + 1e-15
+
+
 class TestGoldenTable1:
     def test_table1_matches_checked_in_golden(self):
-        """Slow regression pin: the full table-1 sweep against the golden CSV.
+        """Slow regression pin: the full table-1 sweep against the golden CSV."""
+        _assert_matches_golden(1, 35)
 
-        Exact match on the structural and iteration columns; the error
-        columns are compared as floats (converged L2 errors tightly, stalled
-        residuals loosely, and roundoff-floor residuals by magnitude only).
-        """
-        from igasolve.bench import run_experiment
-        golden_path = Path(__file__).parent / "golden" / "table1_golden.csv"
-        with open(golden_path, newline="") as fh:
-            golden = list(csv.DictReader(fh))
-        cfg = parse_config(find_table_config(1))
-        rows = run_experiment(cfg)
-        assert len(rows) == len(golden) == 35
-        for row, want in zip(rows, golden):
-            assert row.problem == want["problem"]
-            assert row.method == want["method"]
-            assert row.p == int(want["p"])
-            assert f"{row.h:.5e}" == want["h"]
-            assert row.iter == int(want["iter"])
-            assert ("true" if row.converged else "false") == want["converged"]
-            # golden values carry 6 significant digits; compare above that
-            l2_ref = float(want["l2_err"])
-            assert row.l2_err == pytest.approx(l2_ref, rel=1e-5)
-            res_ref = float(want["relative_residual"])
-            if not row.converged:
-                assert row.relative_residual == pytest.approx(res_ref, rel=1e-5)
-            else:
-                # converged residuals sit near roundoff; pin the magnitude
-                assert row.relative_residual <= 10 * res_ref + 1e-15
+
+class TestGoldenTable2:
+    def test_table2_matches_checked_in_golden(self):
+        """The 96 MPE(5) cells of table 2 (p 1-6, every lambda and grid)."""
+        _assert_matches_golden(2, 96)
 
 
 class TestCli:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import igasolve.extrapolation as ex
 from igasolve.extrapolation import (
-    AndersonState,
     Diverged,
     IterateWindow,
     ZeroDenominator,
@@ -16,7 +18,7 @@ from igasolve.extrapolation import (
 )
 from igasolve.linalg import RankDeficient
 
-from oracles import affine_window, moore_penrose_residual, plain_fixed_point
+from oracles import affine_window, moore_penrose_residual, plain_fixed_point, seed_anderson_solve
 
 
 def random_affine(rng, dim, rho=0.8):
@@ -230,6 +232,11 @@ class TestRestartedDriver:
         with pytest.raises(ValueError):
             restarted_solve(lambda x: x, np.zeros(2), "rre", 0, 1e-12, 10)
 
+    def test_bad_method_name(self):
+        # the same error generalized_residual gives, not a KeyError
+        with pytest.raises(ValueError, match="unknown method 'foo'"):
+            restarted_solve(lambda x: x, np.zeros(2), "foo", 2, 1e-12, 10)
+
     def test_maxiter_caps_map_applications(self):
         # nonlinear oscillator the window cannot resolve: runs to the cap
         calls = []
@@ -279,31 +286,37 @@ class TestQuadraticDecay:
 
 class TestAnderson:
     def test_first_step_is_fixed_point_step(self):
-        st = AndersonState(3)
         s0 = np.array([1.0, -2.0])
         g0 = np.array([0.5, 0.5])
-        assert np.allclose(anderson_step(st, s0, g0), g0)
+        assert np.allclose(anderson_step([], [], g0 - s0, g0), g0)
 
     def test_affine_scalar_secant(self):
         # brute-force least-squares oracle agrees: f0 = 1, f1 = 0.5 at s1 = 1,
         # theta = 1 and x2 = G(s1) - (G(s1)-G(s0)) * 1 = 2 exactly
         G = lambda x: 0.5 * x + 1.0
-        st = AndersonState(1)
         s0 = np.array([0.0])
-        x1 = anderson_step(st, s0, G(s0))
+        f0 = G(s0) - s0
+        x1 = anderson_step([], [], f0, G(s0))
         assert x1[0] == pytest.approx(1.0)
-        x2 = anderson_step(st, x1, G(x1))
+        f1 = G(x1) - x1
+        x2 = anderson_step([f1 - f0], [G(x1) - G(s0)], f1, G(x1))
         F = np.array([[G(x1)[0] - x1[0] - (G(s0)[0] - s0[0])]])
         theta_ref, *_ = np.linalg.lstsq(F, np.array([G(x1)[0] - x1[0]]), rcond=None)
         assert theta_ref[0] == pytest.approx(-1.0)  # brute-force LS oracle
         assert x2[0] == pytest.approx(2.0, abs=1e-14)
 
-    def test_depth_capped_at_m(self):
-        st = AndersonState(2)
+    def test_depth_capped_at_m(self, monkeypatch):
+        depths = []
+
+        def spy(dF, dG, f_k, G_sk):
+            depths.append((len(dF), len(dG)))
+            return step(dF, dG, f_k, G_sk)
+
+        step = ex.anderson_step
+        monkeypatch.setattr(ex, "anderson_step", spy)
         rng = np.random.default_rng(11)
-        for k in range(6):
-            anderson_step(st, rng.standard_normal(4), rng.standard_normal(4))
-            assert st.depth == min(2, k)
+        anderson_solve(lambda x: rng.standard_normal(4), rng.standard_normal(4), 2, 0.0, 6)
+        assert depths == [(k, k) for k in (0, 1, 2, 2, 2, 2)]
 
     def test_m0_is_plain_fixed_point_bitwise(self):
         rng = np.random.default_rng(12)
@@ -316,39 +329,35 @@ class TestAnderson:
             assert [r.relative_residual for r in hist.records] == res_ref
 
     def test_duplicate_columns_dropped_oldest_first(self):
-        st = AndersonState(3)
-        s = np.zeros(3)
         g = np.ones(3)
-        anderson_step(st, s, g)
-        # feeding identical residual pairs makes F columns zero; the step
-        # must fall back rather than blow up
-        out = anderson_step(st, s, g)
+        f = g - np.zeros(3)
+        # identical residual pairs make the F column zero; the step must
+        # fall back rather than blow up
+        out = anderson_step([f - f], [g - g], f, g)
         assert np.allclose(out, g)
 
     def test_rank_deficient_window_drops_oldest_columns(self):
-        # two identical oldest difference pairs: the window must shed the
-        # oldest column and solve with the informative ones
-        st = AndersonState(3)
+        # two identical oldest (f, g) pairs: the window must shed its zero
+        # oldest column and solve with the informative one
         G = lambda x: np.array([0.5 * x[0] + 1.0, 0.25 * x[1] + 2.0])
         s = np.zeros(2)
-        x = anderson_step(st, s, G(s))
-        # duplicate the (f, g) pair to force a zero difference column
-        st.push(st._f[-1].copy(), st._g[-1].copy())
-        out = anderson_step(st, x, G(x))
+        f0 = G(s) - s
+        x = anderson_step([], [], f0, G(s))
+        f1 = G(x) - x
+        out = anderson_step([f0 - f0, f1 - f0], [G(s) - G(s), G(x) - G(s)], f1, G(x))
         assert np.all(np.isfinite(out))
         xstar = np.array([2.0, 8.0 / 3.0])
         # the informative secant data still contributes: closer than G(x)
         assert np.linalg.norm(out - xstar) <= np.linalg.norm(G(x) - xstar) + 1e-12
 
     def test_dependent_window_drops_oldest_columns(self):
-        # the three differences as F columns: the triangular solve rejects
-        # column 2, then the QR of the newest two rejects column 1
-        st, one = AndersonState(3), AndersonState(1)
-        f = [np.zeros(6), *np.cumsum(DEPENDENT_DIFFS[:3], axis=0)]
-        for f_k in f:
-            out = anderson_step(st, np.zeros(6), f_k)
-        anderson_step(one, np.zeros(6), f[-2])
-        assert np.array_equal(out, anderson_step(one, np.zeros(6), f[-1]))
+        # the three differences as F columns (and, at s_k = 0, as G columns):
+        # the triangular solve rejects column 2, then the QR of the newest
+        # two rejects column 1
+        diffs = DEPENDENT_DIFFS[:3]
+        f_k = np.sum(diffs, axis=0)
+        out = anderson_step(diffs, diffs, f_k, f_k)
+        assert np.array_equal(out, anderson_step(diffs[2:], diffs[2:], f_k, f_k))
 
     def test_anderson_solve_affine(self):
         rng = np.random.default_rng(13)
@@ -364,6 +373,46 @@ class TestAnderson:
         x, hist = anderson_solve(lambda v: M @ v + b, np.zeros(3), 5, 1e-13, 100)
         assert hist.converged and hist.iterations > 4  # more columns than rows
         assert np.linalg.norm(x - xstar) <= 1e-10 * np.linalg.norm(xstar)
+
+
+@st.composite
+def anderson_problems(draw):
+    """(map factory, x0, maxiter): a random affine map of dimension 1..8,
+    often below the depth, with or without a small smooth nonlinearity that
+    keeps AA(m) from finishing in dim + 1 steps, or the replay of
+    ``DEPENDENT_DIFFS``."""
+    if draw(st.booleans()):
+        return (lambda: replay(DEPENDENT_DIFFS)), np.ones(6), len(DEPENDENT_DIFFS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M, b, _ = random_affine(rng, draw(st.integers(1, 8)),
+                            rho=draw(st.sampled_from([0.3, 0.9, 0.999])))
+    c = draw(st.sampled_from([0.0, 0.1]))
+    return (lambda: lambda v: M @ v + b + c * np.sin(v)), rng.standard_normal(len(b)), 40
+
+
+def _anderson_outcome(solve, make_G, x0, m, maxiter):
+    """The bytes of x and the repr of the records, also when it diverges."""
+    try:
+        x, hist = solve(make_G(), x0, m, 1e-13, maxiter)
+    except Diverged as exc:
+        return "diverged", repr(exc.history.records)
+    return x.tobytes(), repr((hist.records, hist.converged))
+
+
+class TestAndersonSeedOracle:
+    """The difference windows give the seed's iterates and residuals, bit
+    for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(problem=anderson_problems(), m=st.integers(0, 6))
+    def test_bitwise_equal_to_seed(self, problem, m):
+        make_G, x0, maxiter = problem
+        assert (_anderson_outcome(anderson_solve, make_G, x0, m, maxiter)
+                == _anderson_outcome(seed_anderson_solve, make_G, x0, m, maxiter))
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            anderson_solve(lambda x: x, np.zeros(2), -1, 1e-12, 10)
 
 
 class TestFixedPoint:

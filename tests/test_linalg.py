@@ -18,26 +18,27 @@ from oracles import (
     csr_fingerprint,
     forward_substitution_upper,
     scipy_coo_to_csr,
+    seed_qr_factor,
     thomas_tridiagonal,
 )
 
 
 class TestQR:
     def test_identity(self):
-        fac = qr_factor(np.eye(3))
-        assert np.allclose(fac.Q, np.eye(3))
-        assert np.allclose(fac.R, np.eye(3))
+        Q, R = qr_factor(np.eye(3))
+        assert np.allclose(Q, np.eye(3))
+        assert np.allclose(R, np.eye(3))
 
     def test_single_column_normalization(self):
-        fac = qr_factor(np.array([[3.0], [4.0]]))
-        assert np.allclose(fac.R, [[5.0]])
-        assert np.allclose(fac.Q.ravel(), [0.6, 0.8])
+        Q, R = qr_factor(np.array([[3.0], [4.0]]))
+        assert np.allclose(R, [[5.0]])
+        assert np.allclose(Q.ravel(), [0.6, 0.8])
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(42)
         M = rng.standard_normal((20, 5))
-        fac = qr_factor(M)
-        err = np.linalg.norm(fac.Q @ fac.R - M) / np.linalg.norm(M)
+        Q, R = qr_factor(M)
+        err = np.linalg.norm(Q @ R - M) / np.linalg.norm(M)
         assert err <= 1e-13
 
     def test_orthonormality_under_conditioning(self):
@@ -48,9 +49,9 @@ class TestQR:
             V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             s = np.geomspace(1.0, 1.0 / kappa, 6)
             M = U @ np.diag(s) @ V.T
-            fac = qr_factor(M)
-            assert np.abs(fac.Q.T @ fac.Q - np.eye(6)).max() <= 1e-10
-            assert np.all(np.diag(fac.R) > 0)
+            Q, R = qr_factor(M)
+            assert np.abs(Q.T @ Q - np.eye(6)).max() <= 1e-10
+            assert np.all(np.diag(R) > 0)
 
     def test_rank_deficient_column_reported(self):
         M = np.ones((4, 3))
@@ -67,6 +68,43 @@ class TestQR:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
             qr_factor(np.ones((2, 4)))
+
+
+@st.composite
+def tall_matrices(draw):
+    """Tall matrices whose columns span many scales, some of them nearly
+    (or exactly) combinations of the columns before them."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, min(n, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 9, m)
+    for j in range(1, m):
+        eps = draw(st.sampled_from([None, 0.0, 1e-16, 1e-13, 1e-10, 1e-6]))
+        if eps is not None:
+            M[:, j] = M[:, :j] @ rng.standard_normal(j) + eps * rng.standard_normal(n)
+    return M
+
+
+def _qr_outcome(qr, M):
+    """The bytes of (Q, R), or the column a RankDeficient names."""
+    try:
+        Q, R = qr(M)
+    except RankDeficient as exc:
+        return "rank-deficient", exc.column
+    return Q.tobytes(), R.tobytes()
+
+
+class TestQRSeedOracle:
+    """``qr_factor`` against the seed's in-place accumulation, bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(M=tall_matrices())
+    def test_bitwise_equal_to_seed(self, M):
+        def seed(M):
+            fac = seed_qr_factor(M)
+            return fac.Q, fac.R
+
+        assert _qr_outcome(qr_factor, M) == _qr_outcome(seed, M)
 
 
 class TestTriangular:
