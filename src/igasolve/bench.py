@@ -123,17 +123,24 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"unknown problem {problem!r}")
     cfg = ExperimentConfig(problem=problem)
 
+    def distinct(vals, parsed):
+        """vals, unless two of them parse to the same value (one cell twice)."""
+        for i, v in enumerate(parsed):
+            if v in parsed[:i]:
+                raise ValueError(f"repeated value {vals[i]}")
+        return vals
+
     def finite_floats(s):
         vals = [float(x) for x in s.split(",") if x.strip()]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("values must be finite")
-        return vals
+        return distinct(vals, vals)
 
     def positive_ints(s):
         vals = [int(x) for x in s.split(",") if x.strip()]
         if any(v < 1 for v in vals):
             raise ValueError("values must be at least 1")
-        return vals
+        return distinct(vals, vals)
 
     def linear_tol(s):
         return OuterConfig(linear_tol=float(s)).linear_tol
@@ -150,7 +157,8 @@ def parse_config(path) -> ExperimentConfig:
             elif key == "grid":
                 cfg.grids = positive_ints(val)
             elif key == "method":
-                cfg.methods = [t.strip() for t in val.split(",") if t.strip()]
+                tokens = [t.strip() for t in val.split(",") if t.strip()]
+                cfg.methods = distinct(tokens, [parse_method(t) for t in tokens])
                 for method in cfg.methods:
                     _outer_config(method)
             elif key == "tol":
@@ -248,36 +256,44 @@ def _fmt(x: float) -> str:
     return f"{float(x):.5e}"
 
 
-def emit_csv(rows, path) -> None:
-    """Write rows as RFC-4180 CSV with the pinned header."""
-    path = Path(path)
+def _write_csv(path, what: str, header, rows) -> None:
+    """Write a header and rows as RFC-4180 CSV; an OSError names the file."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for r in rows:
-                writer.writerow([
-                    r.problem, r.method, _fmt(r.lam), r.p, _fmt(r.h), r.iter,
-                    _fmt(r.relative_residual), _fmt(r.l2_err), _fmt(r.cpu_s),
-                    _fmt(r.rhs_time_s), _fmt(r.mg_time_s), _fmt(r.extrapol_time_s),
-                    "true" if r.converged else "false",
-                ])
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _check_writable(path: Path, what: str) -> None:
+    """Open path as the writer will, but without truncating it, so an unusable
+    output file fails before any cell runs; a file made here is removed."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc.strerror}") from None
+    if not existed:
+        path.unlink()
+
+
+def emit_csv(rows, path) -> None:
+    """Write rows as RFC-4180 CSV with the pinned header."""
+    _write_csv(path, "CSV", CSV_HEADER, ([
+        r.problem, r.method, _fmt(r.lam), r.p, _fmt(r.h), r.iter,
+        _fmt(r.relative_residual), _fmt(r.l2_err), _fmt(r.cpu_s),
+        _fmt(r.rhs_time_s), _fmt(r.mg_time_s), _fmt(r.extrapol_time_s),
+        "true" if r.converged else "false",
+    ] for r in rows))
 
 
 def emit_history(history: IterationHistory, path) -> None:
     """Write the per-iteration convergence history behind the semilog plots."""
-    path = Path(path)
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "relative_residual", "l2_err"])
-            for rec in history.records:
-                writer.writerow([rec.iteration, _fmt(rec.relative_residual),
-                                 _fmt(rec.l2_error)])
-    except OSError as exc:
-        raise OSError(f"cannot write history to {path}: {exc}") from exc
+    _write_csv(path, "history", ["iter", "relative_residual", "l2_err"],
+               ([rec.iteration, _fmt(rec.relative_residual), _fmt(rec.l2_error)]
+                for rec in history.records))
 
 
 def find_table_config(n: int) -> Path:
@@ -303,15 +319,6 @@ def _render(rows) -> str:
             f"{'yes' if r.converged else 'NO'}{('  [' + r.note + ']') if r.note else ''}"
         )
     return "\n".join(lines)
-
-
-def _cmd_run(cfg: ExperimentConfig, cfg_path: Path, out_dir: Path, parallel: int) -> int:
-    rows = run_experiment(cfg, parallel=parallel)
-    out_csv = out_dir / (Path(cfg_path).stem + ".csv")
-    print(_render(rows))
-    emit_csv(rows, out_csv)
-    print(f"wrote {out_csv}")
-    return 0
 
 
 # Selector keys and the type each value must parse as.
@@ -349,22 +356,6 @@ def _match_cell(cell, want) -> bool:
     return all(_SELECTOR_KEYS[key](val) == values[key] for key, val in want.items())
 
 
-def _cmd_history(cfg: ExperimentConfig, want: dict[str, str], out_path: Path | None) -> int:
-    matches = [c for c in cfg.cells() if _match_cell(c, want)]
-    if len(matches) != 1:
-        print(f"selector matches {len(matches)} cells, need exactly 1", file=sys.stderr)
-        return 2
-    row, hist = run_cell(cfg, matches[0])
-    lam, p, n, method = matches[0]
-    if out_path is None:
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", f"{cfg.problem}_{method}_l{lam}_p{p}_g{n}")
-        out_path = Path(f"history_{safe}.csv")
-    print(_render([row]))
-    emit_history(hist, out_path)
-    print(f"wrote {out_path}")
-    return 0
-
-
 def _worker_count(text: str) -> int:
     n = int(text)
     cap = os.cpu_count() or 1
@@ -397,19 +388,32 @@ def main(argv=None) -> int:
     try:
         cfg_path = find_table_config(args.number) if args.command == "table" else args.config
         cfg = parse_config(cfg_path)
-        # a bad selector or unusable output path fails here, before any cell runs
-        if args.command != "history":
-            args.out.mkdir(parents=True, exist_ok=True)
-        else:
+        # a bad selector or unusable output file fails here, before any cell runs
+        if args.command == "history":
             want = parse_cell_selector(args.cell)
-            if args.out is not None:
-                args.out.parent.mkdir(parents=True, exist_ok=True)
+            matches = [c for c in cfg.cells() if _match_cell(c, want)]
+            if len(matches) != 1:
+                raise ValueError(f"selector matches {len(matches)} cells, need exactly 1")
+            lam, p, n, method = matches[0]
+            safe = re.sub(r"[^A-Za-z0-9_.-]", "_", f"{cfg.problem}_{method}_l{lam}_p{p}_g{n}")
+            out = args.out or Path(f"history_{safe}.csv")
+        else:
+            out = args.out / (Path(cfg_path).stem + ".csv")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _check_writable(out, "history" if args.command == "history" else "CSV")
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
     if args.command == "history":
-        return _cmd_history(cfg, want, args.out)
-    return _cmd_run(cfg, cfg_path, args.out, args.parallel)
+        row, hist = run_cell(cfg, matches[0])
+        print(_render([row]))
+        emit_history(hist, out)
+    else:
+        rows = run_experiment(cfg, parallel=args.parallel)
+        print(_render(rows))
+        emit_csv(rows, out)
+    print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Vector-sequence acceleration for fixed-point iterations.
 
 Implements reduced rank extrapolation (RRE) and minimal polynomial
-extrapolation (MPE) on a sliding window of iterates, their restarted
+extrapolation (MPE) on a window of first differences, their restarted
 driver, and Anderson acceleration in unconstrained least-squares form.
-An Anderson step is a function of its two difference windows, the m newest
-residual differences dF and map-value differences dG, which
-:func:`anderson_solve` keeps. Plain Picard iteration is Anderson
+Both drivers keep differences: :func:`restarted_solve` its cycle's, and
+:func:`anderson_solve` the m newest residual and map-value differences
+dF and dG that an Anderson step takes. Plain Picard iteration is Anderson
 acceleration of depth 0 (Walker & Ni, SINUM 2011); both drivers add their
 extrapolation time to the history's ``timers``.
 
@@ -234,36 +234,15 @@ def fixed_point_solve(G, x0, tol: float, maxiter: int, observer=None,
     return anderson_solve(G, x0, 0, tol, maxiter, observer=observer, timers=timers)
 
 
-def _extrapolate_shrinking(window, extrapolate, timers: PhaseTimers):
-    """Extrapolate the window, shrinking q on rank problems; q is restored
-    for the next cycle by the caller.
-
-    Returns the extrapolated point and its generalized residual vector
-    (r~ = DeltaS gamma), or None for the bare fall-back iterate.
-    """
-    qq = len(window) - 2
-    t0 = time.perf_counter()
-    try:
-        while qq >= 0:
-            try:
-                w = IterateWindow.from_iterates(window[: qq + 2])
-                res = extrapolate(w)
-                return res.t, w.dS @ res.gamma
-            except (RankDeficient, ZeroDenominator):
-                qq -= 1
-        return window[-1], None
-    finally:
-        timers.extrapol_s += time.perf_counter() - t0
-
-
 def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
                     observer=None, timers: PhaseTimers | None = None
                     ) -> tuple[np.ndarray, IterationHistory]:
     """Restarted MPE/RRE around the fixed-point map G.
 
-    Each cycle generates s_0 = x, s_{i+1} = G(s_i) for i = 0..q (q+1 map
-    applications building q+1 differences), extrapolates, and restarts from
-    the extrapolated point. One iteration means one application of G. The
+    Each cycle applies G q+1 times from s_0 = x, keeps the first differences
+    s_{i+1} - s_i, extrapolates from them, dropping the newest one while the
+    window raises RankDeficient or ZeroDenominator, and restarts from the
+    extrapolated point. One iteration means one application of G. The
     relative residual is checked after every application and, through the
     generalized residual ||DeltaS gamma|| formed from the window (no map
     application), after every extrapolation, so a converged extrapolant
@@ -281,33 +260,45 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
     x = np.asarray(x0, dtype=float)
     evals = 0
     while evals < maxiter:
-        window = [x]
+        s, diffs = x, []  # the cycle's first differences, oldest first
         for _ in range(q + 1):
             if evals >= maxiter:
                 break
-            s = _apply(G, window[-1], hist)
+            s_new = _apply(G, s, hist)
             evals += 1
-            rel = _record(hist, evals, s, window[-1], observer)
-            window.append(s)
+            rel = _record(hist, evals, s_new, s, observer)
             if rel <= tol:
                 hist.converged = True
-                return s, hist
-        x, r_gen = _extrapolate_shrinking(window, extrapolate, hist.timers)
-        if r_gen is not None:
-            den = np.linalg.norm(x)
-            rel_last = hist.records[-1].relative_residual
-            if den > 0.0:
-                rel_t = float(np.linalg.norm(r_gen) / den)
-                # Predictions below the quadratic-decay floor rel_last^2 are
-                # window-noise artifacts and cannot be trusted.
-                if rel_last**2 <= rel_t < rel_last:
-                    rec = hist.records[-1]
-                    rec.relative_residual = rel_t
-                    if observer:
-                        observer(rec, x)
-                    if rel_t <= tol:
-                        hist.converged = True
-                        return x, hist
+                return s_new, hist
+            diffs.append(s_new - s)
+            s = s_new
+        t0 = time.perf_counter()
+        for k in range(len(diffs), 0, -1):
+            w = IterateWindow(x, np.column_stack(diffs[:k]))
+            try:
+                res = extrapolate(w)
+                break
+            except (RankDeficient, ZeroDenominator):
+                pass
+        else:
+            res = None
+        hist.timers.extrapol_s += time.perf_counter() - t0
+        if res is None:  # a zero-norm difference, which any tol >= 0 has accepted
+            x = s  # restart from the last map application, with no prediction
+            continue
+        x, rec = res.t, hist.records[-1]
+        den = np.linalg.norm(x)
+        if den > 0.0:
+            rel_t = float(np.linalg.norm(w.dS @ res.gamma) / den)
+            # Predictions below the quadratic-decay floor rel_last^2 of the
+            # last map application are window-noise artifacts.
+            if rec.relative_residual**2 <= rel_t < rec.relative_residual:
+                rec.relative_residual = rel_t
+                if observer:
+                    observer(rec, x)
+                if rel_t <= tol:
+                    hist.converged = True
+                    return x, hist
     return x, hist
 
 

@@ -3,10 +3,12 @@
 Most of it is deliberately naive (direct recursions, dense algebra,
 hand-rolled eliminations) so it shares no code path with the package. The
 last helpers are test fixtures the package does not ship: a Gauss rule on
-one span, a point evaluator, the global L2 projection, and the seed's QR and
-Anderson loop, against which the package's are compared bit for bit.
+one span, a point evaluator, the global L2 projection, and the seed's QR,
+Anderson loop and restarted MPE/RRE driver, against which the package's are
+compared bit for bit.
 """
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +18,13 @@ import scipy.sparse.linalg as spla
 
 from igasolve import iga
 from igasolve.bspline import eval_basis, greville_abscissae
-from igasolve.extrapolation import _apply, _record
+from igasolve.extrapolation import (
+    _EXTRAPOLATORS,
+    IterateWindow,
+    ZeroDenominator,
+    _apply,
+    _record,
+)
 from igasolve.history import IterationHistory, PhaseTimers
 from igasolve.linalg import RANK_DROP_TOL, RankDeficient, solve_upper_triangular
 
@@ -443,3 +451,81 @@ def seed_anderson_solve(G, x0, m: int, tol: float, maxiter: int,
             hist.converged = True
             break
     return s, hist
+
+
+def seed_extrapolate_shrinking(window, extrapolate, timers: PhaseTimers):
+    """Extrapolate the window, shrinking q on rank problems; q is restored
+    for the next cycle by the caller.
+
+    Returns the extrapolated point and its generalized residual vector
+    (r~ = DeltaS gamma), or None for the bare fall-back iterate.
+    """
+    qq = len(window) - 2
+    t0 = time.perf_counter()
+    try:
+        while qq >= 0:
+            try:
+                w = IterateWindow.from_iterates(window[: qq + 2])
+                res = extrapolate(w)
+                return res.t, w.dS @ res.gamma
+            except (RankDeficient, ZeroDenominator):
+                qq -= 1
+        return window[-1], None
+    finally:
+        timers.extrapol_s += time.perf_counter() - t0
+
+
+def seed_restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
+                         observer=None, timers: PhaseTimers | None = None
+                         ) -> tuple[np.ndarray, IterationHistory]:
+    """The seed's restarted MPE/RRE, which keeps the cycle's iterates and
+    re-forms the differences of every shrinking window.
+
+    Each cycle generates s_0 = x, s_{i+1} = G(s_i) for i = 0..q (q+1 map
+    applications building q+1 differences), extrapolates, and restarts from
+    the extrapolated point. One iteration means one application of G. The
+    relative residual is checked after every application and, through the
+    generalized residual ||DeltaS gamma|| formed from the window (no map
+    application), after every extrapolation, so a converged extrapolant
+    stops the loop without further map applications; the cycle's record
+    keeps the smaller of the two residuals. A rejected prediction leaves the
+    record, and the observer's last call, on the last map application,
+    although the extrapolant is what the loop returns.
+    """
+    if q < 1:
+        raise ValueError("restart number q must be >= 1")
+    if method not in _EXTRAPOLATORS:
+        raise ValueError(f"unknown method {method!r}")
+    extrapolate = _EXTRAPOLATORS[method]
+    hist = IterationHistory() if timers is None else IterationHistory(timers=timers)
+    x = np.asarray(x0, dtype=float)
+    evals = 0
+    while evals < maxiter:
+        window = [x]
+        for _ in range(q + 1):
+            if evals >= maxiter:
+                break
+            s = _apply(G, window[-1], hist)
+            evals += 1
+            rel = _record(hist, evals, s, window[-1], observer)
+            window.append(s)
+            if rel <= tol:
+                hist.converged = True
+                return s, hist
+        x, r_gen = seed_extrapolate_shrinking(window, extrapolate, hist.timers)
+        if r_gen is not None:
+            den = np.linalg.norm(x)
+            rel_last = hist.records[-1].relative_residual
+            if den > 0.0:
+                rel_t = float(np.linalg.norm(r_gen) / den)
+                # Predictions below the quadratic-decay floor rel_last^2 are
+                # window-noise artifacts and cannot be trusted.
+                if rel_last**2 <= rel_t < rel_last:
+                    rec = hist.records[-1]
+                    rec.relative_residual = rel_t
+                    if observer:
+                        observer(rec, x)
+                    if rel_t <= tol:
+                        hist.converged = True
+                        return x, hist
+    return x, hist

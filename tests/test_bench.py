@@ -108,6 +108,11 @@ class TestConfigParsing:
         "problem = bratu2d\ninner_tol = 1e-3\n",
         "problem = monge_ampere\np = 2\ngrid = 8\ninner_tol.p2.g16 = 1e-3\n",
         "problem = monge_ampere\ninner_tol.p3.g16 = 1e-3\np = 2\ngrid = 16\n",
+        "problem = bratu1d\nlambda = 1, 1.0\nmethod = mpe(2)\n",
+        "problem = bratu1d\np = 2, 3, 2\n",
+        "problem = bratu1d\ngrid = 8, 08\n",
+        "problem = bratu1d\nmethod = mpe(2), picard, mpe(2)\n",
+        "problem = bratu1d\nmethod = rre(3), rre(03)\n",
     ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
             "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0", "maxiter-0",
             "2d-coarsest-too-large", "monge-ampere-coarsest-too-large", "lambda-nan",
@@ -115,7 +120,9 @@ class TestConfigParsing:
             "monge-ampere-p-1", "k", "inner-key", "inner-tol-override-outside-sweep-0",
             "2d-grid-4096", "1d-grid-1048576", "monge-ampere-lambda", "bratu-inner-tol",
             "bratu-inner-tol-override", "bratu2d-inner-tol",
-            "inner-tol-override-grid-outside-sweep", "inner-tol-override-p-outside-sweep"])
+            "inner-tol-override-grid-outside-sweep", "inner-tol-override-p-outside-sweep",
+            "repeated-lambda", "repeated-p", "repeated-grid", "repeated-method",
+            "repeated-method-window"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -146,10 +153,13 @@ class TestConfigParsing:
         ("bratu1d", "method = mpe(0)", "mpe needs window >= 1, got 0"),
         ("bratu1d", "tol = nan", "tol must be positive and finite, got nan"),
         ("bratu1d", "maxiter = 0", "maxiter must be at least 1, got 0"),
+        ("bratu1d", "lambda = 1, 1.0", "repeated value 1.0"),
+        ("bratu1d", "p = 2, 3, 2", "repeated value 2"),
+        ("bratu1d", "method = mpe(2), mpe(2)", "repeated value mpe(2)"),
     ], ids=["tol-abc", "maxiter-1.5", "lambda-x", "grid-x", "p-15", "unknown-key",
             "bratu-inner-tol", "bratu-inner-tol-override", "monge-ampere-lambda",
             "inner-tol-override-outside-sweep", "method-foo", "method-mpe-0", "tol-nan",
-            "maxiter-0"])
+            "maxiter-0", "repeated-lambda", "repeated-p", "repeated-method"])
     def test_parse_error_names_key_and_value(self, tmp_path, problem, line, reason):
         path = tmp_path / "bad.cfg"
         path.write_text(f"problem = {problem}\n{line}\n")
@@ -315,12 +325,15 @@ class TestEmitHistory:
         assert worse == 0  # strictly below from iteration 10 on
 
 
-def _assert_matches_golden(table: int, n_rows: int) -> None:
+def _assert_matches_golden(table: int, n_rows: int, l2_abs: float | None = None) -> None:
     """Run a table config and compare it with ``golden/table<n>_golden.csv``.
 
     Exact match on the structural and iteration columns; the error columns
     are compared as floats (converged L2 errors tightly, stalled residuals
-    loosely, and roundoff-floor residuals by magnitude only).
+    loosely, and roundoff-floor residuals by magnitude only). Without
+    ``l2_abs`` the L2 check keeps pytest's implicit absolute tolerance of
+    1e-12; with it, L2 errors below about ``l2_abs`` (round-off errors of a
+    solution the space contains) are pinned by magnitude only.
     """
     from igasolve.bench import run_experiment
     golden_path = Path(__file__).parent / "golden" / f"table{table}_golden.csv"
@@ -338,7 +351,10 @@ def _assert_matches_golden(table: int, n_rows: int) -> None:
         assert ("true" if row.converged else "false") == want["converged"]
         # golden values carry 6 significant digits; compare above that
         l2_ref = float(want["l2_err"])
-        assert row.l2_err == pytest.approx(l2_ref, rel=1e-5)
+        if l2_abs is None:
+            assert row.l2_err == pytest.approx(l2_ref, rel=1e-5)
+        else:
+            assert row.l2_err == pytest.approx(l2_ref, rel=1e-5, abs=l2_abs)
         res_ref = float(want["relative_residual"])
         if not row.converged:
             assert row.relative_residual == pytest.approx(res_ref, rel=1e-5)
@@ -357,6 +373,28 @@ class TestGoldenTable2:
     def test_table2_matches_checked_in_golden(self):
         """The 96 MPE(5) cells of table 2 (p 1-6, every lambda and grid)."""
         _assert_matches_golden(2, 96)
+
+
+# Tables 3-5 take minutes, so they run only under `pytest -m slow`.
+@pytest.mark.slow
+class TestGoldenTable3:
+    def test_table3_matches_checked_in_golden(self):
+        """The 21 method cells of 2D Bratu at p=5, N=64."""
+        _assert_matches_golden(3, 21, l2_abs=1e-14)
+
+
+@pytest.mark.slow
+class TestGoldenTable4:
+    def test_table4_matches_checked_in_golden(self):
+        """The 80 MPE(5) cells of 2D Bratu, L2 errors down to 1e-17."""
+        _assert_matches_golden(4, 80, l2_abs=1e-14)
+
+
+@pytest.mark.slow
+class TestGoldenTable5:
+    def test_table5_matches_checked_in_golden(self):
+        """The 45 Monge-Ampere cells."""
+        _assert_matches_golden(5, 45, l2_abs=1e-14)
 
 
 class TestCli:
@@ -390,6 +428,36 @@ class TestCli:
         out.write_text("")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "taken" in capsys.readouterr().err
+
+    def test_history_out_is_a_directory_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("igasolve.bench.run_cell", no_cell)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["history", "--config", str(cfg), "--cell", "method=mpe(2),p=2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "taken" in err
+        assert list(out.iterdir()) == []
+
+    def test_run_csv_is_a_directory_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("igasolve.bench.run_experiment", no_sweep)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "out"
+        (out / "tiny.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "tiny.csv" in err
 
     def test_history_into_missing_directory(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

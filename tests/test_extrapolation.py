@@ -18,7 +18,13 @@ from igasolve.extrapolation import (
 )
 from igasolve.linalg import RankDeficient
 
-from oracles import affine_window, moore_penrose_residual, plain_fixed_point, seed_anderson_solve
+from oracles import (
+    affine_window,
+    moore_penrose_residual,
+    plain_fixed_point,
+    seed_anderson_solve,
+    seed_restarted_solve,
+)
 
 
 def random_affine(rng, dim, rho=0.8):
@@ -237,6 +243,24 @@ class TestRestartedDriver:
         with pytest.raises(ValueError, match="unknown method 'foo'"):
             restarted_solve(lambda x: x, np.zeros(2), "foo", 2, 1e-12, 10)
 
+    @pytest.mark.parametrize("method", ["mpe", "rre"])
+    def test_rejected_prediction_returns_extrapolant(self, method):
+        # one cycle of 4 applications whose prediction is rejected: the
+        # extrapolant is returned, while the last record and the observer's
+        # last call describe the last map application
+        G = lambda x: np.sin(3.0 * x) + 2.0
+        seen = []
+        x, hist = restarted_solve(G, np.zeros(3), method, 3, 1e-14, 4,
+                                  observer=lambda rec, v: seen.append((rec.iteration, v)))
+        s = [np.zeros(3)]
+        for _ in range(4):
+            s.append(G(s[-1]))
+        assert not hist.converged and hist.iterations == 4
+        assert not np.array_equal(x, s[-1])
+        assert seen[-1][0] == 4 and np.array_equal(seen[-1][1], s[-1])
+        assert hist.records[-1].relative_residual == (
+            np.linalg.norm(s[-1] - s[-2]) / np.linalg.norm(s[-1]))
+
     def test_maxiter_caps_map_applications(self):
         # nonlinear oscillator the window cannot resolve: runs to the cap
         calls = []
@@ -413,6 +437,66 @@ class TestAndersonSeedOracle:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             anderson_solve(lambda x: x, np.zeros(2), -1, 1e-12, 10)
+
+
+@st.composite
+def restarted_problems(draw):
+    """(map factory, x0, maxiter cap): a random affine map of dimension 1..8
+    and spectral radius 0.3..1.5, with or without a small smooth
+    nonlinearity; a diagonal map with repeated eigenvalues, whose windows go
+    rank deficient; the ``DEPENDENT_DIFFS`` replay, or that replay after a
+    zero difference, which for a negative tol no window can extrapolate, so
+    the cycle restarts from its last map application; the identity; or
+    sin(3x) + 2."""
+    kind = draw(st.sampled_from(["affine", "diagonal", "replay", "stall", "identity", "sin"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 8))
+    x0 = rng.standard_normal(dim)
+    if kind == "affine":  # rho = 1 may make I - M singular, so no fixed point is solved for
+        M = rng.standard_normal((dim, dim))
+        M *= draw(st.floats(0.3, 1.5)) / max(abs(np.linalg.eigvals(M)))
+        b = rng.standard_normal(dim)
+        c = draw(st.sampled_from([0.0, 0.1]))
+        return (lambda: lambda v: M @ v + b + c * np.sin(v)), x0, 40
+    if kind == "diagonal":
+        M = np.diag(rng.choice([0.2, 0.5, 0.9], size=dim))
+        b = rng.standard_normal(dim)
+        return (lambda: lambda v: M @ v + b), x0, 40
+    if kind == "replay":
+        return (lambda: replay(DEPENDENT_DIFFS)), np.ones(6), len(DEPENDENT_DIFFS)
+    if kind == "stall":
+        diffs = [np.zeros(6), *DEPENDENT_DIFFS]
+        return (lambda: replay(diffs)), np.ones(6), len(diffs)
+    if kind == "identity":
+        return (lambda: lambda v: v.copy()), x0, 40
+    return (lambda: lambda v: np.sin(3.0 * v) + 2.0), x0, 40
+
+
+def _restarted_outcome(solve, make_G, x0, method, q, tol, maxiter):
+    """The bytes of x, the repr of the records, converged and the observer's
+    log, or the records of the Diverged history and the log."""
+    log = []
+    try:
+        x, hist = solve(make_G(), x0, method, q, tol, maxiter,
+                        observer=lambda rec, v: log.append((rec.iteration, v.tobytes())))
+    except Diverged as exc:
+        return "diverged", repr(exc.history.records), log
+    return x.tobytes(), repr(hist.records), hist.converged, log
+
+
+class TestRestartedSeedOracle:
+    """Keeping the cycle's differences gives the seed's iterates, records
+    and observer calls, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(problem=restarted_problems(), method=st.sampled_from(["mpe", "rre"]),
+           q=st.integers(1, 6), maxiter=st.integers(1, 40),
+           tol=st.sampled_from([-1.0, 0.0, 1e-14, 1e-8]))
+    def test_bitwise_equal_to_seed(self, problem, method, q, maxiter, tol):
+        make_G, x0, cap = problem
+        args = (make_G, x0, method, q, tol, min(maxiter, cap))
+        assert (_restarted_outcome(restarted_solve, *args)
+                == _restarted_outcome(seed_restarted_solve, *args))
 
 
 class TestFixedPoint:
