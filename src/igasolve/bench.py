@@ -270,13 +270,13 @@ def _write_csv(path, what: str, header, rows) -> None:
 def _check_writable(path: Path, what: str) -> None:
     """Open path as the writer will, but without truncating it, so an unusable
     output file fails before any cell runs; a file made here is removed."""
-    existed = os.path.lexists(path)
+    existed = path.exists()  # follows a symlink, which open() also does
     try:
         open(path, "a").close()
     except OSError as exc:
-        raise OSError(f"cannot write {what} to {path}: {exc.strerror}") from None
+        raise OSError(f"cannot write {what} to {path}: {exc.strerror or exc}") from None
     if not existed:
-        path.unlink()
+        path.resolve().unlink()  # the file made, not a symlink that led to it
 
 
 def emit_csv(rows, path) -> None:

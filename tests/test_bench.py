@@ -325,15 +325,13 @@ class TestEmitHistory:
         assert worse == 0  # strictly below from iteration 10 on
 
 
-def _assert_matches_golden(table: int, n_rows: int, l2_abs: float | None = None) -> None:
+def _assert_matches_golden(table: int, n_rows: int, l2_abs: float = 1e-12) -> None:
     """Run a table config and compare it with ``golden/table<n>_golden.csv``.
 
     Exact match on the structural and iteration columns; the error columns
     are compared as floats (converged L2 errors tightly, stalled residuals
-    loosely, and roundoff-floor residuals by magnitude only). Without
-    ``l2_abs`` the L2 check keeps pytest's implicit absolute tolerance of
-    1e-12; with it, L2 errors below about ``l2_abs`` (round-off errors of a
-    solution the space contains) are pinned by magnitude only.
+    loosely, and roundoff-floor residuals by magnitude only). L2 errors
+    below about ``l2_abs`` are pinned by magnitude only.
     """
     from igasolve.bench import run_experiment
     golden_path = Path(__file__).parent / "golden" / f"table{table}_golden.csv"
@@ -351,10 +349,7 @@ def _assert_matches_golden(table: int, n_rows: int, l2_abs: float | None = None)
         assert ("true" if row.converged else "false") == want["converged"]
         # golden values carry 6 significant digits; compare above that
         l2_ref = float(want["l2_err"])
-        if l2_abs is None:
-            assert row.l2_err == pytest.approx(l2_ref, rel=1e-5)
-        else:
-            assert row.l2_err == pytest.approx(l2_ref, rel=1e-5, abs=l2_abs)
+        assert row.l2_err == pytest.approx(l2_ref, rel=1e-5, abs=l2_abs)
         res_ref = float(want["relative_residual"])
         if not row.converged:
             assert row.relative_residual == pytest.approx(res_ref, rel=1e-5)
@@ -394,7 +389,8 @@ class TestGoldenTable4:
 class TestGoldenTable5:
     def test_table5_matches_checked_in_golden(self):
         """The 45 Monge-Ampere cells."""
-        _assert_matches_golden(5, 45, l2_abs=1e-14)
+        # their L2 errors near 1e-10 move by up to 3.4e-13 with the BLAS thread count
+        _assert_matches_golden(5, 45)
 
 
 class TestCli:
@@ -458,6 +454,32 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "tiny.csv" in err
+
+    def test_output_check_leaves_a_dangling_symlink_dangling(self, tmp_path, monkeypatch):
+        def failing_sweep(*args, **kwargs):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr("igasolve.bench.run_experiment", failing_sweep)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.csv"
+        (out / "tiny.csv").symlink_to(target)
+        with pytest.raises(RuntimeError):
+            main(["run", "--config", str(cfg), "--out", str(out)])
+        assert (out / "tiny.csv").is_symlink() and not target.exists()
+
+    def test_output_error_without_errno_keeps_its_message(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def refusing_open(*args, **kwargs):
+            raise OSError("refused")
+
+        monkeypatch.setattr("igasolve.bench.open", refusing_open, raising=False)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip().endswith("tiny.csv: refused")
 
     def test_history_into_missing_directory(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
