@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import itertools
 import math
 import os
 import re
@@ -30,6 +31,8 @@ CSV_HEADER = [
     "problem", "method", "lambda", "p", "h", "iter", "relative_residual",
     "l2_err", "cpu_s", "rhs_time_s", "mg_time_s", "extrapol_time_s", "converged",
 ]
+# Columns that differ from run to run; `bench compare` leaves them out.
+TIMING_COLUMNS = ("cpu_s", "rhs_time_s", "mg_time_s", "extrapol_time_s")
 
 _METHOD_RE = re.compile(r"^(picard|picard_slu)$|^(mpe|rre|aa)\((\d+)\)$")
 # The L2 error is integrated with p+2 Gauss points per span.
@@ -146,6 +149,7 @@ def parse_config(path) -> ExperimentConfig:
         return OuterConfig(linear_tol=float(s)).linear_tol
 
     unread = _PROBLEMS[problem][1]
+    override_keys: dict[tuple[int, int], str] = {}  # (p, grid) -> its inner_tol.pX.gY key
     for key, val in kv.items():
         try:
             if key == "lambda":
@@ -171,16 +175,19 @@ def parse_config(path) -> ExperimentConfig:
                 m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
                 if not m:
                     raise ValueError("unknown config key")
-                cfg.inner_tol_overrides[(int(m.group(1)), int(m.group(2)))] = linear_tol(val)
+                tol, pg = linear_tol(val), (int(m[1]), int(m[2]))
+                if pg in override_keys:
+                    raise ValueError(f"repeats {override_keys[pg]}")
+                override_keys[pg] = key
+                cfg.inner_tol_overrides[pg] = tol
             # checked after the value, so a bad value is reported as such
             if key.split(".")[0] == unread:
                 raise ValueError(f"{problem} cells never read {unread}")
         except ValueError as exc:
             raise ValueError(f"{key} = {val}: {exc}") from None
-    for key, val in kv.items():  # the lists may follow an override in the file
-        m = re.match(r"^inner_tol\.p(\d+)\.g(\d+)$", key)
-        if m and (int(m[1]) not in cfg.degrees or int(m[2]) not in cfg.grids):
-            raise ValueError(f"{key} = {val}: no cell has p = {m[1]} and grid = {m[2]}")
+    for (p, n), key in override_keys.items():  # the lists may follow an override
+        if p not in cfg.degrees or n not in cfg.grids:
+            raise ValueError(f"{key} = {kv[key]}: no cell has p = {p} and grid = {n}")
     if not (cfg.lambdas and cfg.degrees and cfg.grids and cfg.methods):
         raise ValueError("lambda, p, grid and method lists must be non-empty")
 
@@ -296,6 +303,43 @@ def emit_history(history: IterationHistory, path) -> None:
                 for rec in history.records))
 
 
+def _untimed_rows(path: Path) -> list[list[str]]:
+    """A CSV's header and rows, as text, without the timing columns."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    timed = {i for i, name in enumerate(rows[0] if rows else []) if name in TIMING_COLUMNS}
+    return [[v for i, v in enumerate(row) if i not in timed] for row in rows]
+
+
+def compare_csv(old: Path, new: Path) -> tuple[list[str], int]:
+    """Compare two CSV files, or two directories of ``*.csv``, outside the
+    timing columns: headers and rows in order, by exact text.
+
+    Returns a line per difference (a file on one side only, or a header or
+    row that differs or is missing on one side) and the number of data rows
+    compared; raises ValueError for a file compared with a directory.
+    """
+    if old.is_dir() != new.is_dir():
+        raise ValueError(f"cannot compare a file with a directory: {old}, {new}")
+    diffs, n_rows = [], 0
+    if old.is_dir():
+        in_old, in_new = ({f.name for f in d.glob("*.csv")} for d in (old, new))
+        diffs += [f"only in {old / name}" for name in sorted(in_old - in_new)]
+        diffs += [f"only in {new / name}" for name in sorted(in_new - in_old)]
+        pairs = [(old / name, new / name) for name in sorted(in_old & in_new)]
+    else:
+        pairs = [(old, new)]
+    for a, b in pairs:
+        rows_a, rows_b = _untimed_rows(a), _untimed_rows(b)
+        n_rows += max(len(rows_a), len(rows_b), 1) - 1
+        for i, (ra, rb) in enumerate(itertools.zip_longest(rows_a, rows_b)):
+            if ra != rb:
+                where = "header" if i == 0 else f"row {i}"
+                diffs += [f"{a} {where}: " + (",".join(ra) if ra is not None else "(none)"),
+                          f"{b} {where}: " + (",".join(rb) if rb is not None else "(none)")]
+    return diffs, n_rows
+
+
 def find_table_config(n: int) -> Path:
     """Locate configs/table<n>.cfg relative to cwd or the repo checkout."""
     name = f"table{n}.cfg"
@@ -321,15 +365,15 @@ def _render(rows) -> str:
     return "\n".join(lines)
 
 
-# Selector keys and the type each value must parse as.
-_SELECTOR_KEYS = {"method": str, "lambda": float, "p": int, "grid": int}
+# Selector keys and the parser of their values; cells match on parsed values.
+_SELECTOR_KEYS = {"method": parse_method, "lambda": float, "p": int, "grid": int}
 
 
 def parse_cell_selector(sel: str):
     """Parse 'method=rre(5),lambda=7,p=5,grid=64' into a cell filter.
 
     Raises ValueError for a part without '=', an unknown or repeated key or
-    a value of the wrong type, so a typo cannot silently select other cells.
+    a value that does not parse, so a typo cannot silently select other cells.
     """
     want: dict[str, str] = {}
     for part in sel.split(","):
@@ -353,7 +397,8 @@ def parse_cell_selector(sel: str):
 def _match_cell(cell, want) -> bool:
     lam, p, n, method = cell
     values = {"method": method, "lambda": lam, "p": p, "grid": n}
-    return all(_SELECTOR_KEYS[key](val) == values[key] for key, val in want.items())
+    return all(_SELECTOR_KEYS[key](val) == _SELECTOR_KEYS[key](values[key])
+               for key, val in want.items())
 
 
 def _worker_count(text: str) -> int:
@@ -384,7 +429,20 @@ def main(argv=None) -> int:
     p_hist.add_argument("--cell", required=True)
     p_hist.add_argument("--out", type=Path, default=None)
 
+    p_cmp = sub.add_parser("compare", help="compare two CSVs, or two directories of "
+                           "them, outside the timing columns; exit 1 if they differ")
+    p_cmp.add_argument("old", type=Path)
+    p_cmp.add_argument("new", type=Path)
+
     args = parser.parse_args(argv)
+    if args.command == "compare":
+        try:
+            diffs, n_rows = compare_csv(args.old, args.new)
+        except (OSError, ValueError, csv.Error) as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        print("\n".join(diffs) if diffs else f"{n_rows} rows match")
+        return 1 if diffs else 0
     try:
         cfg_path = find_table_config(args.number) if args.command == "table" else args.config
         cfg = parse_config(cfg_path)

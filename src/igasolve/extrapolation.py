@@ -5,19 +5,22 @@ extrapolation (MPE) on a window of first differences, their restarted
 driver, and Anderson acceleration in unconstrained least-squares form.
 Both drivers keep differences: :func:`restarted_solve` its cycle's, and
 :func:`anderson_solve` the m newest residual and map-value differences
-dF and dG that an Anderson step takes. Plain Picard iteration is Anderson
-acceleration of depth 0 (Walker & Ni, SINUM 2011); both drivers add their
-extrapolation time to the history's ``timers``.
+dF and dG that an Anderson step takes. Neither keeps more than it can
+use: a window of more than n+1 differences of n-vectors is dependent by
+its shape, and an Anderson step uses at most n columns. Plain Picard
+iteration is Anderson acceleration of depth 0 (Walker & Ni, SINUM 2011);
+both drivers add their extrapolation time to the history's ``timers``.
 
-Both polynomial methods factor the first-difference matrix
-DeltaS = [ds_k, ..., ds_{k+q}] as QR and form
+MPE and RRE are one kernel that differs only in how it solves for the
+gamma weights (Sidi, Vector Extrapolation Methods, SIAM 2017). It factors
+the first-difference matrix DeltaS = [ds_k, ..., ds_{k+q}] as QR and forms
 
     t = s_k + Q_q (R_q alpha),    alpha_j = 1 - (gamma_0 + ... + gamma_j),
 
-where the gamma weights sum to one. RRE obtains them from the normal
-system R^T R d = e and exposes lambda = 1/(e^T d), whose square root equals
-the generalized residual norm; MPE solves the triangular system
-R_q d = -r_q with d_q = 1.
+where the gamma weights sum to one. MPE solves the triangular system
+R_q d = -r_q with d_q = 1; RRE the normal system R^T R d = e. Both report
+the generalized residual norm ||DeltaS gamma||, from which the restarted
+driver predicts the extrapolant's residual.
 """
 
 from __future__ import annotations
@@ -87,94 +90,65 @@ def _check_sum(d: np.ndarray) -> float:
     return ssum
 
 
-def _split_qr(dS: np.ndarray):
-    """QR of the window differences, keeping the last column separate.
+def _extrapolate(w: IterateWindow, rre: bool) -> ExtrapolationResult:
+    """MPE, or RRE when ``rre`` is set, of one window.
 
-    The algorithms use Q_q and R_q of the first q columns plus the last
-    column's projection coefficients r_q; the trailing diagonal entry (which
-    vanishes by construction when the window hits the minimal-polynomial
-    degree) is returned as ``tail`` instead of being treated as a defect.
-    Raises :class:`RankDeficient` only for collapses within the first q
-    columns.
+    A one-difference window extrapolates to its newest iterate. Otherwise
+    the first q differences are factored as Q_q R_q and the newest one is
+    projected off Q_q, leaving coefficients r_q and a remainder norm
+    ``tail``. MPE, and RRE when ``tail`` vanishes, takes the
+    minimal-polynomial direction d = (xi, 1) with R_q xi = -r_q. RRE
+    otherwise solves the normal system R^T R d = e of the full triangular
+    factor and sets lambda = 1/(e^T d), whose square root equals the
+    generalized residual norm. That system degenerates exactly when the
+    window sits at the minimal-polynomial degree: ``tail`` then vanishes by
+    construction, and the limit of its coefficients is the null direction.
+    Either way gamma = d / (e^T d). Both methods report ||DeltaS gamma||,
+    the norm of the generalized residual r~ = t~ - t, and RRE also lambda,
+    as r~^T r~ where it did not solve the normal system.
     """
-    q = dS.shape[1] - 1
-    if q > dS.shape[0]:
-        # more difference columns than dimensions: necessarily dependent
-        raise RankDeficient(dS.shape[0])
-    Q, R = qr_factor(dS[:, :q])
-    col = dS[:, q].copy()
-    r_q = project_out(Q, col)
-    return Q, R, r_q, float(np.linalg.norm(col))
-
-
-def _combine(w: IterateWindow, Q: np.ndarray, R: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    alpha = 1.0 - np.cumsum(gamma[:w.q])
-    return w.s0 + Q @ (R @ alpha)
-
-
-def _degenerate(w: IterateWindow) -> ExtrapolationResult:
-    """One-difference window: the extrapolant is the newest iterate."""
-    norm0 = float(np.linalg.norm(w.dS[:, 0]))
-    if norm0 == 0.0:
-        raise RankDeficient(0)
-    return ExtrapolationResult(t=w.s0 + w.dS[:, 0], gamma=np.array([1.0]),
-                               generalized_residual_norm=norm0)
-
-
-def _null_coefficients(R: np.ndarray, r_q: np.ndarray) -> np.ndarray:
-    """d = (xi, 1) with R_q xi = -r_q, the minimal-polynomial direction."""
-    return np.append(solve_upper_triangular(R, -r_q), 1.0)
-
-
-def rre_extrapolate(w: IterateWindow) -> ExtrapolationResult:
-    """Reduced rank extrapolation of one window.
-
-    Records lambda = 1/(e^T d), whose square root equals the generalized
-    residual norm, so the norm is available before the extrapolated point
-    itself. When the window sits exactly at the minimal-polynomial degree
-    the normal system degenerates; the limit coefficients are the null
-    direction of R, computed triangularly.
-    """
-    q = w.q
+    q, dS = w.q, w.dS
+    lam = None
     if q == 0:
-        res = _degenerate(w)
-        res.lambda_shortcut = res.generalized_residual_norm**2
-        return res
-    Q, R, r_q, tail = _split_qr(w.dS)
-    if tail > RANK_DROP_TOL * R[0, 0]:
-        R_full = np.zeros((q + 1, q + 1))
-        R_full[:q, :q] = R
-        R_full[:q, q] = r_q
-        R_full[q, q] = tail
-        d = solve_normal_equations(R_full, np.ones(q + 1))
-        lam = 1.0 / _check_sum(d)
-        gamma = lam * d
+        if np.linalg.norm(dS[:, 0]) == 0.0:
+            raise RankDeficient(0)
+        gamma = np.array([1.0])
+        t = w.s0 + dS[:, 0]
     else:
-        d = _null_coefficients(R, r_q)
-        gamma = d / _check_sum(d)
-        v = w.dS @ gamma
+        if q > dS.shape[0]:  # more difference columns than dimensions: dependent
+            raise RankDeficient(dS.shape[0])
+        Q, R = qr_factor(dS[:, :q])
+        col = dS[:, q].copy()
+        r_q = project_out(Q, col)
+        tail = float(np.linalg.norm(col))
+        if rre and tail > RANK_DROP_TOL * R[0, 0]:
+            R_full = np.zeros((q + 1, q + 1))
+            R_full[:q, :q] = R
+            R_full[:q, q] = r_q
+            R_full[q, q] = tail
+            d = solve_normal_equations(R_full, np.ones(q + 1))
+            lam = 1.0 / _check_sum(d)
+            gamma = lam * d
+        else:
+            d = np.append(solve_upper_triangular(R, -r_q), 1.0)
+            gamma = d / _check_sum(d)
+        t = w.s0 + Q @ (R @ (1.0 - np.cumsum(gamma[:q])))
+    v = dS @ gamma
+    if rre and lam is None:
         lam = float(v @ v)
-    t = _combine(w, Q, R, gamma)
     return ExtrapolationResult(t=t, gamma=gamma,
-                               generalized_residual_norm=float(np.sqrt(max(lam, 0.0))),
+                               generalized_residual_norm=float(np.linalg.norm(v)),
                                lambda_shortcut=lam)
 
 
-def mpe_extrapolate(w: IterateWindow) -> ExtrapolationResult:
-    """Minimal polynomial extrapolation of one window.
+def rre_extrapolate(w: IterateWindow) -> ExtrapolationResult:
+    """Reduced rank extrapolation of one window; see :func:`_extrapolate`."""
+    return _extrapolate(w, rre=True)
 
-    Solves the upper triangular system R_q d = -r_q, fixes d_q = 1 and
-    normalizes; the trailing QR diagonal is never needed.
-    """
-    if w.q == 0:
-        return _degenerate(w)
-    Q, R, r_q, _ = _split_qr(w.dS)
-    d = _null_coefficients(R, r_q)
-    gamma = d / _check_sum(d)
-    t = _combine(w, Q, R, gamma)
-    # generalized residual r~ = t~ - t = DeltaS @ gamma
-    res = float(np.linalg.norm(w.dS @ gamma))
-    return ExtrapolationResult(t=t, gamma=gamma, generalized_residual_norm=res)
+
+def mpe_extrapolate(w: IterateWindow) -> ExtrapolationResult:
+    """Minimal polynomial extrapolation of one window; see :func:`_extrapolate`."""
+    return _extrapolate(w, rre=False)
 
 
 def generalized_residual(w: IterateWindow, method: str) -> np.ndarray:
@@ -240,16 +214,17 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
     """Restarted MPE/RRE around the fixed-point map G.
 
     Each cycle applies G q+1 times from s_0 = x, keeps the first differences
-    s_{i+1} - s_i, extrapolates from them, dropping the newest one while the
-    window raises RankDeficient or ZeroDenominator, and restarts from the
-    extrapolated point. One iteration means one application of G. The
-    relative residual is checked after every application and, through the
-    generalized residual ||DeltaS gamma|| formed from the window (no map
-    application), after every extrapolation, so a converged extrapolant
-    stops the loop without further map applications; the cycle's record
-    keeps the smaller of the two residuals. A rejected prediction leaves the
-    record, and the observer's last call, on the last map application,
-    although the extrapolant is what the loop returns.
+    s_{i+1} - s_i (at most x.size + 1 of them), extrapolates from them,
+    dropping the newest one while the window raises RankDeficient or
+    ZeroDenominator, and restarts from the extrapolated point. One iteration
+    means one application of G. The relative residual is checked after every
+    application and, through the generalized residual norm ||DeltaS gamma||
+    that the extrapolator reports (no map application), after every
+    extrapolation, so a converged extrapolant stops the loop without further
+    map applications; the cycle's record keeps the smaller of the two
+    residuals. A rejected prediction leaves the record, and the observer's
+    last call, on the last map application, although the extrapolant is
+    what the loop returns.
     """
     if q < 1:
         raise ValueError("restart number q must be >= 1")
@@ -270,13 +245,13 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
             if rel <= tol:
                 hist.converged = True
                 return s_new, hist
-            diffs.append(s_new - s)
+            if len(diffs) <= x.size:  # a wider window is dependent by its shape
+                diffs.append(s_new - s)
             s = s_new
         t0 = time.perf_counter()
         for k in range(len(diffs), 0, -1):
-            w = IterateWindow(x, np.column_stack(diffs[:k]))
             try:
-                res = extrapolate(w)
+                res = extrapolate(IterateWindow(x, np.column_stack(diffs[:k])))
                 break
             except (RankDeficient, ZeroDenominator):
                 pass
@@ -289,7 +264,7 @@ def restarted_solve(G, x0, method: str, q: int, tol: float, maxiter: int,
         x, rec = res.t, hist.records[-1]
         den = np.linalg.norm(x)
         if den > 0.0:
-            rel_t = float(np.linalg.norm(w.dS @ res.gamma) / den)
+            rel_t = float(res.generalized_residual_norm / den)
             # Predictions below the quadratic-decay floor rel_last^2 of the
             # last map application are window-noise artifacts.
             if rec.relative_residual**2 <= rel_t < rec.relative_residual:
@@ -332,8 +307,9 @@ def anderson_solve(G, x0, m: int, tol: float, maxiter: int,
     if m < 0:
         raise ValueError("depth m must be >= 0")
     hist = IterationHistory() if timers is None else IterationHistory(timers=timers)
-    dF, dG = deque(maxlen=m), deque(maxlen=m)  # the m newest differences, oldest first
     s = np.asarray(x0, dtype=float)
+    # the newest differences, oldest first; a step uses at most s.size of them
+    dF, dG = deque(maxlen=min(m, s.size)), deque(maxlen=min(m, s.size))
     for k in range(1, maxiter + 1):
         g = np.asarray(_apply(G, s, hist), dtype=float)
         t0 = time.perf_counter()

@@ -4,8 +4,8 @@ Most of it is deliberately naive (direct recursions, dense algebra,
 hand-rolled eliminations) so it shares no code path with the package. The
 last helpers are test fixtures the package does not ship: a Gauss rule on
 one span, a point evaluator, the global L2 projection, and the seed's QR,
-Anderson loop and restarted MPE/RRE driver, against which the package's are
-compared bit for bit.
+Anderson loop, MPE and RRE extrapolators with their helpers, and restarted
+MPE/RRE driver, against which the package's are compared bit for bit.
 """
 
 import time
@@ -20,13 +20,21 @@ from igasolve import iga
 from igasolve.bspline import eval_basis, greville_abscissae
 from igasolve.extrapolation import (
     _EXTRAPOLATORS,
+    ExtrapolationResult,
     IterateWindow,
     ZeroDenominator,
     _apply,
     _record,
 )
 from igasolve.history import IterationHistory, PhaseTimers
-from igasolve.linalg import RANK_DROP_TOL, RankDeficient, solve_upper_triangular
+from igasolve.linalg import (
+    RANK_DROP_TOL,
+    RankDeficient,
+    project_out,
+    qr_factor,
+    solve_normal_equations,
+    solve_upper_triangular,
+)
 
 
 def naive_bspline(t, k, i, knots):
@@ -451,6 +459,103 @@ def seed_anderson_solve(G, x0, m: int, tol: float, maxiter: int,
             hist.converged = True
             break
     return s, hist
+
+
+def _check_sum(d: np.ndarray) -> float:
+    ssum = float(np.sum(d))
+    if abs(ssum) <= 1e-14 * float(np.sum(np.abs(d))):
+        raise ZeroDenominator("sum of coefficient solve vanished")
+    return ssum
+
+
+def _split_qr(dS: np.ndarray):
+    """QR of the window differences, keeping the last column separate.
+
+    The algorithms use Q_q and R_q of the first q columns plus the last
+    column's projection coefficients r_q; the trailing diagonal entry (which
+    vanishes by construction when the window hits the minimal-polynomial
+    degree) is returned as ``tail`` instead of being treated as a defect.
+    Raises :class:`RankDeficient` only for collapses within the first q
+    columns.
+    """
+    q = dS.shape[1] - 1
+    if q > dS.shape[0]:
+        # more difference columns than dimensions: necessarily dependent
+        raise RankDeficient(dS.shape[0])
+    Q, R = qr_factor(dS[:, :q])
+    col = dS[:, q].copy()
+    r_q = project_out(Q, col)
+    return Q, R, r_q, float(np.linalg.norm(col))
+
+
+def _combine(w: IterateWindow, Q: np.ndarray, R: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    alpha = 1.0 - np.cumsum(gamma[:w.q])
+    return w.s0 + Q @ (R @ alpha)
+
+
+def _degenerate(w: IterateWindow) -> ExtrapolationResult:
+    """One-difference window: the extrapolant is the newest iterate."""
+    norm0 = float(np.linalg.norm(w.dS[:, 0]))
+    if norm0 == 0.0:
+        raise RankDeficient(0)
+    return ExtrapolationResult(t=w.s0 + w.dS[:, 0], gamma=np.array([1.0]),
+                               generalized_residual_norm=norm0)
+
+
+def _null_coefficients(R: np.ndarray, r_q: np.ndarray) -> np.ndarray:
+    """d = (xi, 1) with R_q xi = -r_q, the minimal-polynomial direction."""
+    return np.append(solve_upper_triangular(R, -r_q), 1.0)
+
+
+def seed_rre_extrapolate(w: IterateWindow) -> ExtrapolationResult:
+    """Reduced rank extrapolation of one window.
+
+    Records lambda = 1/(e^T d), whose square root equals the generalized
+    residual norm, so the norm is available before the extrapolated point
+    itself. When the window sits exactly at the minimal-polynomial degree
+    the normal system degenerates; the limit coefficients are the null
+    direction of R, computed triangularly.
+    """
+    q = w.q
+    if q == 0:
+        res = _degenerate(w)
+        res.lambda_shortcut = res.generalized_residual_norm**2
+        return res
+    Q, R, r_q, tail = _split_qr(w.dS)
+    if tail > RANK_DROP_TOL * R[0, 0]:
+        R_full = np.zeros((q + 1, q + 1))
+        R_full[:q, :q] = R
+        R_full[:q, q] = r_q
+        R_full[q, q] = tail
+        d = solve_normal_equations(R_full, np.ones(q + 1))
+        lam = 1.0 / _check_sum(d)
+        gamma = lam * d
+    else:
+        d = _null_coefficients(R, r_q)
+        gamma = d / _check_sum(d)
+        v = w.dS @ gamma
+        lam = float(v @ v)
+    t = _combine(w, Q, R, gamma)
+    return ExtrapolationResult(t=t, gamma=gamma,
+                               generalized_residual_norm=float(np.sqrt(max(lam, 0.0))),
+                               lambda_shortcut=lam)
+
+
+def seed_mpe_extrapolate(w: IterateWindow) -> ExtrapolationResult:
+    """Minimal polynomial extrapolation of one window.
+
+    Solves the upper triangular system R_q d = -r_q, fixes d_q = 1 and
+    normalizes; the trailing QR diagonal is never needed.
+    """
+    if w.q == 0:
+        return _degenerate(w)
+    Q, R, r_q, _ = _split_qr(w.dS)
+    d = _null_coefficients(R, r_q)
+    gamma = d / _check_sum(d)
+    t = _combine(w, Q, R, gamma)
+    # generalized residual r~ = t~ - t = DeltaS @ gamma
+    res = float(np.linalg.norm(w.dS @ gamma))
+    return ExtrapolationResult(t=t, gamma=gamma, generalized_residual_norm=res)
 
 
 def seed_extrapolate_shrinking(window, extrapolate, timers: PhaseTimers):

@@ -113,6 +113,8 @@ class TestConfigParsing:
         "problem = bratu1d\ngrid = 8, 08\n",
         "problem = bratu1d\nmethod = mpe(2), picard, mpe(2)\n",
         "problem = bratu1d\nmethod = rre(3), rre(03)\n",
+        "problem = monge_ampere\np = 2\ngrid = 8\ninner_tol.p2.g8 = 1e-3\n"
+        "inner_tol.p02.g08 = 1e-5\n",
     ], ids=["no-problem", "inner", "window-0", "grid-0", "p-0", "duplicate", "seed",
             "p-15", "tol-negative", "inner-tol-0", "inner-tol-override-0", "maxiter-0",
             "2d-coarsest-too-large", "monge-ampere-coarsest-too-large", "lambda-nan",
@@ -122,12 +124,20 @@ class TestConfigParsing:
             "bratu-inner-tol-override", "bratu2d-inner-tol",
             "inner-tol-override-grid-outside-sweep", "inner-tol-override-p-outside-sweep",
             "repeated-lambda", "repeated-p", "repeated-grid", "repeated-method",
-            "repeated-method-window"])
+            "repeated-method-window", "repeated-inner-tol-override"])
     def test_bad_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ValueError):
             parse_config(path)
+
+    def test_repeated_inner_tol_override_names_the_first(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("problem = monge_ampere\np = 2\ngrid = 8\ninner_tol.p2.g8 = 1e-3\n"
+                        "inner_tol.p02.g08 = 1e-5\n")
+        with pytest.raises(ValueError) as ei:
+            parse_config(path)
+        assert str(ei.value) == "inner_tol.p02.g08 = 1e-5: repeats inner_tol.p2.g8"
 
     @pytest.mark.parametrize("key, value", [
         ("inner_tol", "0"), ("inner_tol.p2.g16", "0"), ("inner_tol", "inf"),
@@ -512,9 +522,16 @@ class TestCli:
         want = parse_cell_selector("method=rre(5),lambda=7,p=5,grid=64")
         assert want == {"method": "rre(5)", "lambda": "7", "p": "5", "grid": "64"}
 
-    @pytest.mark.parametrize("selector", ["p5", "lambda=x", "lam=7", "grid=1.5", "p=1,p=2"],
+    def test_history_selector_compares_parsed_method(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("problem = bratu1d\np = 1\ngrid = 8\nmethod = mpe(02), picard\n")
+        assert main(["history", "--config", str(cfg), "--cell", "method=mpe(2)",
+                     "--out", str(tmp_path / "hist.csv")]) == 0
+
+    @pytest.mark.parametrize("selector", ["p5", "lambda=x", "lam=7", "grid=1.5", "p=1,p=2",
+                                          "method=foo"],
                              ids=["no-equals", "lambda-not-a-number", "unknown-key",
-                                  "grid-not-an-int", "repeated-key"])
+                                  "grid-not-an-int", "repeated-key", "method-foo"])
     def test_bad_selector_rejected(self, tmp_path, capsys, selector):
         with pytest.raises(ValueError):
             parse_cell_selector(selector)
@@ -547,3 +564,73 @@ class TestCli:
         assert path.name == "table1.cfg"
         with pytest.raises(FileNotFoundError):
             find_table_config(9)
+
+
+GOLDEN_HEAD = """problem,method,lambda,p,h,iter,relative_residual,l2_err,converged
+bratu1d,picard,1.00000e+00,1,1.25000e-01,24,6.33519e-11,4.40346e-03,true
+bratu1d,mpe(2),1.00000e+00,1,1.25000e-01,12,8.21187e-12,4.40346e-03,true
+"""
+TIMED_HEAD = """problem,method,lambda,p,h,iter,relative_residual,l2_err,cpu_s,rhs_time_s,\
+mg_time_s,extrapol_time_s,converged
+bratu1d,picard,1.00000e+00,1,1.25000e-01,24,6.33519e-11,4.40346e-03,1.1e-02,1e-3,2e-3,3e-6,true
+bratu1d,mpe(2),1.00000e+00,1,1.25000e-01,12,8.21187e-12,4.40346e-03,9.0e-03,1e-3,2e-3,3e-4,true
+"""
+
+
+class TestCompare:
+    """`bench compare OLD NEW`: exact text outside the timing columns."""
+
+    def _compare(self, tmp_path, old_text, new_text):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text(old_text)
+        new.write_text(new_text)
+        return main(["compare", str(old), str(new)])
+
+    def test_equal_inputs(self, tmp_path, capsys):
+        assert self._compare(tmp_path, TIMED_HEAD, TIMED_HEAD) == 0
+        assert capsys.readouterr().out == "2 rows match\n"
+
+    def test_changed_iter(self, tmp_path, capsys):
+        assert self._compare(tmp_path, TIMED_HEAD, TIMED_HEAD.replace(",12,", ",13,")) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and all("row 2: bratu1d,mpe(2)," in line for line in out)
+        assert ",12," in out[0] and ",13," in out[1]
+
+    def test_timing_columns_ignored(self, tmp_path):
+        # the goldens carry no timing columns; a rerun does, with other values
+        assert self._compare(tmp_path, GOLDEN_HEAD, TIMED_HEAD) == 0
+        assert self._compare(tmp_path, TIMED_HEAD, TIMED_HEAD.replace("9.0e-03", "8.0e-03")) == 0
+
+    def test_missing_row(self, tmp_path, capsys):
+        assert self._compare(tmp_path, TIMED_HEAD, TIMED_HEAD.rsplit("bratu1d", 1)[0]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("old.csv row 2: " + GOLDEN_HEAD.splitlines()[2])
+        assert out[1].endswith("new.csv row 2: (none)")
+
+    def test_header_mismatch(self, tmp_path, capsys):
+        assert self._compare(tmp_path, GOLDEN_HEAD, GOLDEN_HEAD.replace("l2_err", "l2")) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and "header" in out[0] and out[1].endswith(",l2,converged")
+
+    def test_directories_pair_files_by_name(self, tmp_path, capsys):
+        old, new = tmp_path / "old", tmp_path / "new"
+        for d, names in ((old, ["table1.csv", "table2.csv"]), (new, ["table1.csv", "table3.csv"])):
+            d.mkdir()
+            for name in names:
+                (d / name).write_text(GOLDEN_HEAD)
+        assert main(["compare", str(old), str(new)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"only in {old / 'table2.csv'}", f"only in {new / 'table3.csv'}"]
+        (new / "table3.csv").unlink()
+        (new / "table2.csv").write_text(TIMED_HEAD)
+        assert main(["compare", str(old), str(new)]) == 0
+        assert capsys.readouterr().out == "4 rows match\n"
+
+    @pytest.mark.parametrize("which", ["missing", "file-and-directory"])
+    def test_unreadable_path_exits_2(self, tmp_path, capsys, which):
+        old = tmp_path / "old.csv"
+        old.write_text(GOLDEN_HEAD)
+        new = tmp_path / ("none.csv" if which == "missing" else "")
+        assert main(["compare", str(old), str(new)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and str(new) in err

@@ -23,7 +23,9 @@ from oracles import (
     moore_penrose_residual,
     plain_fixed_point,
     seed_anderson_solve,
+    seed_mpe_extrapolate,
     seed_restarted_solve,
+    seed_rre_extrapolate,
 )
 
 
@@ -132,6 +134,70 @@ class TestMPE:
         assert np.allclose(res.t, [2.0, 1.25], atol=1e-12)
 
 
+@st.composite
+def extrapolation_windows(draw):
+    """A window of dimension 1..8 with 2..9 iterates: random vectors; an
+    affine sequence at or below its minimal-polynomial degree, which takes
+    RRE's degenerate-tail branch; a diagonal map with repeated eigenvalues,
+    whose windows are rank deficient; a constant sequence, whose differences
+    are zero; or a translation, whose gamma normalization vanishes."""
+    kind = draw(st.sampled_from(["random", "affine", "diagonal", "constant", "translation"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 8))
+    # an affine window of dim + 2 iterates sits at the minimal-polynomial degree
+    n_iter = draw(st.integers(2, min(dim + 2, 9) if kind == "affine" else 9))
+    s0 = rng.standard_normal(dim)
+    if kind == "random":
+        iterates = [s0, *(rng.standard_normal(dim) for _ in range(n_iter - 1))]
+    elif kind == "affine":
+        M, b, _ = random_affine(rng, dim)
+        iterates = affine_window(M, b, s0, n_iter - 1)
+    elif kind == "diagonal":
+        M = np.diag(rng.choice([0.2, 0.5, 0.9], size=dim))
+        iterates = affine_window(M, rng.standard_normal(dim), s0, n_iter - 1)
+    elif kind == "constant":
+        iterates = [s0] * n_iter
+    else:
+        c = rng.standard_normal(dim)
+        iterates = [s0 + k * c for k in range(n_iter)]
+    return IterateWindow.from_iterates(iterates)
+
+
+def _bytes(x):
+    return np.float64(x).tobytes()
+
+
+class TestKernelSeedOracle:
+    """The one MPE/RRE kernel gives the seed extrapolators' exceptions,
+    extrapolants and weights, bit for bit, and reports ||DeltaS gamma||."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(w=extrapolation_windows(), rre=st.booleans())
+    def test_bitwise_equal_to_seed(self, w, rre):
+        fn, seed = (rre_extrapolate, seed_rre_extrapolate) if rre else (
+            mpe_extrapolate, seed_mpe_extrapolate)
+        outcomes = []
+        for f in (fn, seed):
+            try:
+                outcomes.append(f(w))
+            except (RankDeficient, ZeroDenominator) as exc:
+                outcomes.append(type(exc))
+        got, want = outcomes
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.gamma.tobytes() == want.gamma.tobytes()
+        assert _bytes(got.generalized_residual_norm) == _bytes(np.linalg.norm(w.dS @ got.gamma))
+        if not rre:
+            assert _bytes(got.generalized_residual_norm) == _bytes(want.generalized_residual_norm)
+            assert got.lambda_shortcut is None and want.lambda_shortcut is None
+        elif w.q:
+            assert _bytes(got.lambda_shortcut) == _bytes(want.lambda_shortcut)
+        else:  # r~^T r~ where the seed squared the norm
+            assert got.lambda_shortcut == pytest.approx(want.lambda_shortcut, rel=1e-14)
+
+
 class TestGeneralizedResidual:
     def test_exactness_gives_zero(self):
         rng = np.random.default_rng(5)
@@ -221,6 +287,21 @@ class TestRestartedDriver:
         extrapolate = mpe_extrapolate if method == "mpe" else rre_extrapolate
         assert hist.iterations == 4
         assert np.array_equal(x, extrapolate(IterateWindow.from_iterates(iterates[:kept])).t)
+
+    @pytest.mark.parametrize("method", ["mpe", "rre"])
+    def test_window_no_wider_than_iterate_plus_one(self, monkeypatch, method):
+        # q = 5 on 2 unknowns: more than 3 differences are dependent by
+        # their shape, so no window offers the extrapolator more
+        widths = []
+
+        def spy(w):
+            widths.append(w.dS.shape[1])
+            return extrapolate(w)
+
+        extrapolate = ex._EXTRAPOLATORS[method]
+        monkeypatch.setitem(ex._EXTRAPOLATORS, method, spy)
+        restarted_solve(lambda x: np.sin(3.0 * x) + 2.0, np.zeros(2), method, 5, 1e-14, 30)
+        assert widths and max(widths) == 3
 
     def test_scalar_divergent_affine_recovers_antilimit(self):
         # rho(M) > 1 with 1 not an eigenvalue: extrapolation still recovers
@@ -341,6 +422,20 @@ class TestAnderson:
         rng = np.random.default_rng(11)
         anderson_solve(lambda x: rng.standard_normal(4), rng.standard_normal(4), 2, 0.0, 6)
         assert depths == [(k, k) for k in (0, 1, 2, 2, 2, 2)]
+
+    def test_depth_capped_at_iterate_size(self, monkeypatch):
+        # depth 5 on 3 unknowns: a step uses at most 3 columns, so no more are kept
+        depths = []
+
+        def spy(dF, dG, f_k, G_sk):
+            depths.append((len(dF), len(dG)))
+            return step(dF, dG, f_k, G_sk)
+
+        step = ex.anderson_step
+        monkeypatch.setattr(ex, "anderson_step", spy)
+        rng = np.random.default_rng(15)
+        anderson_solve(lambda x: rng.standard_normal(3), rng.standard_normal(3), 5, 0.0, 7)
+        assert depths == [(k, k) for k in (0, 1, 2, 3, 3, 3, 3)]
 
     def test_m0_is_plain_fixed_point_bitwise(self):
         rng = np.random.default_rng(12)
