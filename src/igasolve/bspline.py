@@ -11,6 +11,14 @@ with any 0/0 term taken as 0. Only the p+1 functions active on the span
 containing t are computed. One kernel evaluates the table vectorised over
 points: ``tabulate`` passes every Gauss point of every element at once, and
 ``eval_basis`` a single point.
+
+Knot insertion builds the two-scale matrix in one left-to-right pass over
+the sorted values (Boehm, CAD 12(4), 1980; Piegl & Tiller, The NURBS Book,
+section 5.3). Its bytes are those of the product of one Boehm matrix per
+knot as scipy forms it: each row's columns in scipy's stored order (reversed
+by every insertion), and entries that sum to exactly 0 dropped. The
+multigrid Galerkin products accumulate in that stored order, so the order is
+kept, not sorted.
 """
 
 from __future__ import annotations
@@ -20,8 +28,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-
-from .linalg import coo_to_csr
 
 
 class OutOfDomain(Exception):
@@ -38,8 +44,9 @@ MAX_GAUSS_POINTS = 16
 class KnotVector:
     """Open knot sequence of degree p with N = len(knots) - p - 1 basis functions.
 
-    The first and last knots must repeat exactly p+1 times (open vector), and
-    the sequence must be non-decreasing.
+    The first and last knots must repeat exactly p+1 times (open vector), the
+    sequence must be finite and non-decreasing, and no interior knot may
+    repeat more than p+1 times (a basis function would vanish identically).
     """
 
     def __init__(self, degree: int, knots):
@@ -48,6 +55,8 @@ class KnotVector:
         knots = np.asarray(knots, dtype=float)
         if knots.ndim != 1 or len(knots) < 2 * (degree + 1):
             raise ValueError("too few knots for the given degree")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(knots) < 0):
             raise ValueError("knots must be non-decreasing")
         p = degree
@@ -55,6 +64,8 @@ class KnotVector:
             raise ValueError("first knot must repeat exactly p+1 times")
         if not (np.all(knots[-(p + 1):] == knots[-1]) and knots[-(p + 2)] < knots[-1]):
             raise ValueError("last knot must repeat exactly p+1 times")
+        if np.unique(knots, return_counts=True)[1].max() > p + 1:
+            raise ValueError(f"an interior knot repeats more than p+1 = {p + 1} times")
         self.p = p
         self.knots = knots
         self.knots.flags.writeable = False
@@ -225,45 +236,81 @@ def _legendre_nodes(n_points: int):
     return np.polynomial.legendre.leggauss(n_points)
 
 
-def _single_insertion(p: int, knots: np.ndarray, u: float):
-    """Boehm insertion of one knot u strictly inside the domain.
-
-    Returns the extended knot array and the (N+1) x N coefficient map.
-    """
-    n_old = len(knots) - p - 1
-    k = int(np.searchsorted(knots, u, side="right") - 1)
-    rows, cols, vals = [], [], []
-    for i in range(n_old + 1):
-        if i <= k - p:
-            rows.append(i), cols.append(i), vals.append(1.0)
-        elif i <= k:
-            alpha = (u - knots[i]) / (knots[i + p] - knots[i])
-            rows.append(i), cols.append(i), vals.append(alpha)
-            rows.append(i), cols.append(i - 1), vals.append(1.0 - alpha)
-        else:
-            rows.append(i), cols.append(i - 1), vals.append(1.0)
-    S = coo_to_csr(rows, cols, vals, shape=(n_old + 1, n_old))
-    new_knots = np.insert(knots, k + 1, u)
-    return new_knots, S
-
-
 def insert_knots(kv: KnotVector, values) -> sp.csr_matrix:
     """Two-scale matrix of inserting the given knot values (strictly inside
-    the domain) one by one.
+    the domain) one by one, in ascending order.
 
     The matrix has shape (fine n_basis, coarse n_basis); a coarse spline with
     coefficients c is reproduced exactly on the refined knot vector by P @ c.
+
+    One left-to-right pass writes every row once. Before insertion t at span
+    k, rows right of k are coarse identity rows shifted by t, and rows up to
+    k-p never change again. Row i of the p changed rows is
+    ``(1 - alpha) * row[i-1] + alpha * row[i]``. The result is byte for byte
+    the product of the single-insertion (Boehm) matrices that scipy forms
+    knot by knot:
+
+    - a changed row adds ``alpha * row[i]`` to ``(1 - alpha) * row[i-1]``;
+    - an entry that sums to exactly 0 is dropped (alpha is 0 on the rows
+      whose knot t_i equals an inserted value that is already a knot);
+    - each product stores a row's columns in reverse discovery order: the
+      columns of row[i-1], then the new ones of row[i]. So every insertion
+      reverses every row, and a row written by insertion t is stored
+      reversed once per later insertion.
+
+    The Galerkin products of a hierarchy accumulate in this stored order, so
+    sorting the indices would change their round-off.
     """
     a, b = kv.domain
     values = np.sort(np.asarray(values, dtype=float))
-    if values.size and (values[0] <= a or values[-1] >= b):
+    if not np.all((values > a) & (values < b)):  # NaN fails both comparisons
         raise OutOfDomain("inserted knots must lie strictly inside the domain")
-    knots = kv.knots
-    P = sp.identity(kv.n_basis, format="csr")
-    for u in values:
-        knots, S = _single_insertion(kv.p, knots, float(u))
-        P = S @ P
-    return P.tocsr()
+    p, n_coarse, n_new = kv.p, kv.n_basis, values.size
+    U = kv.knots
+    done = np.arange(n_new)  # knots inserted before each value
+    spans = np.searchsorted(U, values, side="right") - 1 + done
+    # Rows k-p+1..k change. The knot vector before insertion t is the merged
+    # one up to the span k, and the coarse one shifted by t after it.
+    changed = spans[:, None] + np.arange(1 - p, 1)
+    left = np.sort(np.concatenate([U, values]))[changed]
+    alphas = (values[:, None] - left) / (U[changed + p - done[:, None]] - left)
+    betas = (1.0 - alphas).tolist()
+    alphas = alphas.tolist()
+
+    cols, data, lengths = [], [], []
+
+    def emit(rows, flip):
+        for row in rows:
+            if flip:
+                row = dict(reversed(row.items()))
+            cols.extend(row), data.extend(row.values()), lengths.append(len(row))
+
+    def identity(lo, hi, shift):
+        return [{i - shift: 1.0} for i in range(lo, hi)]
+
+    # Rows first.. were written by the previous insertion, as {column: value}
+    # in stored order; rows from first + len(pending) on are identity rows.
+    pending, first = [], 0
+    for t, k in enumerate(spans.tolist()):
+        lo = k - p
+        ident = first + len(pending)
+        rows = pending[lo - first:] + identity(max(ident, lo), k + 1, t)
+        # rows up to lo are final; each later insertion reverses them
+        emit(pending[:lo + 1 - first], (n_new - t) % 2)
+        emit(identity(ident, lo + 1, t), 0)
+        new = []
+        for prev, row, alpha, beta in zip(rows, rows[1:], alphas[t], betas[t]):
+            acc = {c: beta * v for c, v in prev.items()}
+            for c, v in row.items():
+                acc[c] = acc[c] + alpha * v if c in acc else alpha * v
+            new.append({c: v for c, v in reversed(acc.items()) if v != 0.0})
+        pending, first = new, lo + 1
+    emit(pending, 0)
+    emit(identity(first + len(pending), n_coarse + n_new, n_new), 0)
+    # scipy stores int32 indices whenever they fit, as its product does
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return sp.csr_matrix((np.array(data), np.array(cols), indptr),
+                         shape=(n_coarse + n_new, n_coarse))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Most of it is deliberately naive (direct recursions, dense algebra,
 hand-rolled eliminations) so it shares no code path with the package. The
 last helpers are test fixtures the package does not ship: a Gauss rule on
-one span, a point evaluator, the global L2 projection, and the seed's QR,
-Anderson loop, MPE and RRE extrapolators with their helpers, and restarted
-MPE/RRE driver, against which the package's are compared bit for bit.
+one span, a point evaluator, the global L2 projection, and the seed's
+knot insertion (one sparse product per knot), QR, Anderson loop, MPE and RRE
+extrapolators with their helpers, and restarted MPE/RRE driver, against
+which the package's are compared bit for bit.
 """
 
 import time
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from igasolve import iga
-from igasolve.bspline import eval_basis, greville_abscissae
+from igasolve.bspline import OutOfDomain, eval_basis, greville_abscissae
 from igasolve.extrapolation import (
     _EXTRAPOLATORS,
     ExtrapolationResult,
@@ -30,6 +31,7 @@ from igasolve.history import IterationHistory, PhaseTimers
 from igasolve.linalg import (
     RANK_DROP_TOL,
     RankDeficient,
+    coo_to_csr,
     project_out,
     qr_factor,
     solve_normal_equations,
@@ -356,6 +358,47 @@ def l2_projection(space, f):
     M = iga.assemble_mass(space)
     rhs = iga._scatter_load(space, tables, iga._call_on_grid(f, tables))
     return spla.spsolve(M.tocsc(), rhs)
+
+
+def _single_insertion(p: int, knots: np.ndarray, u: float):
+    """Boehm insertion of one knot u strictly inside the domain.
+
+    Returns the extended knot array and the (N+1) x N coefficient map.
+    """
+    n_old = len(knots) - p - 1
+    k = int(np.searchsorted(knots, u, side="right") - 1)
+    rows, cols, vals = [], [], []
+    for i in range(n_old + 1):
+        if i <= k - p:
+            rows.append(i), cols.append(i), vals.append(1.0)
+        elif i <= k:
+            alpha = (u - knots[i]) / (knots[i + p] - knots[i])
+            rows.append(i), cols.append(i), vals.append(alpha)
+            rows.append(i), cols.append(i - 1), vals.append(1.0 - alpha)
+        else:
+            rows.append(i), cols.append(i - 1), vals.append(1.0)
+    S = coo_to_csr(rows, cols, vals, shape=(n_old + 1, n_old))
+    new_knots = np.insert(knots, k + 1, u)
+    return new_knots, S
+
+
+def seed_insert_knots(kv, values) -> sp.csr_matrix:
+    """Two-scale matrix of inserting the given knot values (strictly inside
+    the domain) one by one.
+
+    The matrix has shape (fine n_basis, coarse n_basis); a coarse spline with
+    coefficients c is reproduced exactly on the refined knot vector by P @ c.
+    """
+    a, b = kv.domain
+    values = np.sort(np.asarray(values, dtype=float))
+    if values.size and (values[0] <= a or values[-1] >= b):
+        raise OutOfDomain("inserted knots must lie strictly inside the domain")
+    knots = kv.knots
+    P = sp.identity(kv.n_basis, format="csr")
+    for u in values:
+        knots, S = _single_insertion(kv.p, knots, float(u))
+        P = S @ P
+    return P.tocsr()
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,15 @@ from igasolve.bspline import (
     tabulate,
 )
 
-from oracles import gauss_rule, naive_bspline, naive_bspline_all, rational_knots, scalar_eval_basis
+from oracles import (
+    csr_fingerprint,
+    gauss_rule,
+    naive_bspline,
+    naive_bspline_all,
+    rational_knots,
+    scalar_eval_basis,
+    seed_insert_knots,
+)
 from strategies import open_knot_vectors
 
 
@@ -50,6 +58,19 @@ class TestKnotVectors:
     def test_decreasing_rejected(self):
         with pytest.raises(ValueError):
             KnotVector(1, [0, 0, 0.6, 0.4, 1, 1])
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_knot_rejected(self, bad):
+        # NaN compares false both ways, so the ordering check alone let it in
+        with pytest.raises(ValueError, match="finite"):
+            KnotVector(1, [0, 0, 0.3, bad, 0.6, 1, 1])
+
+    def test_interior_multiplicity_above_p_plus_1_rejected(self):
+        # the 4th quadratic basis function of this sequence is identically zero
+        with pytest.raises(ValueError, match="repeats more than"):
+            KnotVector(2, [0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1])
+        # multiplicity p+1 (a C^-1 break) is a valid space
+        assert KnotVector(2, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1]).n_basis == 6
 
 
 class TestEvalBasis:
@@ -230,6 +251,34 @@ class TestRefinement:
         kv = make_open_uniform_knots(2, 4)
         with pytest.raises(OutOfDomain):
             insert_knots(kv, [1.5])
+
+    @pytest.mark.parametrize("values", ([0.0], [0.5, 1.0], [np.nan], [0.5, np.nan]))
+    def test_insert_knots_not_strictly_inside_rejected(self, values):
+        # NaN compares false both ways, so it passed an endpoint check
+        with pytest.raises(OutOfDomain):
+            insert_knots(make_open_uniform_knots(2, 4), values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kv=open_knot_vectors(), data=st.data())
+    def test_insert_knots_bitwise_equals_sequential_products(self, kv, data):
+        # the seed's one sparse product per knot: same indptr, stored column
+        # order, values (no fused multiply-add) and dropped exact zeros
+        a, b = kv.domain
+        fresh = st.floats(a, b, exclude_min=True, exclude_max=True)
+        existing = kv.breakpoints[1:-1].tolist()
+        pool = st.one_of(fresh, st.sampled_from(existing)) if existing else fresh
+        values = data.draw(st.lists(pool, max_size=12))
+        assert (csr_fingerprint(insert_knots(kv, values))
+                == csr_fingerprint(seed_insert_knots(kv, values)))
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 4, 5, 6))
+    def test_insert_knots_bitwise_on_dyadic_refinement(self, p):
+        for n in (1, 2, 3, 8, 64):
+            kv = make_open_uniform_knots(p, n)
+            bp = kv.breakpoints
+            for values in ([], 0.5 * (bp[:-1] + bp[1:]), np.repeat(bp[1:-1], p)):
+                assert (csr_fingerprint(insert_knots(kv, values))
+                        == csr_fingerprint(seed_insert_knots(kv, values)))
 
 
 class TestHelpers:

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igasolve import multigrid
 from igasolve.bspline import insert_knots
 from igasolve.iga import SplineSpace, apply_dirichlet, assemble_stiffness, make_space
 from igasolve.multigrid import (
@@ -14,11 +15,12 @@ from igasolve.multigrid import (
     _coarsen_kv,
     _interior_prolongation,
     build_hierarchy,
+    level_spaces,
     smooth,
     solve_to_tolerance,
     v_cycle,
 )
-from oracles import kron_interior_prolongation
+from oracles import csr_fingerprint, kron_interior_prolongation, seed_insert_knots
 
 
 def poisson_hierarchy(p, n, dims=1, **kw):
@@ -103,6 +105,59 @@ class TestProlongation:
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
+
+
+def level_fingerprints(h):
+    return [tuple(None if M is None else csr_fingerprint(M) for M in (lvl.A, lvl.P, lvl.R))
+            for lvl in h.levels]
+
+
+class TestTwoScaleBytes:
+    """Hierarchies on the single-pass knot insertion are byte-equal to those
+    on the seed's one sparse product per knot. With 3 or more 1D levels the
+    Galerkin products accumulate in the prolongations' stored column order,
+    so this also pins that order."""
+
+    @staticmethod
+    def assert_matches_seed(monkeypatch, space, direct_threshold):
+        interior, _ = apply_dirichlet(space)
+        A = assemble_stiffness(space)[interior][:, interior].tocsr()
+        h = build_hierarchy(space, direct_threshold, A)
+        with monkeypatch.context() as m:
+            m.setattr(multigrid, "insert_knots", seed_insert_knots)
+            seed = build_hierarchy(space, direct_threshold, A)
+        assert level_fingerprints(h) == level_fingerprints(seed)
+        return h
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 4, 5, 6))
+    def test_1d(self, monkeypatch, p):
+        for n in (16, 64, 256):
+            for threshold in (4, 16):
+                h = self.assert_matches_seed(monkeypatch, make_space(p, n), threshold)
+        assert h.n_levels >= 3
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 4, 5, 6))
+    def test_2d(self, monkeypatch, p):
+        for n in (16, 32):
+            self.assert_matches_seed(monkeypatch, make_space(p, n, dims=2), 4)
+
+    @pytest.mark.parametrize("p, n", ((1, 256), (3, 128)))
+    def test_2d_fine(self, monkeypatch, p, n):
+        self.assert_matches_seed(monkeypatch, make_space(p, n, dims=2), 16)
+
+    def test_fine_1d_hierarchy_is_partition_of_unity(self):
+        # 2^15 elements, 12 levels: about a second in one pass; with one
+        # sparse product per knot (about 4x per doubling of N) it would take
+        # minutes
+        fine = make_space(2, 2**15)
+        h = build_hierarchy(fine)
+        spaces = level_spaces(fine)[::-1]
+        assert h.n_levels == len(spaces) == 12
+        for lvl, coarse, finer in zip(h.levels, spaces, spaces[1:]):
+            (kvc,), (kvf,) = coarse.kvs, finer.kvs
+            full = insert_knots(kvc, np.setdiff1d(kvf.breakpoints, kvc.breakpoints))
+            assert np.abs(np.asarray(full.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+            assert csr_fingerprint(full[1:-1, 1:-1]) == csr_fingerprint(lvl.P)
 
 
 class TestSmoother:
