@@ -23,7 +23,8 @@ from pathlib import Path
 
 from .bspline import MAX_GAUSS_POINTS
 from .history import Diverged, IterationHistory
-from .multigrid import MAX_FINE_DOF, level_spaces
+from .extrapolation import MAX_WINDOW_VALUES
+from .multigrid import MAX_FINE_DOF, MAX_FINE_NNZ, level_spaces
 from .nonlinear import (DIRECT_THRESHOLD, BratuProblem, MongeAmpereProblem, OuterConfig,
                         run_outer)
 
@@ -195,9 +196,20 @@ def parse_config(path) -> ExperimentConfig:
     for p in cfg.degrees:
         for n in cfg.grids:
             # counted before the space exists: a huge grid's knots are big too
-            if (n + p) ** dims > MAX_FINE_DOF:
-                raise ValueError(f"p = {p}, grid = {n} has {(n + p) ** dims} dof, above "
+            dof = (n + p) ** dims
+            nnz = dof * (2 * p + 1) ** dims
+            if dof > MAX_FINE_DOF:
+                raise ValueError(f"p = {p}, grid = {n} has {dof} dof, above "
                                  f"the limit of {MAX_FINE_DOF}")
+            if nnz > MAX_FINE_NNZ:
+                raise ValueError(f"p = {p}, grid = {n} has about {nnz} stiffness nonzeros, "
+                                 f"above the limit of {MAX_FINE_NNZ}")
+            for method in cfg.methods:
+                window = min(parse_method(method)[1] + 1, dof + 1)
+                if window * dof > MAX_WINDOW_VALUES:
+                    raise ValueError(f"method = {kv['method']}: {method} at p = {p}, grid = {n} "
+                                     f"keeps up to {window} differences of {dof} values, "
+                                     f"above the limit of {MAX_WINDOW_VALUES}")
             level_spaces(build(cfg.lambdas[0], p, n).space, DIRECT_THRESHOLD)
     return cfg
 

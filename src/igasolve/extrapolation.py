@@ -42,6 +42,13 @@ from .linalg import (
 )
 
 DIVERGE_LIMIT = 1e10
+# Largest extrapolation window a config may ask for, in values: up to
+# min(window+1, n+1) differences of n-value iterates. restarted_solve keeps
+# up to q+1 of them, stacks them and factors them into a Q as wide (3
+# copies); anderson_solve keeps m residual and m map-value differences,
+# stacks both and factors the first (5 copies). 2^23 values are 64 MiB a
+# copy, so a window costs at most about 320 MiB.
+MAX_WINDOW_VALUES = 2**23
 
 
 class ZeroDenominator(Exception):

@@ -12,9 +12,12 @@ Assembly loops run element by element with per-direction Gauss tables;
 (sum factorization) and scattered into global coordinate triplets.
 
 Order rule: wherever several terms land on one matrix entry or one load
-coefficient, they are summed in input order (ascending element, then local
-index), starting from zero. The structured kernels below keep that order of
-the generic ``coo_matrix.sum_duplicates`` and ``np.add.at`` idioms, so every
+coefficient, they are taken in input order (ascending element, then local
+index). A load coefficient sums them left to right from zero, as
+``np.add.at`` does. A matrix entry sums them as ``coo_matrix.sum_duplicates``
+does (see :func:`~igasolve.linalg.coo_to_csr`): the first term plus numpy's
+pairwise sum of the rest, per 2D chunk of x-elements, the chunks added left
+to right. The structured kernels below keep these orders, so every
 assembled matrix and load vector stays bit-for-bit the same.
 """
 

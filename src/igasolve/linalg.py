@@ -2,8 +2,9 @@
 
 Sparse matrices are assembled as coordinate triplets and finalized to scipy
 CSR; solves are row sweeps on the finalized matrix. Duplicate triplets are
-summed in input order, the order scipy's own COO finalisation uses, which
-keeps every assembled matrix bit-for-bit the same as scipy would build it.
+summed as scipy's COO ``sum_duplicates`` sums them, which keeps every
+assembled matrix bit-for-bit the same as scipy would build it: in input
+order, as the first term plus numpy's pairwise sum of the rest.
 Dense QR is a ``(Q, R)`` pair from modified Gram-Schmidt with a
 reorthogonalization pass; :func:`project_out` is that pass for one vector,
 so an extrapolation window can project its newest difference against the Q
@@ -135,11 +136,14 @@ def coo_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Finalize coordinate triplets to CSR, summing duplicate entries.
 
     One stable sort of the row-major keys orders the triplets, and
-    ``np.add.reduceat`` sums each run of equal keys in input order. This is
-    the permutation and the sum of scipy's ``coo_matrix.sum_duplicates``
+    ``np.add.reduceat`` sums each run of equal keys v0, ..., v_k as
+    v0 + pairwise(v1, ..., v_k), not as (v0 + v1) + v2 + ...; numpy's
+    pairwise sum goes left to right only below 8 terms. This is the
+    permutation and the sum of scipy's ``coo_matrix.sum_duplicates``
     (``np.lexsort`` by row, then column), so the result is bit-for-bit what
-    ``coo_matrix((vals, (rows, cols))).tocsr()`` gives, index dtype included.
-    Explicit zeros are kept. Raises ValueError for an index outside ``shape``.
+    that call followed by ``tocsr()`` gives, index dtype included; ``tocsr()``
+    alone sums left to right. Explicit zeros are kept. Raises ValueError for
+    an index outside ``shape``.
     """
     n_rows, n_cols = (int(s) for s in shape)
     rows = np.asarray(rows, dtype=np.int64)

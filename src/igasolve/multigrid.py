@@ -36,6 +36,13 @@ MAX_COARSE_DOF = 4096
 # 68121 dof), so 2^18 dof is about 1.5 GB; a grid the parser accepts must
 # not exhaust the machine and take the whole sweep down with it.
 MAX_FINE_DOF = 2**18
+# Memory grows with the stiffness's nonzeros, about dof * (2p+1)^dims, more
+# than with dof: the 454 MB peak above is 55 B per nonzero, so 2^25 nonzeros
+# is about 1.8 GB. This keeps every p <= 5 grid under MAX_FINE_DOF and stops
+# higher degrees earlier: 2D p=14 at N=448 would have 180M nonzeros. A 2D
+# assembly chunk holds at least one x-element, N*(p+1)^4 triplets, so at
+# p=14 and the largest grid this allows (N=185) a chunk is 9M triplets.
+MAX_FINE_NNZ = 2**25
 
 
 class ZeroDiagonal(Exception):

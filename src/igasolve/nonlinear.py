@@ -1,12 +1,12 @@
 """Outer Picard drivers for the Bratu and Monge-Ampere problems.
 
 A problem supplies its Dirichlet data ``g``, its ``load`` and the flag
-``inner_to_tol``; one context makes the Picard map from them. The context
-keeps the interior dof indices and the boundary data as a full coefficient
-vector, and restricts the stiffness to interior dof once: that operator is
-the fine level of the multigrid hierarchy and the matrix of the sparse LU,
-and the full stiffness times the boundary vector is the Dirichlet lift. An
-inner solve is that LU (``inner="direct"``) or a fixed number of V-cycles:
+``inner_to_tol``; one context makes the Picard map from them. Its
+constructor builds what a step reads: the interior dof indices, the stiffness
+restricted to them (the fine level of the multigrid hierarchy and the
+matrix of the sparse LU), the Dirichlet lift (the full stiffness times the
+boundary data, a full coefficient vector), that LU and the start vector.
+An inner solve is the LU (``inner="direct"``) or a fixed number of V-cycles:
 one, or for ``vcycle_to_tol`` and ``inner_to_tol`` problems the count the
 first solve needed to reach ``linear_tol``, at least one. The map
 is driven by the restarted MPE/RRE loop or by the Anderson loop, whose
@@ -117,6 +117,16 @@ LINEAR_MAXITER = 200
 _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 
+def _splu(A):
+    """Sparse LU of ``A``. The factorisation is a cell's memory peak, so free
+    heap is first handed back to the OS; how much of it stays resident
+    otherwise depends on the heap's layout, which changes run to run.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    return spla.splu(A.tocsc())
+
+
 @dataclass
 class OuterConfig:
     """Outer-loop settings: accelerator, tolerances and the inner solver."""
@@ -156,35 +166,24 @@ class _PicardContext:
         self.cfg = cfg
         self.space = problem.space
         self.timers = PhaseTimers()
-        self.interior, self._x_boundary = iga.apply_dirichlet(self.space, problem.g)
+        self.interior, x_boundary = iga.apply_dirichlet(self.space, problem.g)
         full = iga.assemble_stiffness(self.space)
         self.A = full[self.interior][:, self.interior].tocsr()
         self.hier = build_hierarchy(self.space, DIRECT_THRESHOLD, self.A)
         # the lift: interior columns meet exact zeros in x_boundary
-        self._lift_vec = (full @ self._x_boundary)[self.interior]
+        self._lift_vec = (full @ x_boundary)[self.interior]
+        del full  # freed first: a factorisation below is the cell's memory peak
         self._f_vals = iga._call_on_grid(problem.f, self.space.tables())
-        self._lu = None
+        self._lu = _splu(self.A) if cfg.inner == "direct" else None
+        self._x0 = x_boundary
+        if np.any(x_boundary):
+            lu = self._lu if self._lu is not None else _splu(self.A)
+            self._x0[self.interior] = lu.solve(-self._lift_vec)
         # V-cycles per inner solve, None until the first solve to linear_tol
         # sets it: a data-dependent count makes the map discontinuous at the
         # stopping boundary and stalls the outer iteration near it
         to_tol = cfg.inner == "vcycle_to_tol" or problem.inner_to_tol
         self._n_cycles: int | None = None if to_tol else 1
-
-    def _factor(self):
-        """Sparse LU of the interior stiffness, built on first use and kept
-        only for direct inner solves: a multigrid context needs it once, for
-        the harmonic lift. The factorisation is a cell's memory peak, so free
-        heap is first handed back to the OS; how much of it stays resident
-        otherwise depends on the heap's layout, which changes run to run.
-        """
-        if self._lu is not None:
-            return self._lu
-        if _malloc_trim is not None:
-            _malloc_trim(0)
-        lu = spla.splu(self.A.tocsc())
-        if self.cfg.inner == "direct":
-            self._lu = lu
-        return lu
 
     def initial_guess(self) -> np.ndarray:
         """Harmonic lift of the boundary data (zero for homogeneous problems).
@@ -195,14 +194,11 @@ class _PicardContext:
         for dozens of grid-dependent iterations; the harmonic extension is
         layer-free.
         """
-        x = self._x_boundary.copy()
-        if np.any(self._x_boundary):
-            x[self.interior] = self._factor().solve(-self._lift_vec)
-        return x
+        return self._x0.copy()
 
     def _solve(self, rhs_int: np.ndarray, x_int: np.ndarray) -> np.ndarray:
-        if self.cfg.inner == "direct":
-            return self._factor().solve(rhs_int)
+        if self._lu is not None:
+            return self._lu.solve(rhs_int)
         if self._n_cycles is None:
             out, rep = solve_to_tolerance(self.hier, rhs_int, x_int, tol=self.cfg.linear_tol,
                                           maxiter=LINEAR_MAXITER)

@@ -102,6 +102,8 @@ class TestConfigParsing:
         "problem = bratu1d\np = 2\ninner_tol.p3.g64 = 0\n",
         "problem = bratu2d\np = 5\ngrid = 4096\n",
         "problem = bratu1d\ngrid = 1048576\n",
+        # 213444 dof, under MAX_FINE_DOF, but about 180M stiffness nonzeros
+        "problem = bratu2d\np = 14\ngrid = 448\n",
         "problem = monge_ampere\nlambda = 1, 2\n",
         "problem = bratu1d\ninner_tol = 1e-3\n",
         "problem = bratu1d\ninner_tol.p2.g8 = 1e-3\n",
@@ -120,8 +122,8 @@ class TestConfigParsing:
             "2d-coarsest-too-large", "monge-ampere-coarsest-too-large", "lambda-nan",
             "lambda-inf", "tol-inf", "inner-tol-inf", "inner-tol-override-inf",
             "monge-ampere-p-1", "k", "inner-key", "inner-tol-override-outside-sweep-0",
-            "2d-grid-4096", "1d-grid-1048576", "monge-ampere-lambda", "bratu-inner-tol",
-            "bratu-inner-tol-override", "bratu2d-inner-tol",
+            "2d-grid-4096", "1d-grid-1048576", "2d-p14-nonzeros", "monge-ampere-lambda",
+            "bratu-inner-tol", "bratu-inner-tol-override", "bratu2d-inner-tol",
             "inner-tol-override-grid-outside-sweep", "inner-tol-override-p-outside-sweep",
             "repeated-lambda", "repeated-p", "repeated-grid", "repeated-method",
             "repeated-method-window", "repeated-inner-tol-override"])
@@ -176,6 +178,27 @@ class TestConfigParsing:
         with pytest.raises(ValueError) as ei:
             parse_config(path)
         assert str(ei.value).startswith(f"{line}: {reason}")
+
+    def test_wide_window_rejected(self, tmp_path):
+        # 66564 dof: restarted_solve would keep 66565 differences, 35 GB a copy
+        path = tmp_path / "bad.cfg"
+        path.write_text("problem = bratu2d\np = 2\ngrid = 256\nmethod = mpe(100000), aa(100000)\n"
+                        "maxiter = 100000000\ntol = 1e-300\n")
+        with pytest.raises(ValueError) as ei:
+            parse_config(path)
+        assert str(ei.value).startswith("method = mpe(100000), aa(100000): mpe(100000) ")
+
+    def test_window_capped_by_dof_accepted(self, tmp_path):
+        # a window wider than n+1 differences of n values is never kept
+        path = tmp_path / "ok.cfg"
+        path.write_text("problem = bratu1d\np = 2\ngrid = 16\nmethod = mpe(100000)\n")
+        assert parse_config(path).methods == ["mpe(100000)"]
+
+    def test_largest_p5_grid_accepted(self, tmp_path):
+        # 251001 dof, near MAX_FINE_DOF, coarsening to 34^2 interior dof
+        path = tmp_path / "ok.cfg"
+        path.write_text("problem = bratu2d\np = 5\ngrid = 496\n")
+        assert parse_config(path).grids == [496]
 
     def test_1d_grid_with_odd_halving_accepted(self, tmp_path):
         # 1D N=254 also stops coarsening at N=127, but that is 127 dof

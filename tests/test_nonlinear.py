@@ -155,6 +155,32 @@ class TestInnerSolve:
         direct.step(x0)
         assert direct._lu is lu
 
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+
+        def spy(A, *args, **kwargs):
+            calls.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        splu = nonlinear.spla.splu
+        monkeypatch.setattr(nonlinear.spla, "splu", spy)
+        return calls
+
+    def test_multigrid_context_factorises_once_for_the_lift(self, splu_calls):
+        ctx = make_context(MongeAmpereProblem.manufactured(2, 8), OuterConfig())
+        assert len(splu_calls) == 1
+        x0 = ctx.initial_guess()
+        start = x0.tobytes()
+        x0[:] = 0.0  # a copy: the caller's iterate is not the context's
+        assert ctx.initial_guess().tobytes() == start
+        assert len(splu_calls) == 1
+
+    def test_direct_context_factorises_once(self, splu_calls):
+        ctx = make_context(MongeAmpereProblem.manufactured(2, 8), OuterConfig(inner="direct"))
+        ctx.step(ctx.step(ctx.initial_guess()))
+        assert splu_calls == [ctx.A.shape]
+
 
 class TestRunOuter:
     def test_huge_tolerance_stops_immediately(self):
