@@ -319,7 +319,9 @@ def _untimed_rows(path: Path) -> list[list[str]]:
     """A CSV's header and rows, as text, without the timing columns."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    timed = {i for i, name in enumerate(rows[0] if rows else []) if name in TIMING_COLUMNS}
+    if not rows:
+        raise ValueError(f"no header row in {path}")
+    timed = {i for i, name in enumerate(rows[0]) if name in TIMING_COLUMNS}
     return [[v for i, v in enumerate(row) if i not in timed] for row in rows]
 
 
@@ -329,13 +331,16 @@ def compare_csv(old: Path, new: Path) -> tuple[list[str], int]:
 
     Returns a line per difference (a file on one side only, or a header or
     row that differs or is missing on one side) and the number of data rows
-    compared; raises ValueError for a file compared with a directory.
+    compared; raises ValueError for a file compared with a directory, for
+    two directories with no CSV and for a file with no header row.
     """
     if old.is_dir() != new.is_dir():
         raise ValueError(f"cannot compare a file with a directory: {old}, {new}")
     diffs, n_rows = [], 0
     if old.is_dir():
         in_old, in_new = ({f.name for f in d.glob("*.csv")} for d in (old, new))
+        if not in_old | in_new:
+            raise ValueError(f"no *.csv in {old} or {new}")
         diffs += [f"only in {old / name}" for name in sorted(in_old - in_new)]
         diffs += [f"only in {new / name}" for name in sorted(in_new - in_old)]
         pairs = [(old / name, new / name) for name in sorted(in_old & in_new)]

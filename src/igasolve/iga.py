@@ -9,16 +9,18 @@ indices (the ``[1:-1]`` block in every direction) that a solve restricts to.
 
 Assembly loops run element by element with per-direction Gauss tables;
 2D local blocks are formed as outer products of 1D element matrices
-(sum factorization) and scattered into global coordinate triplets.
+(sum factorization), and each term of a matrix entry is written straight
+to its place in CSR order, found from per-direction rank tables.
 
 Order rule: wherever several terms land on one matrix entry or one load
 coefficient, they are taken in input order (ascending element, then local
 index). A load coefficient sums them left to right from zero, as
-``np.add.at`` does. A matrix entry sums them as ``coo_matrix.sum_duplicates``
-does (see :func:`~igasolve.linalg.coo_to_csr`): the first term plus numpy's
-pairwise sum of the rest, per 2D chunk of x-elements, the chunks added left
-to right. The structured kernels below keep these orders, so every
-assembled matrix and load vector stays bit-for-bit the same.
+``np.add.at`` does. A matrix entry takes its terms as one run in ascending
+(x-element, y-element) order and sums it as the first term plus numpy's
+pairwise sum of the rest (``np.add.reduceat``), per 2D chunk of
+x-elements, the chunks added left to right. That is the order of scipy's
+``coo_matrix.sum_duplicates`` on the element triplets, so every assembled
+matrix and load vector stays bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bspline
 from .bspline import ElementTable, KnotVector, greville_abscissae, tabulate
 from .history import Diverged
-from .linalg import coo_to_csr
 
 log = logging.getLogger(__name__)
 
-# Triplets per chunk of x-elements in 2D assembly. Each chunk is finalised on
-# its own and the chunks are summed left to right, so this partition is part
-# of the rounding of every assembled entry: changing it changes last bits.
+# Triplets per chunk of x-elements in 2D assembly. Each chunk reduces the run
+# of an entry's terms in ascending (x-element, y-element) order as the first
+# term plus the pairwise sum of the rest, and the chunks are added left to
+# right, so this partition is part of the rounding of every assembled entry:
+# changing it changes last bits. A 1D space is one chunk.
 CHUNK_TRIPLETS = 2_000_000
 
 
@@ -176,41 +179,86 @@ def _element_matrices_1d(table: ElementTable, du: int, dv: int) -> np.ndarray:
     return np.einsum("eqa,eqb,eq->eab", table.basis[du], table.basis[dv], table.weights)
 
 
-def _assemble_1d(space: SplineSpace, table: ElementTable, du: int, dv: int) -> sp.csr_matrix:
-    vals = _element_matrices_1d(table, du, dv)
-    idx = _local_dof_indices(table)
-    rows = np.broadcast_to(idx[:, :, None], vals.shape)
-    cols = np.broadcast_to(idx[:, None, :], vals.shape)
-    n = space.n_dof
-    return coo_to_csr(rows.ravel(), cols.ravel(), vals.ravel(), (n, n))
+def _band_ranks(first_dof: np.ndarray, p: int, start: int, stop: int):
+    """Rank tables of the elements ``start..stop-1`` of one direction.
+
+    Local functions a and b of an element give the entry (i, j) =
+    (first + a, first + b); the elements that give one entry are the
+    consecutive ones with first dof in [max(i, j) - p, min(i, j)]. Over the
+    band of rows i from i0 = ``first_dof[start]`` to
+    ``first_dof[stop-1] + p`` and offsets o = j - i + p in 0..2p, returns
+    ``counts``, how many of the elements give the entry, and ``cols``, its
+    j. Per (element, a, b), it returns the band row ``i - i0`` and offset o
+    of its entry and its rank among the elements that give it.
+    """
+    a = np.arange(p + 1)
+    first = first_dof[start:stop, None]
+    row = (first - first_dof[start] + a)[:, :, None]
+    offset = a - a[:, None] + p
+    rows = np.arange(first_dof[start], first_dof[stop - 1] + p + 1)
+    cols = rows[:, None] + np.arange(-p, p + 1)
+    counts = np.bincount((row * (2 * p + 1) + offset).ravel(), minlength=cols.size)
+    # column d: the rank at an entry with max(a, b) = p - d
+    lo = np.maximum(np.searchsorted(first_dof, first - a), start)
+    rank = (np.arange(start, stop)[:, None] - lo)[:, p - np.maximum.outer(a, a)]
+    return counts.reshape(cols.shape), cols, row, offset, rank
 
 
-def _assemble_2d(space: SplineSpace, tables, pairs) -> sp.csr_matrix:
-    """Scatter sum of kron(X_e, Y_f) element blocks for each (X, Y) pair.
+# The y direction of a 1D space: one element of degree 0.
+_POINT = _band_ranks(np.zeros(1, dtype=np.intp), 0, 0, 1)
+_ONE = np.ones((1, 1, 1))
+
+
+def _assemble(tables, pairs) -> sp.csr_matrix:
+    """Sum of kron(X_e, Y_f) element blocks for each (X, Y) pair.
 
     ``pairs`` is a list of per-direction element-matrix arrays, e.g.
-    [(Kx, My), (Mx, Ky)] for the stiffness bilinear form.
+    [(Kx, My), (Mx, Ky)] for the 2D stiffness bilinear form. With one table
+    the space is 1D and every Y is ``_ONE``, its y direction's one element.
+
+    Each triplet goes straight to its place in the summation order. The
+    terms of one entry come from the element pairs (ex, ey) of a run of
+    x-elements and a run of y-elements (see :func:`_band_ranks`); the term
+    of (ex, ey) is number ``kx * ny + ky`` of the entry's ``nx * ny``, and
+    the entries follow each other in row-major (row, column) order.
     """
-    tx, ty = tables
-    idxx, idxy = _local_dof_indices(tx), _local_dof_indices(ty)
-    nx1, ny1 = idxx.shape[1], idxy.shape[1]
-    Ny = space.shape[1]
-    rows2 = (idxx[:, None, :, None, None, None] * Ny + idxy[None, :, None, None, :, None])
-    cols2 = (idxx[:, None, None, :, None, None] * Ny + idxy[None, :, None, None, None, :])
-    n = space.n_dof
+    (X0, Y0), fdx = pairs[0], tables[0].first_dof
+    px, py = X0.shape[1] - 1, Y0.shape[1] - 1
+    if len(tables) == 1:
+        cy, cols_y, row_y, off_y, ky = _POINT
+        chunk = len(fdx)
+    else:
+        cy, cols_y, row_y, off_y, ky = _band_ranks(tables[1].first_dof, py, 0, len(Y0))
+        chunk = max(1, int(CHUNK_TRIPLETS / (X0[0].size * Y0.size)))  # triplets per x-element
+    Ny, Wy = cy.shape
+    Wx, n = 2 * px + 1, (fdx[-1] + px + 1) * Ny
+    ny = cy[row_y, off_y][None, :, None, None, :, :]
+    cell_y = (row_y * (Wx * Wy) + off_y)[None, :, None, None, :, :]
+    ky = ky[None, :, None, None, :, :]
     acc = None
-    n_ex = idxx.shape[0]
-    per_e = idxy.shape[0] * (nx1 * ny1) ** 2
-    chunk = max(1, int(CHUNK_TRIPLETS / per_e))
-    for start in range(0, n_ex, chunk):
-        sl = slice(start, min(start + chunk, n_ex))
-        vals = np.zeros((sl.stop - sl.start, idxy.shape[0], nx1, nx1, ny1, ny1))
+    for start in range(0, len(fdx), chunk):
+        stop = min(start + chunk, len(fdx))
+        vals = np.zeros((stop - start, len(Y0), px + 1, px + 1, py + 1, py + 1))
         for X, Y in pairs:
-            vals += X[sl, None, :, :, None, None] * Y[None, :, None, None, :, :]
-        shape6 = vals.shape
-        r = np.broadcast_to(rows2[sl], shape6).ravel()
-        c = np.broadcast_to(cols2[sl], shape6).ravel()
-        part = coo_to_csr(r, c, vals.ravel(), (n, n))
+            vals += X[start:stop, None, :, :, None, None] * Y[None, :, None, None, :, :]
+        cx, cols_x, row_x, off_x, kx = _band_ranks(fdx, px, start, stop)
+        # counts and first positions of the runs over the (row, column) band
+        counts = (cx[:, None, :, None] * cy[None, :, None, :]).ravel()
+        run_start = np.cumsum(counts) - counts
+        cell_x = (row_x * (Ny * Wx * Wy) + off_x * Wy)[:, None, :, :, None, None]
+        dest = run_start[cell_x + cell_y]
+        dest += kx[:, None, :, :, None, None] * ny
+        dest += ky
+        in_order = np.empty(vals.size)
+        in_order[dest.ravel()] = vals.ravel()
+        del vals, dest  # free before the next chunk and the sum
+        present = np.flatnonzero(counts)
+        data = np.add.reduceat(in_order, run_start[present])
+        del in_order
+        cols = (cols_x[:, None, :, None] * Ny + cols_y[None, :, None, :]).ravel()[present]
+        indptr = np.searchsorted(present, (np.arange(n + 1) - fdx[start] * Ny) * (Wx * Wy))
+        idx = np.int32 if max(n, len(data)) < 2**31 else np.int64  # as scipy's COO picks
+        part = sp.csr_matrix((data, cols.astype(idx), indptr.astype(idx)), shape=(n, n))
         acc = part if acc is None else acc + part
     return acc.tocsr()
 
@@ -219,22 +267,22 @@ def assemble_stiffness(space: SplineSpace) -> sp.csr_matrix:
     """Full stiffness matrix, entry (i,j) = int grad B_i . grad B_j."""
     tables = space.tables(0, 1)
     if space.dims == 1:
-        return _assemble_1d(space, tables[0], 1, 1)
+        return _assemble(tables, [(_element_matrices_1d(tables[0], 1, 1), _ONE)])
     tx, ty = tables
     Kx, Mx = _element_matrices_1d(tx, 1, 1), _element_matrices_1d(tx, 0, 0)
     Ky, My = _element_matrices_1d(ty, 1, 1), _element_matrices_1d(ty, 0, 0)
-    return _assemble_2d(space, tables, [(Kx, My), (Mx, Ky)])
+    return _assemble(tables, [(Kx, My), (Mx, Ky)])
 
 
 def assemble_mass(space: SplineSpace) -> sp.csr_matrix:
     """Full mass matrix, entry (i,j) = int B_i B_j."""
     tables = space.tables(0, 1)
     if space.dims == 1:
-        return _assemble_1d(space, tables[0], 0, 0)
+        return _assemble(tables, [(_element_matrices_1d(tables[0], 0, 0), _ONE)])
     tx, ty = tables
     Mx = _element_matrices_1d(tx, 0, 0)
     My = _element_matrices_1d(ty, 0, 0)
-    return _assemble_2d(space, tables, [(Mx, My)])
+    return _assemble(tables, [(Mx, My)])
 
 
 def _call_on_grid(func, tables):

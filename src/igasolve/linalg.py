@@ -1,10 +1,10 @@
-"""Dense and sparse linear-algebra kernels for assembly, multigrid and extrapolation.
+"""Dense linear-algebra kernels for multigrid and extrapolation.
 
-Sparse matrices are assembled as coordinate triplets and finalized to scipy
-CSR; solves are row sweeps on the finalized matrix. Duplicate triplets are
-summed as scipy's COO ``sum_duplicates`` sums them, which keeps every
-assembled matrix bit-for-bit the same as scipy would build it: in input
-order, as the first term plus numpy's pairwise sum of the rest.
+Sparse matrices are scipy CSR. :mod:`igasolve.iga` assembles them with no
+sort: each term of an entry goes straight to its place in a run in
+ascending (x-element, y-element) order, and the run is summed as the first
+term plus numpy's pairwise sum of the rest, per chunk of x-elements, the
+chunks added left to right (its "Order rule").
 Dense QR is a ``(Q, R)`` pair from modified Gram-Schmidt with a
 reorthogonalization pass; :func:`project_out` is that pass for one vector,
 so an extrapolation window can project its newest difference against the Q
@@ -17,7 +17,6 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 # R[j,j] <= RANK_DROP_TOL * R[0,0] flags column j as numerically dependent.
 RANK_DROP_TOL = 1e-13
@@ -130,39 +129,3 @@ class DenseLU:
         if not np.all(np.isfinite(x)):
             raise SingularMatrix("solve produced non-finite entries")
         return x
-
-
-def coo_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Finalize coordinate triplets to CSR, summing duplicate entries.
-
-    One stable sort of the row-major keys orders the triplets, and
-    ``np.add.reduceat`` sums each run of equal keys v0, ..., v_k as
-    v0 + pairwise(v1, ..., v_k), not as (v0 + v1) + v2 + ...; numpy's
-    pairwise sum goes left to right only below 8 terms. This is the
-    permutation and the sum of scipy's ``coo_matrix.sum_duplicates``
-    (``np.lexsort`` by row, then column), so the result is bit-for-bit what
-    that call followed by ``tocsr()`` gives, index dtype included; ``tocsr()``
-    alone sums left to right. Explicit zeros are kept. Raises ValueError for
-    an index outside ``shape``.
-    """
-    n_rows, n_cols = (int(s) for s in shape)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals)
-    if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
-        raise ValueError("rows, cols and vals must be 1-D arrays of one length")
-    if len(vals) == 0:
-        return sp.csr_matrix((n_rows, n_cols), dtype=vals.dtype)
-    for axis, (idx, size) in enumerate(((rows, n_rows), (cols, n_cols))):
-        if idx.min() < 0 or idx.max() >= size:
-            raise ValueError(f"axis {axis} index outside [0, {size})")
-    key = rows * n_cols + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    data = np.add.reduceat(vals[order], run_start, dtype=vals.dtype)
-    first = order[run_start]
-    idx_dtype = np.int32 if max(n_rows, n_cols, len(data)) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
-    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
-    return sp.csr_matrix((data, cols[first].astype(idx_dtype), indptr), shape=(n_rows, n_cols))

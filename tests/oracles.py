@@ -4,7 +4,8 @@ Most of it is deliberately naive (direct recursions, dense algebra,
 hand-rolled eliminations) so it shares no code path with the package. The
 last helpers are test fixtures the package does not ship: a Gauss rule on
 one span, a point evaluator, the global L2 projection, and the seed's
-knot insertion (one sparse product per knot), QR, Anderson loop, MPE and RRE
+COO finalisation (one stable sort) and triplet assembly, knot insertion
+(one sparse product per knot), QR, Anderson loop, MPE and RRE
 extrapolators with their helpers, and restarted MPE/RRE driver, against
 which the package's are compared bit for bit.
 """
@@ -31,7 +32,6 @@ from igasolve.history import IterationHistory, PhaseTimers
 from igasolve.linalg import (
     RANK_DROP_TOL,
     RankDeficient,
-    coo_to_csr,
     project_out,
     qr_factor,
     solve_normal_equations,
@@ -219,6 +219,42 @@ def scipy_coo_to_csr(rows, cols, vals, shape):
     return mat.tocsr()
 
 
+def coo_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """Finalize coordinate triplets to CSR, summing duplicate entries.
+
+    One stable sort of the row-major keys orders the triplets, and
+    ``np.add.reduceat`` sums each run of equal keys v0, ..., v_k as
+    v0 + pairwise(v1, ..., v_k), not as (v0 + v1) + v2 + ...; numpy's
+    pairwise sum goes left to right only below 8 terms. This is the
+    permutation and the sum of scipy's ``coo_matrix.sum_duplicates``
+    (``np.lexsort`` by row, then column), so the result is bit-for-bit what
+    that call followed by ``tocsr()`` gives, index dtype included; ``tocsr()``
+    alone sums left to right. Explicit zeros are kept. Raises ValueError for
+    an index outside ``shape``.
+    """
+    n_rows, n_cols = (int(s) for s in shape)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals)
+    if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
+        raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+    if len(vals) == 0:
+        return sp.csr_matrix((n_rows, n_cols), dtype=vals.dtype)
+    for axis, (idx, size) in enumerate(((rows, n_rows), (cols, n_cols))):
+        if idx.min() < 0 or idx.max() >= size:
+            raise ValueError(f"axis {axis} index outside [0, {size})")
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    data = np.add.reduceat(vals[order], run_start, dtype=vals.dtype)
+    first = order[run_start]
+    idx_dtype = np.int32 if max(n_rows, n_cols, len(data)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
+    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix((data, cols[first].astype(idx_dtype), indptr), shape=(n_rows, n_cols))
+
+
 def csr_fingerprint(A):
     """Type, shape and the dtype and bytes of every CSR array, for bitwise
     comparisons."""
@@ -269,9 +305,20 @@ def element_matrices_1d(table, du, dv):
     return np.einsum("eqa,eqb,eq->eab", table.basis[du], table.basis[dv], table.weights)
 
 
-def chunked_assemble_2d(space, tables, pairs):
+def triplet_assemble_1d(space, table, vals):
+    """The 1D triplet assembly as the seed wrote it: the element matrices
+    ``vals`` scattered to coordinate triplets and finalised by scipy."""
+    idx = _local_dofs(table)
+    rows = np.broadcast_to(idx[:, :, None], vals.shape)
+    cols = np.broadcast_to(idx[:, None, :], vals.shape)
+    n = space.n_dof
+    return scipy_coo_to_csr(rows.ravel(), cols.ravel(), vals.ravel(), (n, n))
+
+
+def chunked_assemble_2d(space, tables, pairs, chunk_triplets=2_000_000):
     """The 2D triplet assembly as the seed wrote it: chunks of x-elements of
-    at most 2e6 triplets, each finalised by scipy, summed left to right."""
+    at most ``chunk_triplets`` triplets (at least one x-element), each
+    finalised by scipy, summed left to right."""
     tx, ty = tables
     idxx, idxy = _local_dofs(tx), _local_dofs(ty)
     nx1, ny1 = idxx.shape[1], idxy.shape[1]
@@ -283,7 +330,7 @@ def chunked_assemble_2d(space, tables, pairs):
     # chunk over x-elements to bound the triplet arrays
     n_ex = idxx.shape[0]
     per_e = idxy.shape[0] * (nx1 * ny1) ** 2
-    chunk = max(1, int(2e6 / per_e))
+    chunk = max(1, int(chunk_triplets / per_e))
     for start in range(0, n_ex, chunk):
         sl = slice(start, min(start + chunk, n_ex))
         vals = np.zeros((sl.stop - sl.start, idxy.shape[0], nx1, nx1, ny1, ny1))

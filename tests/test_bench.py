@@ -649,6 +649,23 @@ class TestCompare:
         assert main(["compare", str(old), str(new)]) == 0
         assert capsys.readouterr().out == "4 rows match\n"
 
+    def test_directories_without_csv_exit_2(self, tmp_path, capsys):
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.mkdir()
+        new.mkdir()
+        (old / "notes.txt").write_text(GOLDEN_HEAD)
+        assert main(["compare", str(old), str(new)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and str(old) in err and str(new) in err
+
+    @pytest.mark.parametrize("old_text,new_text", [("", ""), (GOLDEN_HEAD, ""), ("", GOLDEN_HEAD)],
+                             ids=["both-empty", "new-empty", "old-empty"])
+    def test_file_without_header_exits_2(self, tmp_path, capsys, old_text, new_text):
+        assert self._compare(tmp_path, old_text, new_text) == 2
+        err = capsys.readouterr().err.strip()
+        empty = "old.csv" if not old_text else "new.csv"
+        assert len(err.splitlines()) == 1 and err.endswith(str(tmp_path / empty))
+
     @pytest.mark.parametrize("which", ["missing", "file-and-directory"])
     def test_unreadable_path_exits_2(self, tmp_path, capsys, which):
         old = tmp_path / "old.csv"

@@ -1,11 +1,10 @@
 import logging
-from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from igasolve import iga
@@ -33,9 +32,9 @@ from oracles import (
     element_matrices_1d,
     fancy_grid_values,
     l2_projection,
-    scipy_coo_to_csr,
     seed_dirichlet_split,
     spline_point_value,
+    triplet_assemble_1d,
 )
 from strategies import open_knot_vectors
 
@@ -302,10 +301,17 @@ class TestL2Error:
         assert np.abs(F1 - F2).max() <= 1e-13
 
 
-def _seed_assembly(assemble, space):
-    """``assemble(space)`` with scipy's COO finalisation in place of coo_to_csr."""
-    with mock.patch.object(iga, "coo_to_csr", scipy_coo_to_csr):
-        return assemble(space)
+def _seed_assembly(assemble, space, chunk_triplets=2_000_000):
+    """``assemble(space)`` as the seed built it: the element matrices'
+    triplets finalised by scipy's COO, in 2D per chunk of x-elements."""
+    tables = space.tables(0, 1)
+    K = [element_matrices_1d(t, 1, 1) for t in tables]
+    M = [element_matrices_1d(t, 0, 0) for t in tables]
+    stiffness = assemble is assemble_stiffness
+    if space.dims == 1:
+        return triplet_assemble_1d(space, tables[0], K[0] if stiffness else M[0])
+    pairs = [(K[0], M[1]), (M[0], K[1])] if stiffness else [(M[0], M[1])]
+    return chunked_assemble_2d(space, tables, pairs, chunk_triplets)
 
 
 class TestSeedIdiomOracles:
@@ -341,6 +347,20 @@ class TestSeedIdiomOracles:
         assemble = data.draw(st.sampled_from([assemble_stiffness, assemble_mass]))
         assert (csr_fingerprint(assemble(space))
                 == csr_fingerprint(_seed_assembly(assemble, space)))
+
+    @pytest.mark.parametrize("chunk", [2_000_000, 5000, 1])
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kvs=st.lists(open_knot_vectors(extra_multiplicity=1), min_size=1, max_size=2),
+           data=st.data())
+    def test_rank_assembly_matches_scipy_coo(self, monkeypatch, chunk, kvs, data):
+        # knots of multiplicity p+1 split the basis into runs that share no
+        # entry; small chunks put one entry's terms in several chunks
+        monkeypatch.setattr(iga, "CHUNK_TRIPLETS", chunk)
+        space = SplineSpace(tuple(kvs))
+        assemble = data.draw(st.sampled_from([assemble_stiffness, assemble_mass]))
+        assert (csr_fingerprint(assemble(space))
+                == csr_fingerprint(_seed_assembly(assemble, space, chunk)))
 
     @settings(deadline=None, max_examples=60)
     @given(kvs=st.lists(open_knot_vectors(), min_size=1, max_size=2), data=st.data())

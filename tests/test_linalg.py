@@ -8,13 +8,13 @@ from igasolve.linalg import (
     DenseLU,
     RankDeficient,
     SingularMatrix,
-    coo_to_csr,
     qr_factor,
     solve_normal_equations,
     solve_upper_triangular,
 )
 
 from oracles import (
+    coo_to_csr,
     csr_fingerprint,
     forward_substitution_upper,
     scipy_coo_to_csr,
@@ -218,7 +218,8 @@ def triplets(draw):
 
 
 class TestCooToCsrOracle:
-    """The stable-sort finalisation against scipy's own, bit for bit."""
+    """The oracles' stable-sort finalisation, which the seed's knot insertion
+    uses, against scipy's own, bit for bit."""
 
     @settings(deadline=None)
     @given(t=triplets())
