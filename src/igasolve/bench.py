@@ -222,8 +222,10 @@ def _outer_config(method: str, **settings) -> OuterConfig:
     return OuterConfig(accelerator=acc, window=window, inner=inner, **settings)
 
 
-def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
-    """Run one (lambda, p, grid, method) cell; failures land in the row."""
+def run_cell(cfg: ExperimentConfig, cell, l2_every_step: bool = False
+             ) -> tuple[ResultRow, IterationHistory]:
+    """Run one (lambda, p, grid, method) cell; failures land in the row.
+    ``l2_every_step`` puts the L2 error on every record, not only the last."""
     lam, p, n, method = cell
     t0 = time.perf_counter()
     hist = IterationHistory()
@@ -231,7 +233,8 @@ def run_cell(cfg: ExperimentConfig, cell) -> tuple[ResultRow, IterationHistory]:
     try:
         problem = _PROBLEMS[cfg.problem][2](lam, p, n)
         _, hist = run_outer(problem, _outer_config(method, tol=cfg.tol, maxiter=cfg.maxiter,
-                                                   linear_tol=cfg.linear_tol_for(p, n)))
+                                                   linear_tol=cfg.linear_tol_for(p, n)),
+                            l2_every_step)
     except Diverged as exc:
         note = f"diverged: {exc}"
         if exc.history is not None:
@@ -480,7 +483,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 2
     if args.command == "history":
-        row, hist = run_cell(cfg, matches[0])
+        row, hist = run_cell(cfg, matches[0], l2_every_step=True)
         print(_render([row]))
         emit_history(hist, out)
     else:

@@ -229,26 +229,43 @@ def make_context(problem, cfg: OuterConfig) -> _PicardContext:
     return _PicardContext(problem, cfg)
 
 
-def run_outer(problem, cfg: OuterConfig) -> tuple[np.ndarray, IterationHistory]:
+def run_outer(problem, cfg: OuterConfig, l2_every_step: bool = False
+              ) -> tuple[np.ndarray, IterationHistory]:
     """Drive the selected accelerator around the problem's Picard map.
 
     Stops when ||U^n - U^{n-1}|| / ||U^n|| <= tol or after maxiter map
     applications. Returns the driver's full coefficient vector and its
-    history, which records every application with, when an exact solution
-    is known, the L2 error, and carries the context's timers.
+    history, which records every application and carries the context's
+    timers. When an exact solution is known, the L2 error is computed once,
+    when the driver returns or raises, and stored on the last record. It is
+    taken on the vector that record describes: the last map application, or
+    the accepted extrapolant whose residual replaced that application's. This
+    is the returned vector unless the solve stopped at maxiter right after a
+    rejected prediction. On Diverged it is the blown-up iterate, or, after an
+    overflow inside the map, the iterate the map was applied to. The other
+    records hold NaN unless ``l2_every_step`` computes it on every record.
     """
     ctx = make_context(problem, cfg)
-    observer = None
+    observer, last = None, []  # last: the observer's latest (record, vector)
     if problem.exact is not None:
         def observer(rec, x_full):
-            rec.l2_error = iga.l2_error(problem.space, x_full, problem.exact)
+            if l2_every_step:
+                rec.l2_error = iga.l2_error(problem.space, x_full, problem.exact)
+            else:
+                last[:] = rec, x_full
 
     x0 = ctx.initial_guess()
     acc = cfg.accelerator
-    if acc in ("mpe", "rre"):
-        return extrapolation.restarted_solve(ctx.step, x0, acc, cfg.window, cfg.tol,
-                                             cfg.maxiter, observer=observer, timers=ctx.timers)
-    # plain Picard is Anderson acceleration of depth 0
-    m = cfg.window if acc == "anderson" else 0
-    return extrapolation.anderson_solve(ctx.step, x0, m, cfg.tol, cfg.maxiter,
-                                        observer=observer, timers=ctx.timers)
+    try:
+        if acc in ("mpe", "rre"):
+            return extrapolation.restarted_solve(ctx.step, x0, acc, cfg.window, cfg.tol,
+                                                 cfg.maxiter, observer=observer,
+                                                 timers=ctx.timers)
+        # plain Picard is Anderson acceleration of depth 0
+        m = cfg.window if acc == "anderson" else 0
+        return extrapolation.anderson_solve(ctx.step, x0, m, cfg.tol, cfg.maxiter,
+                                            observer=observer, timers=ctx.timers)
+    finally:  # also on Diverged, whose history holds the record
+        if last:
+            rec, x_full = last
+            rec.l2_error = iga.l2_error(problem.space, x_full, problem.exact)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from igasolve import extrapolation, nonlinear
 from igasolve.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -292,6 +293,56 @@ class TestRunExperiment:
             assert a.l2_err == b.l2_err
 
 
+class TestL2Calls:
+    # at lambda = 1e6 the second map application overflows exp: a diverged row
+    CFG = ExperimentConfig(problem="bratu1d", lambdas=[7.0, 1e6], degrees=[3], grids=[32],
+                           methods=["picard", "mpe(3)", "rre(3)", "aa(3)"], tol=1e-10,
+                           maxiter=200)
+
+    @pytest.fixture
+    def l2_calls(self, monkeypatch):
+        calls = []
+        l2_error = nonlinear.iga.l2_error
+
+        def spy(*args):
+            calls.append(args)
+            return l2_error(*args)
+
+        monkeypatch.setattr(nonlinear.iga, "l2_error", spy)
+        return calls
+
+    @pytest.fixture
+    def observer_calls(self, monkeypatch):
+        calls = []
+
+        def counting(driver):
+            def wrapper(*args, observer, **kwargs):
+                def counted(rec, x):
+                    calls.append(rec.iteration)
+                    observer(rec, x)
+                return driver(*args, observer=counted, **kwargs)
+            return wrapper
+
+        for name in ("restarted_solve", "anderson_solve"):
+            monkeypatch.setattr(extrapolation, name, counting(getattr(extrapolation, name)))
+        return calls
+
+    @pytest.mark.parametrize("cell", list(CFG.cells()), ids=str)
+    def test_one_call_per_cell_by_default(self, cell, l2_calls, observer_calls):
+        row, hist = run_cell(self.CFG, cell)
+        assert len(l2_calls) == 1 and len(observer_calls) >= hist.iterations >= 1
+        assert np.isfinite(row.l2_err)
+
+    @pytest.mark.parametrize("cell", list(CFG.cells()), ids=str)
+    def test_one_call_per_observer_call_on_every_step(self, cell, l2_calls, observer_calls):
+        row, hist = run_cell(self.CFG, cell, l2_every_step=True)
+        assert len(l2_calls) == len(observer_calls) >= hist.iterations
+        default, _ = run_cell(self.CFG, cell)
+        assert (row.iter, row.relative_residual, row.converged, row.note) == \
+               (default.iter, default.relative_residual, default.converged, default.note)
+        assert repr(row.l2_err) == repr(default.l2_err)
+
+
 class TestEmitCsv:
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -445,6 +496,20 @@ class TestCli:
                    "--cell", "method=mpe(2),p=2", "--out", str(out)])
         assert rc == 0
         assert out.is_file()
+
+    def test_history_has_the_l2_error_on_every_row(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "hist.csv"
+        assert main(["history", "--config", str(cfg),
+                     "--cell", "method=mpe(2),p=2", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) > 1 and all(np.isfinite(float(r["l2_err"])) for r in rows)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "tiny.csv", newline="") as fh:
+            (cell,) = [r for r in csv.DictReader(fh) if (r["method"], r["p"]) == ("mpe(2)", "2")]
+        assert (cell["iter"], cell["l2_err"]) == (rows[-1]["iter"], rows[-1]["l2_err"])
 
     def test_run_out_is_a_file_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
         def no_sweep(*args, **kwargs):

@@ -277,6 +277,116 @@ class TestRunOuter:
         OuterConfig(accelerator="none", window=0)
 
 
+def solve(build, cfg, l2_every_step):
+    """run_outer on a fresh problem: (vector, history, None), or (None, its
+    history, the exception) when it raises Diverged."""
+    try:
+        return (*run_outer(build(), cfg, l2_every_step=l2_every_step), None)
+    except Diverged as exc:
+        return None, exc.history, exc
+
+
+def final_l2_both_ways(build, cfg):
+    """Solve with the L2 error on every step and with the default final-only
+    L2, check that the last record and the returned vector agree bit for bit,
+    and return the default solve's (vector, history, exception)."""
+    x_ref, hist_ref, exc_ref = solve(build, cfg, True)
+    x, hist, exc = solve(build, cfg, False)
+    assert type(exc) is type(exc_ref)
+    assert repr(hist.records[-1]) == repr(hist_ref.records[-1])
+    assert (x is None and x_ref is None) or x.tobytes() == x_ref.tobytes()
+    assert all(np.isfinite(r.l2_error) for r in hist_ref.records)
+    assert all(np.isnan(r.l2_error) for r in hist.records[:-1])
+    return x, hist, exc
+
+
+def tiny_problem():
+    """1D Bratu on a single quadratic element: three dof, all of them mapped
+    by the replacement Picard maps below."""
+    return BratuProblem.manufactured_1d(1.0, 2, 1)
+
+
+class TestFinalL2:
+    """The L2 error computed once per solve equals the per-step path's."""
+
+    @pytest.fixture
+    def map_outputs(self, monkeypatch):
+        outputs = []
+        step = nonlinear._PicardContext.step
+
+        def spy(self, x):
+            outputs.append(step(self, x))
+            return outputs[-1]
+
+        monkeypatch.setattr(nonlinear._PicardContext, "step", spy)
+        return outputs
+
+    def test_mpe_accepted_extrapolant(self, map_outputs):
+        build = lambda: BratuProblem.manufactured_1d(7.0, 3, 32)
+        cfg = OuterConfig(accelerator="mpe", window=3, tol=1e-10, maxiter=200)
+        x, hist, _ = final_l2_both_ways(build, cfg)
+        # converged on an extrapolant, not on a map application
+        assert hist.converged and not np.array_equal(x, map_outputs[-1])
+        prob = build()
+        assert hist.records[-1].l2_error == l2_error(prob.space, x, prob.exact)
+
+    def test_rre_rejected_prediction_at_maxiter(self, monkeypatch):
+        # TestRestartedDriver::test_rejected_prediction_returns_extrapolant as
+        # a Picard map: the last record describes the last map application
+        G = lambda x: np.sin(3.0 * x) + 2.0
+        monkeypatch.setattr(nonlinear._PicardContext, "step", lambda self, x: G(x))
+        x, hist, _ = final_l2_both_ways(tiny_problem, OuterConfig(
+            accelerator="rre", window=3, tol=1e-14, maxiter=4))
+        s = np.zeros(3)
+        for _ in range(4):
+            s = G(s)
+        assert not hist.converged and hist.iterations == 4
+        assert not np.array_equal(x, s)
+        prob = tiny_problem()
+        assert hist.records[-1].l2_error == l2_error(prob.space, s, prob.exact)
+        assert hist.records[-1].l2_error != l2_error(prob.space, x, prob.exact)
+
+    @pytest.mark.parametrize("acc, window", [("anderson", 3), ("none", 0)])
+    def test_anderson_and_plain_picard(self, acc, window, map_outputs):
+        cfg = OuterConfig(accelerator=acc, window=window, tol=1e-10, maxiter=200)
+        x, hist, _ = final_l2_both_ways(lambda: BratuProblem.manufactured_1d(1.0, 3, 16), cfg)
+        assert hist.converged and hist.iterations > 1
+        if acc == "none":
+            assert x.tobytes() == map_outputs[-1].tobytes()
+
+    def test_diverged_from_the_residual_check(self, monkeypatch):
+        # zeros -> ones -> zeros: the second residual is infinite, and the
+        # record that raises describes the zero iterate
+        monkeypatch.setattr(nonlinear._PicardContext, "step", lambda self, x: 1.0 - x)
+        _, hist, exc = final_l2_both_ways(tiny_problem, OuterConfig(maxiter=10))
+        assert type(exc) is Diverged and hist.iterations == 2
+        prob = tiny_problem()
+        assert hist.records[-1].l2_error == l2_error(prob.space, np.zeros(3), prob.exact)
+
+    def test_exp_overflow_inside_the_map(self, map_outputs):
+        # the last record is the step before the map that overflowed
+        build = lambda: BratuProblem.manufactured_1d(1e6, 1, 8)
+        _, hist, exc = final_l2_both_ways(build, OuterConfig(tol=1e-12, maxiter=50))
+        assert isinstance(exc, ExpOverflow) and exc.history is hist
+        assert hist.iterations >= 1
+        prob = build()
+        # the overflowing application raised before the spy kept an output
+        assert hist.records[-1].l2_error == l2_error(prob.space, map_outputs[-1], prob.exact)
+
+    def test_no_exact_solution_never_calls_l2_error(self, monkeypatch):
+        def build():
+            prob = BratuProblem.manufactured_1d(1.0, 2, 8)
+            prob.exact = None
+            return prob
+
+        monkeypatch.setattr(iga, "l2_error", None)  # never called
+        cfg = OuterConfig(accelerator="rre", window=2, tol=1e-10)
+        x_ref, hist_ref, _ = solve(build, cfg, True)
+        x, hist, _ = solve(build, cfg, False)
+        assert repr(hist.records) == repr(hist_ref.records) and x.tobytes() == x_ref.tobytes()
+        assert hist.converged and all(np.isnan(r.l2_error) for r in hist.records)
+
+
 class TestTrendInvariants:
     def test_bratu_error_decreases_under_refinement(self):
         errs = []
