@@ -61,11 +61,7 @@ class ExperimentConfig:
     inner_tol_overrides: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def cells(self):
-        for lam in self.lambdas:
-            for p in self.degrees:
-                for n in self.grids:
-                    for method in self.methods:
-                        yield (lam, p, n, method)
+        return itertools.product(self.lambdas, self.degrees, self.grids, self.methods)
 
     def linear_tol_for(self, p: int, n: int) -> float:
         return self.inner_tol_overrides.get((p, n), self.inner_tol)
@@ -102,13 +98,18 @@ def parse_method(token: str) -> tuple[str, int]:
     return m.group(2), int(m.group(3))
 
 
+# The sweep axes in cell-tuple order, each with the parser of its values:
+# config lists, cells and --cell selectors compare values as parsed.
+_AXES = {"lambda": float, "p": int, "grid": int, "method": parse_method}
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read a key = value config file; comma-separated values form lists.
 
     Values are checked by the objects the cells build, built here up front.
     """
     kv: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -127,24 +128,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"unknown problem {problem!r}")
     cfg = ExperimentConfig(problem=problem)
 
-    def distinct(vals, parsed):
-        """vals, unless two of them parse to the same value (one cell twice)."""
+    def axis_values(key, s):
+        """An axis's comma-separated values as written and as parsed, unless
+        two of them parse alike (one cell twice)."""
+        written = [x.strip() for x in s.split(",") if x.strip()]
+        parsed = [_AXES[key](x) for x in written]
         for i, v in enumerate(parsed):
             if v in parsed[:i]:
-                raise ValueError(f"repeated value {vals[i]}")
-        return vals
-
-    def finite_floats(s):
-        vals = [float(x) for x in s.split(",") if x.strip()]
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("values must be finite")
-        return distinct(vals, vals)
-
-    def positive_ints(s):
-        vals = [int(x) for x in s.split(",") if x.strip()]
-        if any(v < 1 for v in vals):
-            raise ValueError("values must be at least 1")
-        return distinct(vals, vals)
+                raise ValueError(f"repeated value {written[i]}")
+        return written, parsed
 
     def linear_tol(s):
         return OuterConfig(linear_tol=float(s)).linear_tol
@@ -153,19 +145,25 @@ def parse_config(path) -> ExperimentConfig:
     override_keys: dict[tuple[int, int], str] = {}  # (p, grid) -> its inner_tol.pX.gY key
     for key, val in kv.items():
         try:
+            if key in _AXES:
+                written, parsed = axis_values(key, val)
             if key == "lambda":
-                cfg.lambdas = finite_floats(val)
-            elif key == "p":
-                cfg.degrees = positive_ints(val)
-                if max(cfg.degrees, default=1) > MAX_DEGREE:
+                if not all(math.isfinite(v) for v in parsed):
+                    raise ValueError("values must be finite")
+                cfg.lambdas = parsed
+            elif key in ("p", "grid"):
+                if min(parsed, default=1) < 1:
+                    raise ValueError("values must be at least 1")
+                if key == "grid":
+                    cfg.grids = parsed
+                elif max(parsed, default=1) > MAX_DEGREE:
                     raise ValueError(f"values must be at most {MAX_DEGREE}")
-            elif key == "grid":
-                cfg.grids = positive_ints(val)
+                else:
+                    cfg.degrees = parsed
             elif key == "method":
-                tokens = [t.strip() for t in val.split(",") if t.strip()]
-                cfg.methods = distinct(tokens, [parse_method(t) for t in tokens])
-                for method in cfg.methods:
+                for method in written:
                     _outer_config(method)
+                cfg.methods = written
             elif key == "tol":
                 cfg.tol = OuterConfig(tol=float(val)).tol
             elif key == "maxiter":
@@ -258,20 +256,12 @@ def run_cell(cfg: ExperimentConfig, cell, l2_every_step: bool = False
     return row, hist
 
 
-def _run_cell_tuple(args):
-    cfg, cell = args
-    return run_cell(cfg, cell)[0]
-
-
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRow]:
     """Execute the sweep; rows come back in declaration order."""
-    cells = list(cfg.cells())
     if parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_run_cell_tuple, [(cfg, c) for c in cells]))
-    else:
-        rows = [run_cell(cfg, c)[0] for c in cells]
-    return rows
+            return [row for row, _ in pool.map(run_cell, itertools.repeat(cfg), cfg.cells())]
+    return [run_cell(cfg, cell)[0] for cell in cfg.cells()]
 
 
 def _fmt(x: float) -> str:
@@ -385,10 +375,6 @@ def _render(rows) -> str:
     return "\n".join(lines)
 
 
-# Selector keys and the parser of their values; cells match on parsed values.
-_SELECTOR_KEYS = {"method": parse_method, "lambda": float, "p": int, "grid": int}
-
-
 def parse_cell_selector(sel: str):
     """Parse 'method=rre(5),lambda=7,p=5,grid=64' into a cell filter.
 
@@ -403,11 +389,11 @@ def parse_cell_selector(sel: str):
         # method tokens contain parentheses, e.g. rre(5); only split on the first '='
         key, eq, val = part.partition("=")
         key, val = key.strip().lower(), val.strip()
-        if not eq or key not in _SELECTOR_KEYS or key in want:
+        if not eq or key not in _AXES or key in want:
             raise ValueError(f"bad cell selector part {part!r}: expected each of "
-                             + ", ".join(f"{k}=..." for k in _SELECTOR_KEYS) + " at most once")
+                             + ", ".join(f"{k}=..." for k in _AXES) + " at most once")
         try:
-            _SELECTOR_KEYS[key](val)
+            _AXES[key](val)
         except ValueError:
             raise ValueError(f"bad {key} value {val!r} in cell selector") from None
         want[key] = val
@@ -415,10 +401,8 @@ def parse_cell_selector(sel: str):
 
 
 def _match_cell(cell, want) -> bool:
-    lam, p, n, method = cell
-    values = {"method": method, "lambda": lam, "p": p, "grid": n}
-    return all(_SELECTOR_KEYS[key](val) == _SELECTOR_KEYS[key](values[key])
-               for key, val in want.items())
+    return all(key not in want or parse(want[key]) == parse(value)
+               for (key, parse), value in zip(_AXES.items(), cell))
 
 
 def _worker_count(text: str) -> int:

@@ -1,14 +1,11 @@
 """Dense linear-algebra kernels for multigrid and extrapolation.
 
-Sparse matrices are scipy CSR. :mod:`igasolve.iga` assembles them with no
-sort: each term of an entry goes straight to its place in a run in
-ascending (x-element, y-element) order, and the run is summed as the first
-term plus numpy's pairwise sum of the rest, per chunk of x-elements, the
-chunks added left to right (its "Order rule").
 Dense QR is a ``(Q, R)`` pair from modified Gram-Schmidt with a
 reorthogonalization pass; :func:`project_out` is that pass for one vector,
 so an extrapolation window can project its newest difference against the Q
-of the older ones without refactoring them.
+of the older ones without refactoring them. Triangular solves refuse a
+rank-deficient factor, and :class:`DenseLU` keeps the factorisation of a
+multigrid hierarchy's coarsest-grid matrix for repeated solves.
 """
 
 from __future__ import annotations
@@ -126,6 +123,7 @@ class DenseLU:
     def solve(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         x = scipy.linalg.lu_solve(self._lu, b, check_finite=False)
-        if not np.all(np.isfinite(x)):
+        # only a finite right-hand side shows the matrix at fault
+        if not np.all(np.isfinite(x)) and np.all(np.isfinite(b)):
             raise SingularMatrix("solve produced non-finite entries")
         return x

@@ -14,6 +14,7 @@ from igasolve.bench import (
     emit_csv,
     emit_history,
     find_table_config,
+    _match_cell,
     main,
     parse_cell_selector,
     parse_config,
@@ -39,6 +40,15 @@ maxiter = 200
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CFG)
+    return parse_config(path)
+
+
+@pytest.fixture
+def four_axes_cfg(tmp_path):
+    """Two values on every sweep axis."""
+    path = tmp_path / "four.cfg"
+    path.write_text("problem = bratu1d\nlambda = 1, 3\np = 1, 2\ngrid = 8, 16\n"
+                    "method = picard, mpe(2)\n")
     return parse_config(path)
 
 
@@ -218,6 +228,17 @@ class TestConfigParsing:
         path.write_text("# heading\n\nproblem = bratu1d  # trailing\np = 1\n")
         cfg = parse_config(path)
         assert cfg.degrees == [1]
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # some editors save UTF-8 with a byte-order mark before the first key
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("\ufeffproblem = bratu1d\np = 1\n".encode())
+        assert parse_config(path).problem == "bratu1d"
+
+    def test_cells_in_nested_loop_order(self, four_axes_cfg):
+        assert list(four_axes_cfg.cells()) == [
+            (lam, p, n, method) for lam in (1.0, 3.0) for p in (1, 2) for n in (8, 16)
+            for method in ("picard", "mpe(2)")]
 
     def test_checked_in_tables_parse(self):
         for n in range(1, 6):
@@ -609,6 +630,12 @@ class TestCli:
     def test_selector_parsing(self):
         want = parse_cell_selector("method=rre(5),lambda=7,p=5,grid=64")
         assert want == {"method": "rre(5)", "lambda": "7", "p": "5", "grid": "64"}
+
+    def test_selector_with_every_key_picks_one_cell(self, four_axes_cfg):
+        # out of tuple order, spelled unlike the config, compared as parsed
+        want = parse_cell_selector("grid=16,method=mpe(02),p=2,lambda=3.0")
+        assert [c for c in four_axes_cfg.cells() if _match_cell(c, want)] == [
+            (3.0, 2, 16, "mpe(2)")]
 
     def test_history_selector_compares_parsed_method(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

@@ -178,6 +178,12 @@ class TestDenseLU:
         with pytest.raises(SingularMatrix):
             DenseLU(np.ones((3, 3))).solve(np.ones(3))
 
+    def test_non_finite_rhs_is_not_singular(self):
+        # a blown-up right-hand side gives a non-finite solution of a sound
+        # matrix; the caller's residual check, not the LU, reports it
+        x = DenseLU(np.eye(3)).solve(np.array([np.inf, 0.0, 0.0]))
+        assert not np.all(np.isfinite(x))
+
     def test_cached_factorization_reuse(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((10, 10)) + 10.0 * np.eye(10)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from igasolve import iga, nonlinear
-from igasolve.extrapolation import Diverged
+from igasolve.extrapolation import Diverged, anderson_solve
 from igasolve.iga import ExpOverflow, bratu_load, l2_error, make_space
 from igasolve.multigrid import v_cycle
 from igasolve.nonlinear import (
@@ -222,6 +222,16 @@ class TestRunOuter:
             run_outer(prob, cfg)
         assert isinstance(ei.value, ExpOverflow)
         assert ei.value.history is not None and ei.value.history.records
+
+    def test_blown_up_iterate_diverges_under_multigrid(self):
+        # the non-finite load reaches the coarsest-grid LU, which passes it
+        # on, so the residual check ends the solve with its history
+        ctx = make_context(MongeAmpereProblem.manufactured(2, 16), OuterConfig())
+        x = ctx.initial_guess()
+        x[ctx.interior] = 1e200
+        with np.errstate(all="ignore"), pytest.raises(Diverged) as ei:
+            anderson_solve(ctx.step, x, 0, 1e-10, 5)
+        assert len(ei.value.history.records) == 1
 
     def test_history_records_phases_and_l2(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
