@@ -108,8 +108,12 @@ def parse_config(path) -> ExperimentConfig:
 
     Values are checked by the objects the cells build, built here up front.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config {path} is not UTF-8 text: {exc}") from None
     kv: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

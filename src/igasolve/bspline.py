@@ -24,7 +24,6 @@ kept, not sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -326,15 +325,6 @@ class ElementTable:
     weights: np.ndarray
     basis: np.ndarray
     first_dof: np.ndarray
-
-    @cached_property
-    def dof_runs(self) -> tuple[tuple[int, int, int], ...]:
-        """Maximal runs of elements with consecutive first dofs, as
-        (first element, end element, first dof); more than one run only
-        where an interior knot repeats."""
-        first = self.first_dof
-        bounds = [0, *(np.flatnonzero(np.diff(first) != 1) + 1).tolist(), len(first)]
-        return tuple((lo, hi, int(first[lo])) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def tabulate(kv: KnotVector, n_qp: int, max_deriv: int = 1) -> ElementTable:

@@ -15,23 +15,24 @@ to its place in CSR order, found from per-direction rank tables.
 Order rule: wherever several terms land on one matrix entry or one load
 coefficient, they are taken in input order (ascending element, then local
 index). A load coefficient sums them left to right from zero, as
-``np.add.at`` does. A matrix entry takes its terms as one run in ascending
-(x-element, y-element) order and sums it as the first term plus numpy's
-pairwise sum of the rest (``np.add.reduceat``), per 2D chunk of
-x-elements, the chunks added left to right. That is the order of scipy's
-``coo_matrix.sum_duplicates`` on the element triplets, so every assembled
-matrix and load vector stays bit-for-bit the same.
+``np.add.at`` does: a load is one ``np.bincount`` over the space's
+element-to-dof map :attr:`SplineSpace.element_dofs`. A matrix entry takes
+its terms as one run in ascending (x-element, y-element) order and sums it
+as the first term plus numpy's pairwise sum of the rest
+(``np.add.reduceat``), per 2D chunk of x-elements, the chunks added left
+to right. That is the order of scipy's ``coo_matrix.sum_duplicates`` on
+the element triplets, so every assembled matrix and load vector stays
+bit-for-bit the same.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bspline
 from .bspline import ElementTable, KnotVector, greville_abscissae, tabulate
@@ -96,6 +97,15 @@ class SplineSpace:
             )
         return self._table_cache[key]
 
+    @cached_property
+    def element_dofs(self) -> np.ndarray:
+        """Flat dof of every element's local functions, (n_el, p+1) in 1D and
+        (n_ex, n_ey, px+1, py+1) in 2D: the per-direction maps' tensor product."""
+        ix, *iy = [(kv.element_spans - kv.p)[:, None] + np.arange(kv.p + 1) for kv in self.kvs]
+        if not iy:
+            return ix
+        return ix[:, None, :, None] * self.shape[1] + iy[0][None, :, None, :]
+
     def __repr__(self):
         return f"SplineSpace(p={self.degrees}, n_el={tuple(kv.n_elements for kv in self.kvs)})"
 
@@ -106,28 +116,18 @@ def make_space(p, n_elements, dims: int = 1) -> SplineSpace:
     return SplineSpace((kv,) * dims)
 
 
-def _local_dof_indices(table: ElementTable) -> np.ndarray:
-    # (n_el, p+1) global dof index of each local function
-    p1 = table.basis.shape[3]
-    return table.first_dof[:, None] + np.arange(p1)[None, :]
-
-
 def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, *dorders) -> list[np.ndarray]:
     """Evaluate a coefficient vector's derivatives on the quadrature grid.
 
     Each of ``dorders`` is one tuple of per-direction derivative orders; one
     array per tuple comes back, of shape (n_el, nq) in 1D and
-    (n_ex, nqx, n_ey, nqy) in 2D. The coefficient blocks are gathered once.
+    (n_ex, nqx, n_ey, nqy) in 2D, from one gather ``coeffs[space.element_dofs]``.
     """
+    blocks = coeffs[space.element_dofs]
     if space.dims == 1:
         (t,) = tables
-        blocks = coeffs[_local_dof_indices(t)]
         return [np.einsum("eqa,ea->eq", t.basis[dx], blocks) for (dx,) in dorders]
     tx, ty = tables
-    # (n_ex, n_ey, px+1, py+1) coefficient blocks, gathered as whole windows
-    windows = sliding_window_view(coeffs.reshape(space.shape),
-                                  (tx.basis.shape[3], ty.basis.shape[3]))
-    blocks = np.ascontiguousarray(windows[np.ix_(tx.first_dof, ty.first_dof)])
     return [np.einsum("eqa,efab,frb->eqfr", tx.basis[dx], blocks, ty.basis[dy], optimize=True)
             for dx, dy in dorders]
 
@@ -141,23 +141,12 @@ def _on_grid(per_direction) -> tuple[np.ndarray, ...]:
     return ax[:, :, None, None], ay[None, None, :, :]
 
 
-def _shifted_slices(table: ElementTable) -> list[tuple[slice, slice, int]]:
-    """(elements, dofs, a) triples: local function a of a run of elements
-    with consecutive first dofs covers one slice of dofs.
-
-    Ordered by run, then a from p down to 0. Adding the triples in this
-    order hands each dof its element terms in ascending element order.
-    """
-    return [(slice(lo, hi), slice(dof + a, dof + a + hi - lo), a)
-            for lo, hi, dof in table.dof_runs for a in reversed(range(table.basis.shape[3]))]
-
-
 def _scatter_load(space: SplineSpace, tables, integrand: np.ndarray) -> np.ndarray:
     """Load vector F_i = sum of w * integrand * B_i over the quadrature grid.
 
-    Element terms are added with one shifted slice add per local function
-    and direction (see :func:`_shifted_slices`), in the order ``np.add.at``
-    would apply them: ascending element (x-major in 2D), from zero.
+    Element terms are added by ``np.bincount`` over ``space.element_dofs``,
+    in the order ``np.add.at`` would apply them: ascending element (x-major
+    in 2D), then local function, from zero.
     """
     if space.dims == 1:
         (t,) = tables
@@ -167,11 +156,7 @@ def _scatter_load(space: SplineSpace, tables, integrand: np.ndarray) -> np.ndarr
         wx, wy = _on_grid([tx.weights, ty.weights])
         loc = np.einsum("eqfr,eqa,frb->efab", integrand * wx * wy, tx.basis[0], ty.basis[0],
                         optimize=True)
-    F = np.zeros(space.shape)
-    for parts in itertools.product(*map(_shifted_slices, tables)):
-        elements, dofs, local = zip(*parts)
-        F[dofs] += loc[elements + local]
-    return F.ravel()
+    return np.bincount(space.element_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dof)
 
 
 def _element_matrices_1d(table: ElementTable, du: int, dv: int) -> np.ndarray:

@@ -96,15 +96,14 @@ class GridHierarchy:
 
 
 def _coarsen_kv(kv: KnotVector) -> KnotVector:
-    bp = kv.breakpoints
-    p = kv.p
-    return KnotVector(p, np.concatenate([np.full(p, bp[0]), bp[::2], np.full(p, bp[-1])]))
+    """Every other interior breakpoint removed with all its copies."""
+    return KnotVector(kv.p, kv.knots[~np.isin(kv.knots, kv.breakpoints[1:-1:2])])
 
 
 def _interior_prolongation(coarse: SplineSpace, fine: SplineSpace) -> sp.csr_matrix:
     maps = []
     for kvc, kvf in zip(coarse.kvs, fine.kvs):
-        inserted = np.setdiff1d(kvf.breakpoints, kvc.breakpoints)
+        inserted = kvf.knots[~np.isin(kvf.knots, kvc.knots)]
         maps.append(insert_knots(kvc, inserted)[1:-1, 1:-1])
     return maps[0] if len(maps) == 1 else sp.kron(maps[0], maps[1], format="csr")
 

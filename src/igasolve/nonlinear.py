@@ -162,6 +162,11 @@ class _PicardContext:
     """
 
     def __init__(self, problem, cfg: OuterConfig):
+        for kv in problem.space.kvs:  # at p+1 the H1 map decouples the knot's two sides
+            values, counts = np.unique(kv.knots[kv.p + 1:-kv.p - 1], return_counts=True)
+            if np.any(counts > kv.p):
+                raise ValueError(f"interior knot {values[counts > kv.p][0]} repeats {kv.p + 1} "
+                                 f"times; the Picard map needs multiplicity at most p = {kv.p}")
         self.problem = problem
         self.cfg = cfg
         self.space = problem.space

@@ -622,6 +622,17 @@ class TestCli:
         assert ("tol" if text else "bad.cfg") in err
         assert list(tmp_path.iterdir()) == ([cfg] if text else [])
 
+    @pytest.mark.parametrize("command", ["run", "history"])
+    def test_config_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, command):
+        # as Notepad's "Unicode" saves it: UTF-16 with a byte order mark
+        cfg = tmp_path / "u16.cfg"
+        cfg.write_text(TINY_CFG, encoding="utf-16")
+        extra = ["--out", str(tmp_path)] if command == "run" else ["--cell", "p=2"]
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and str(cfg) in err and "UTF-8" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_history_ambiguous_selector(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CFG)

@@ -17,8 +17,10 @@ from igasolve.bspline import (
     make_open_uniform_knots,
     tabulate,
 )
+from igasolve.iga import SplineSpace
 
 from oracles import (
+    _local_dofs,
     csr_fingerprint,
     gauss_rule,
     naive_bspline,
@@ -300,13 +302,20 @@ class TestHelpers:
         lo, hi = kv.domain
         assert lo <= g.min() and g.max() <= hi
 
-    def test_dof_runs_split_at_repeated_knots(self):
-        assert tabulate(make_open_uniform_knots(2, 5), 3).dof_runs == ((0, 5, 0),)
+    def test_element_dofs_jump_at_repeated_knots(self):
+        uniform = SplineSpace((make_open_uniform_knots(2, 5),))
+        assert uniform.element_dofs.tolist() == [[e, e + 1, e + 2] for e in range(5)]
         # a double interior knot at 0.5 makes the first dofs jump 1 -> 3
         kv = KnotVector(2, [0, 0, 0, 0.25, 0.5, 0.5, 0.75, 1, 1, 1])
         table = tabulate(kv, 3)
         assert table.first_dof.tolist() == [0, 1, 3, 4]
-        assert table.dof_runs == ((0, 2, 0), (2, 4, 3))
+        assert SplineSpace((kv,)).element_dofs.tolist() == [[0, 1, 2], [1, 2, 3], [3, 4, 5],
+                                                            [4, 5, 6]]
+        # 2D: flat x-major indices of the per-direction local dofs
+        space = SplineSpace((kv, make_open_uniform_knots(3, 2)))
+        ix, iy = (_local_dofs(t) for t in space.tables())
+        Ny = space.shape[1]
+        assert np.array_equal(space.element_dofs, ix[:, None, :, None] * Ny + iy[None, :, None, :])
 
     def test_tabulate_shapes_and_partition(self):
         kv = make_open_uniform_knots(3, 6)

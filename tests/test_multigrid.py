@@ -20,7 +20,13 @@ from igasolve.multigrid import (
     solve_to_tolerance,
     v_cycle,
 )
-from oracles import csr_fingerprint, kron_interior_prolongation, seed_insert_knots
+from oracles import (
+    csr_fingerprint,
+    kron_interior_prolongation,
+    seed_insert_knots,
+    spline_point_value,
+)
+from strategies import open_knot_vectors
 
 
 def poisson_hierarchy(p, n, dims=1, **kw):
@@ -68,6 +74,27 @@ class TestHierarchy:
         interior = slice(1, -1)
         assert np.abs(Ag[interior, interior] - Ar[interior, interior]).max() <= 1e-12
         assert np.abs(Ag - Ar).max() <= 1e-12  # document: no boundary discrepancy for p=1
+
+    @settings(deadline=None, max_examples=60)
+    @given(kvs=st.lists(open_knot_vectors(), min_size=1, max_size=2))
+    def test_repeated_interior_knots_coarsen_with_all_their_copies(self, kvs):
+        # a coarse knot keeps its multiplicity, and inserting the fine knots
+        # it lacks reproduces every coarse spline on the fine knot vector
+        fine = SplineSpace(tuple(kvs))
+        spaces = level_spaces(fine, direct_threshold=1)
+        for finer, coarse in zip(spaces, spaces[1:]):
+            for kvf, kvc in zip(finer.kvs, coarse.kvs):
+                inserted = kvf.knots[~np.isin(kvf.knots, kvc.knots)]
+                assert np.array_equal(np.sort(np.concatenate([kvc.knots, inserted])), kvf.knots)
+                c = np.arange(kvc.n_basis) % 3 - 1.0
+                fine_c = insert_knots(kvc, inserted) @ c
+                a, b = kvc.domain
+                for t in np.linspace(a, b, 7):
+                    coarse_t = spline_point_value(SplineSpace((kvc,)), c, t)
+                    fine_t = spline_point_value(SplineSpace((kvf,)), fine_c, t)
+                    assert abs(coarse_t - fine_t) <= 1e-12 * (1.0 + np.abs(c).sum())
+        h = build_hierarchy(fine, direct_threshold=1)
+        assert h.n_levels == len(spaces)
 
     def test_too_coarse(self):
         # p=1, N=4 halves to N=2 (one interior dof); N=1 would have none,

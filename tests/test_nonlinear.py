@@ -4,7 +4,8 @@ import scipy.sparse.linalg as spla
 
 from igasolve import iga, nonlinear
 from igasolve.extrapolation import Diverged, anderson_solve
-from igasolve.iga import ExpOverflow, bratu_load, l2_error, make_space
+from igasolve.bspline import KnotVector
+from igasolve.iga import ExpOverflow, SplineSpace, bratu_load, l2_error, make_space
 from igasolve.multigrid import v_cycle
 from igasolve.nonlinear import (
     BratuProblem,
@@ -258,6 +259,30 @@ class TestRunOuter:
         monkeypatch.setattr(iga, "l2_error", None)  # never called
         _, hist = run_outer(prob, OuterConfig(accelerator="rre", window=2, tol=1e-10))
         assert hist.converged and all(np.isnan(r.l2_error) for r in hist.records)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_repeated_interior_knot_runs_through_the_hierarchy(self, dims):
+        # 0.5 twice: the coarse levels must keep both copies
+        build = BratuProblem.manufactured_1d if dims == 1 else BratuProblem.manufactured_2d
+        prob = build(1.0, 2, 64)
+        kv = prob.space.kvs[0]
+        prob.space = SplineSpace((KnotVector(2, np.sort(np.append(kv.knots, 0.5))),)
+                                 + prob.space.kvs[1:])
+        ctx = make_context(prob, OuterConfig())
+        assert ctx.hier.n_levels == 2
+        _, hist = run_outer(prob, OuterConfig(accelerator="rre", window=3))
+        assert hist.converged and hist.records[-1].l2_error < 1e-5
+
+    def test_discontinuous_space_refused_before_assembly(self, monkeypatch):
+        # at multiplicity p+1 the H1 Galerkin map decouples the two sides and
+        # converges to a wrong answer
+        prob = BratuProblem.manufactured_1d(1.0, 2, 8)
+        kv = prob.space.kvs[0]
+        prob.space = SplineSpace((KnotVector(2, np.sort(np.append(kv.knots, [0.5, 0.5]))),))
+        iga.assemble_stiffness(prob.space)  # assembly accepts the space
+        monkeypatch.setattr(iga, "assemble_stiffness", None)
+        with pytest.raises(ValueError, match=r"interior knot 0\.5 repeats 3 times.* p = 2"):
+            run_outer(prob, OuterConfig(accelerator="rre", window=3))
 
     def test_unknown_accelerator(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
