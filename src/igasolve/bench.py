@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .bspline import MAX_GAUSS_POINTS
 from .history import Diverged, IterationHistory
-from .extrapolation import MAX_WINDOW_VALUES
+from .extrapolation import MAX_MAXITER, MAX_WINDOW_VALUES
 from .multigrid import MAX_FINE_DOF, MAX_FINE_NNZ, level_spaces
 from .nonlinear import (DIRECT_THRESHOLD, BratuProblem, MongeAmpereProblem, OuterConfig,
                         run_outer)
@@ -172,6 +172,8 @@ def parse_config(path) -> ExperimentConfig:
                 cfg.tol = OuterConfig(tol=float(val)).tol
             elif key == "maxiter":
                 cfg.maxiter = OuterConfig(maxiter=int(val)).maxiter
+                if cfg.maxiter > MAX_MAXITER:
+                    raise ValueError(f"maxiter must be at most {MAX_MAXITER}, got {cfg.maxiter}")
             elif key == "inner_tol":
                 cfg.inner_tol = linear_tol(val)
             else:

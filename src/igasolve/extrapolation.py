@@ -49,6 +49,11 @@ DIVERGE_LIMIT = 1e10
 # stacks both and factors the first (5 copies). 2^23 values are 64 MiB a
 # copy, so a window costs at most about 320 MiB.
 MAX_WINDOW_VALUES = 2**23
+# Largest maxiter a config may ask for. A history keeps one IterationRecord
+# per map application, about 160 B each (tracemalloc over 10^5 appends),
+# and a stalling cell runs to maxiter, so 10^6 records hold about 160 MB.
+# Shipped configs use 400-1000.
+MAX_MAXITER = 10**6
 
 
 class ZeroDenominator(Exception):

@@ -23,6 +23,28 @@ as the first term plus numpy's pairwise sum of the rest
 to right. That is the order of scipy's ``coo_matrix.sum_duplicates`` on
 the element triplets, so every assembled matrix and load vector stays
 bit-for-bit the same.
+
+The 2D grid values ``eqa,efab,frb->eqfr`` and element loads
+``eqfr,eqa,frb->efab`` are the matmuls that ``np.einsum(..., optimize=True)``
+runs for them, fixed once per space and Gauss grid (:class:`LoadPlan`).
+``np.einsum_path`` picks the pairwise order once, and each pair is one
+``np.matmul`` on the operand layouts numpy's ``bmm_einsum`` gives it.
+With C the gathered coefficient blocks and I the weighted integrand, each
+written in the axis order of its first matmul, the sequences are (batch
+axis first, fused axes joined by a dot):
+
+- values, x first: ``C (e, f.b, a) @ Bx^T (e, a, q)``, then
+  ``(f, q.e, b) @ By^T (f, b, r)``; y first: ``By (f, r, b) @ C (f, b, e.a)``,
+  then ``(e, r.f, a) @ Bx^T (e, a, q)``;
+- loads, x first: ``Bx^T (e, a, q) @ I (e, q, f.r)``, then
+  ``(f, a.e, r) @ By (f, r, b)``; y first: ``By^T (f, b, r) @ I (f, r, e.q)``,
+  then ``(e, b.f, q) @ Bx (e, q, a)``.
+
+Fused axes of an intermediate come in the order the planner sorts them
+(by size), and size-1 axes drop out. A field is a transposed view of its
+last C-ordered product: the field layout, (f, q, e, r) x first on every
+shipped grid. The element loads go through one C-ordered copy to the
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -71,6 +93,7 @@ class SplineSpace:
             raise ValueError("only 1D and 2D spaces are supported")
         self.kvs = kvs
         self._table_cache: dict = {}
+        self._plan_cache: dict = {}
 
     @property
     def dims(self) -> int:
@@ -106,6 +129,13 @@ class SplineSpace:
             return ix
         return ix[:, None, :, None] * self.shape[1] + iy[0][None, :, None, :]
 
+    def load_plan(self, tables) -> "LoadPlan":
+        """The 2D space's :class:`LoadPlan` on the Gauss grid of ``tables``."""
+        key = tuple(t.points.shape[1] for t in tables)
+        if key not in self._plan_cache:
+            self._plan_cache[key] = LoadPlan(self, tables)
+        return self._plan_cache[key]
+
     def __repr__(self):
         return f"SplineSpace(p={self.degrees}, n_el={tuple(kv.n_elements for kv in self.kvs)})"
 
@@ -116,20 +146,124 @@ def make_space(p, n_elements, dims: int = 1) -> SplineSpace:
     return SplineSpace((kv,) * dims)
 
 
+def _matmul_steps(subscripts: str, shapes):
+    """The pairwise contractions ``np.einsum(subscripts, ..., optimize=True)``
+    runs on operands of ``shapes``, each as numpy's ``bmm_einsum`` runs it.
+
+    Returns one ``(inds, (perm_a, shape_a), (perm_b, shape_b), shape, perm)``
+    per step: the operand positions it pops, each operand's axis order and
+    fused shape for ``np.matmul`` (size-1 axes first, dropped by the
+    reshape), and the unfused shape and axis order of the result.
+    """
+    terms, out = subscripts.split("->")
+    size = {c: n for t, s in zip(terms.split(","), shapes) for c, n in zip(t, s)}
+    _, path = np.einsum_path(subscripts, *[np.broadcast_to(0.0, s) for s in shapes],
+                             optimize=True, einsum_call=True)
+    steps = []
+    for inds, eq, _ in path:
+        (ta, tb), to = eq.split("->")[0].split(","), eq.split("->")[1]
+        la, lb = [c for c in ta if size[c] > 1], [c for c in tb if size[c] > 1]
+        bat = [c for c in la if c in lb and c in to]
+        con = [c for c in la if c in lb and c not in to]
+        keep_a = [c for c in la if c not in lb and c in to]
+        keep_b = [c for c in lb if c not in la and c in to]
+        if len(inds) != 2 or not con:
+            raise NotImplementedError(f"{subscripts} takes no pairwise matmul path at {shapes}")
+
+        def operand(term, *groups):
+            groups = ([bat] if bat else []) + list(groups)  # no batch axis without batch indices
+            order = [c for c in term if size[c] == 1] + sum(groups, [])
+            return tuple(map(term.index, order)), tuple(math.prod(size[c] for c in g) for g in groups)
+
+        made = [c for c in to if size[c] == 1] + bat + keep_a + keep_b
+        steps.append((inds, operand(ta, keep_a, con), operand(tb, con, keep_b),
+                      tuple(size[c] for c in made), tuple(map(made.index, to))))
+    return steps
+
+
+def _contract(steps, operands) -> np.ndarray:
+    """Run the :func:`_matmul_steps` of an einsum on its operands."""
+    ops = list(operands)
+    for (i, j), (perm_a, shape_a), (perm_b, shape_b), shape, perm in steps:
+        a, b = ops.pop(i), ops.pop(j)
+        ab = np.matmul(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b))
+        ops.append(ab.reshape(shape).transpose(perm))
+    return ops[0]
+
+
+def _c_operand_order(steps, k: int, shape) -> tuple[int, ...]:
+    """Axis order, outermost first, in which to lay out original operand
+    ``k`` of ``shape`` so that it reaches the first matmul as ``bmm_einsum``
+    passes a C-ordered one: as it is where the reshape is a view, else
+    copied into the matmul's axis order. The first matmul has to take it:
+    the other two operands share no index."""
+    (i, j), layout_a, layout_b = steps[0][:3]
+    if k not in (i, j):
+        raise NotImplementedError(f"the first contraction pairs operands {i} and {j}, not {k}")
+    perm, fused = layout_a if i == k else layout_b
+    try:
+        np.empty(shape).transpose(perm).reshape(fused, copy=False)  # pages left untouched
+    except ValueError:
+        return perm
+    return tuple(range(len(shape)))
+
+
+class LoadPlan:
+    """The 2D grid values and element loads of one space on one Gauss grid,
+    as the matmuls of the module's Order rule.
+
+    The coefficient blocks are gathered, through a transposed view of
+    :attr:`SplineSpace.element_dofs`, and the weighted integrand is written,
+    through ``out=``, straight into the layout in which numpy's einsum
+    hands a C-ordered operand to its first matmul. ``field_axes`` lists the
+    grid axes (ex, qx, ey, qy) of the fields from outermost to innermost in
+    memory.
+    """
+
+    def __init__(self, space: SplineSpace, tables):
+        tx, ty = tables
+        bx, by = tx.basis.shape[1:], ty.basis.shape[1:]
+        dofs, grid = space.element_dofs, bx[:2] + by[:2]
+        self._gather = _matmul_steps("eqa,efab,frb->eqfr", (bx, dofs.shape, by))
+        self._scatter = _matmul_steps("eqfr,eqa,frb->efab", (grid, bx, by))
+        perm = _c_operand_order(self._gather, 1, dofs.shape)
+        self._dofs = dofs.transpose(perm)
+        self._unperm = tuple(np.argsort(perm))
+        perm = _c_operand_order(self._scatter, 0, grid)
+        self._weighted_shape = tuple(grid[k] for k in perm)
+        self._weighted_unperm = tuple(np.argsort(perm))
+        self.field_axes = tuple(int(k) for k in np.argsort(self._gather[-1][-1]))
+        self._wx, self._wy = _on_grid([tx.weights, ty.weights])
+
+    def grid_values(self, coeffs: np.ndarray, tables, dorders) -> list[np.ndarray]:
+        blocks = coeffs[self._dofs].transpose(self._unperm)
+        tx, ty = tables
+        return [_contract(self._gather, (tx.basis[dx], blocks, ty.basis[dy]))
+                for dx, dy in dorders]
+
+    def element_loads(self, tables, integrand: np.ndarray) -> np.ndarray:
+        """Per-element loads (n_ex, n_ey, px+1, py+1) of the integrand."""
+        weighted = np.empty(self._weighted_shape).transpose(self._weighted_unperm)
+        np.multiply(integrand, self._wx, out=weighted)
+        weighted *= self._wy
+        tx, ty = tables
+        return _contract(self._scatter, (weighted, tx.basis[0], ty.basis[0]))
+
+
 def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, *dorders) -> list[np.ndarray]:
     """Evaluate a coefficient vector's derivatives on the quadrature grid.
 
     Each of ``dorders`` is one tuple of per-direction derivative orders; one
     array per tuple comes back, of shape (n_el, nq) in 1D and
-    (n_ex, nqx, n_ey, nqy) in 2D, from one gather ``coeffs[space.element_dofs]``.
+    (n_ex, nqx, n_ey, nqy) in 2D, from one gather of the coefficients over
+    ``space.element_dofs``. A 2D field is laid out as its :class:`LoadPlan`
+    says.
     """
+    if space.dims == 2:
+        return space.load_plan(tables).grid_values(coeffs, tables, dorders)
+    (t,) = tables
     blocks = coeffs[space.element_dofs]
-    if space.dims == 1:
-        (t,) = tables
-        return [np.einsum("eqa,ea->eq", t.basis[dx], blocks) for (dx,) in dorders]
-    tx, ty = tables
-    return [np.einsum("eqa,efab,frb->eqfr", tx.basis[dx], blocks, ty.basis[dy], optimize=True)
-            for dx, dy in dorders]
+    return [np.einsum("eqa,ea->eq", t.basis[dx], blocks) for (dx,) in dorders]
 
 
 def _on_grid(per_direction) -> tuple[np.ndarray, ...]:
@@ -152,10 +286,7 @@ def _scatter_load(space: SplineSpace, tables, integrand: np.ndarray) -> np.ndarr
         (t,) = tables
         loc = np.einsum("eq,eq,eqa->ea", integrand, t.weights, t.basis[0])
     else:
-        tx, ty = tables
-        wx, wy = _on_grid([tx.weights, ty.weights])
-        loc = np.einsum("eqfr,eqa,frb->efab", integrand * wx * wy, tx.basis[0], ty.basis[0],
-                        optimize=True)
+        loc = space.load_plan(tables).element_loads(tables, integrand)
     return np.bincount(space.element_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dof)
 
 
@@ -270,11 +401,23 @@ def assemble_mass(space: SplineSpace) -> sp.csr_matrix:
     return _assemble(tables, [(Mx, My)])
 
 
-def _call_on_grid(func, tables):
-    """``func`` of one coordinate per direction on the quadrature grid."""
+def _call_on_grid(func, tables, axes=None):
+    """``func`` of one coordinate per direction on the quadrature grid. With
+    ``axes``, the grid axes from outermost to innermost in memory, it is
+    evaluated in that layout; its values are the same."""
     pts = _on_grid([t.points for t in tables])
-    vals = np.asarray(func(*pts), dtype=float)
-    return np.broadcast_to(vals, np.broadcast(*pts).shape)
+    if axes is not None:
+        pts = [np.ascontiguousarray(x.transpose(axes)) for x in pts]
+    vals = np.broadcast_to(np.asarray(func(*pts), dtype=float), np.broadcast(*pts).shape)
+    return vals if axes is None else vals.transpose(np.argsort(axes))
+
+
+def field_on_grid(space: SplineSpace, func):
+    """``func`` on the ``space.tables()`` quadrature grid of the loads, laid
+    out in memory like the fields they evaluate there (a load's source)."""
+    tables = space.tables()
+    return _call_on_grid(func, tables, space.load_plan(tables).field_axes
+                         if space.dims == 2 else None)
 
 
 def bratu_load(space: SplineSpace, f_vals, lam: float, coeffs: np.ndarray) -> np.ndarray:

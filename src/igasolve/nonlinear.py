@@ -178,12 +178,13 @@ class _PicardContext:
         # the lift: interior columns meet exact zeros in x_boundary
         self._lift_vec = (full @ x_boundary)[self.interior]
         del full  # freed first: a factorisation below is the cell's memory peak
-        self._f_vals = iga._call_on_grid(problem.f, self.space.tables())
         self._lu = _splu(self.A) if cfg.inner == "direct" else None
         self._x0 = x_boundary
         if np.any(x_boundary):
             lu = self._lu if self._lu is not None else _splu(self.A)
             self._x0[self.interior] = lu.solve(-self._lift_vec)
+        # after the peak: the source and the load plan it builds
+        self._f_vals = iga.field_on_grid(self.space, problem.f)
         # V-cycles per inner solve, None until the first solve to linear_tol
         # sets it: a data-dependent count makes the map discontinuous at the
         # stopping boundary and stalls the outer iteration near it
@@ -210,9 +211,10 @@ class _PicardContext:
             self._n_cycles = max(rep.n_cycles, 1)
             if rep.n_cycles:  # else one cycle: an unchanged warm start reads as converged
                 return out
-        out = x_int
+        out, res = x_int, None
         for _ in range(self._n_cycles):
-            out, _ = v_cycle(self.hier, rhs_int, out)
+            out, rep = v_cycle(self.hier, rhs_int, out, res)
+            res = rep.final_residual
         return out
 
     def step(self, x_full: np.ndarray) -> np.ndarray:

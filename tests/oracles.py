@@ -5,9 +5,10 @@ hand-rolled eliminations) so it shares no code path with the package. The
 last helpers are test fixtures the package does not ship: a Gauss rule on
 one span, a point evaluator, the global L2 projection, and the seed's
 COO finalisation (one stable sort) and triplet assembly, knot insertion
-(one sparse product per knot), QR, Anderson loop, MPE and RRE
-extrapolators with their helpers, and restarted MPE/RRE driver, against
-which the package's are compared bit for bit.
+(one sparse product per knot), V-cycle and cycle-to-tolerance loop (which
+form every residual afresh), QR, Anderson loop, MPE and RRE extrapolators
+with their helpers, and restarted MPE/RRE driver, against which the
+package's are compared bit for bit.
 """
 
 import time
@@ -37,6 +38,7 @@ from igasolve.linalg import (
     solve_normal_equations,
     solve_upper_triangular,
 )
+from igasolve.multigrid import OMEGA, CycleReport
 
 
 def naive_bspline(t, k, i, knots):
@@ -378,6 +380,49 @@ def seed_dirichlet_split(space, g=None):
     mask = np.ones(space.n_dof, dtype=bool)
     mask[boundary] = False
     return np.flatnonzero(mask), boundary, np.asarray(vals, dtype=float)
+
+
+def _seed_smooth(A, b, x, inv_diag):
+    return x + OMEGA * inv_diag * (b - A @ x)
+
+
+def seed_vcycle_recursive(h, idx, b, x):
+    """The seed's recursive V-cycle: every sweep forms its own residual."""
+    if idx == 0:
+        return h._coarse_lu.solve(b)
+    lvl = h.levels[idx]
+    below = h.levels[idx - 1]
+    x = _seed_smooth(lvl.A, b, x, lvl.inv_diag)
+    rc = below.R @ (b - lvl.A @ x)
+    x = x + below.P @ seed_vcycle_recursive(h, idx - 1, rc, np.zeros_like(rc))
+    return _seed_smooth(lvl.A, b, x, lvl.inv_diag)
+
+
+def seed_v_cycle(h, b, x0):
+    """The seed's V-cycle with its two residual norms, 5 fine mat-vecs."""
+    A = h.fine.A
+    r0 = float(np.linalg.norm(b - A @ x0))
+    x = seed_vcycle_recursive(h, h.n_levels - 1, np.asarray(b, dtype=float),
+                              np.asarray(x0, dtype=float))
+    r1 = float(np.linalg.norm(b - A @ x))
+    return x, CycleReport(r0, r1)
+
+
+def seed_solve_to_tolerance(h, b, x0, tol=1e-8, maxiter=100):
+    """The seed's cycles to ||b - A x|| / ||b|| <= tol."""
+    A = h.fine.A
+    b = np.asarray(b, dtype=float)
+    x = np.array(x0, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    denom = bnorm if bnorm > 0.0 else 1.0
+    r0 = float(np.linalg.norm(b - A @ x))
+    res = r0
+    n = 0
+    while res / denom > tol and n < maxiter:
+        x = seed_vcycle_recursive(h, h.n_levels - 1, b, x)
+        res = float(np.linalg.norm(b - A @ x))
+        n += 1
+    return x, CycleReport(r0, res, n_cycles=n, converged=res / denom <= tol)
 
 
 def gauss_rule(n_points, span=(0.0, 1.0)):

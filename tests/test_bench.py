@@ -22,6 +22,7 @@ from igasolve.bench import (
     run_cell,
     run_experiment,
 )
+from igasolve.extrapolation import MAX_MAXITER
 from igasolve.history import IterationHistory
 from igasolve.nonlinear import MongeAmpereProblem, OuterConfig, run_outer
 
@@ -176,13 +177,16 @@ class TestConfigParsing:
         ("bratu1d", "method = mpe(0)", "mpe needs window >= 1, got 0"),
         ("bratu1d", "tol = nan", "tol must be positive and finite, got nan"),
         ("bratu1d", "maxiter = 0", "maxiter must be at least 1, got 0"),
+        ("bratu1d", "maxiter = 1000001", "maxiter must be at most 1000000, got 1000001"),
+        ("bratu1d", f"maxiter = {10**12}", f"maxiter must be at most 1000000, got {10**12}"),
         ("bratu1d", "lambda = 1, 1.0", "repeated value 1.0"),
         ("bratu1d", "p = 2, 3, 2", "repeated value 2"),
         ("bratu1d", "method = mpe(2), mpe(2)", "repeated value mpe(2)"),
     ], ids=["tol-abc", "maxiter-1.5", "lambda-x", "grid-x", "p-15", "unknown-key",
             "bratu-inner-tol", "bratu-inner-tol-override", "monge-ampere-lambda",
             "inner-tol-override-outside-sweep", "method-foo", "method-mpe-0", "tol-nan",
-            "maxiter-0", "repeated-lambda", "repeated-p", "repeated-method"])
+            "maxiter-0", "maxiter-1000001", "maxiter-1e12", "repeated-lambda", "repeated-p",
+            "repeated-method"])
     def test_parse_error_names_key_and_value(self, tmp_path, problem, line, reason):
         path = tmp_path / "bad.cfg"
         path.write_text(f"problem = {problem}\n{line}\n")
@@ -194,10 +198,15 @@ class TestConfigParsing:
         # 66564 dof: restarted_solve would keep 66565 differences, 35 GB a copy
         path = tmp_path / "bad.cfg"
         path.write_text("problem = bratu2d\np = 2\ngrid = 256\nmethod = mpe(100000), aa(100000)\n"
-                        "maxiter = 100000000\ntol = 1e-300\n")
+                        "maxiter = 1000000\ntol = 1e-300\n")
         with pytest.raises(ValueError) as ei:
             parse_config(path)
         assert str(ei.value).startswith("method = mpe(100000), aa(100000): mpe(100000) ")
+
+    def test_largest_maxiter_accepted(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text(f"problem = bratu1d\nmaxiter = {MAX_MAXITER}\n")
+        assert parse_config(path).maxiter == MAX_MAXITER == 10**6
 
     def test_window_capped_by_dof_accepted(self, tmp_path):
         # a window wider than n+1 differences of n values is never kept

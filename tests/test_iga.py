@@ -101,6 +101,12 @@ class TestKroneckerOracle:
         assert abs(assemble_mass(SplineSpace((kv, kv))) - sp.kron(M1, M1)).max() <= 1e-13
 
 
+def in_field_layout(space, tables, values):
+    """A copy of grid values laid out in memory like the fields there."""
+    axes = space.load_plan(tables).field_axes
+    return np.ascontiguousarray(values.transpose(axes)).transpose(np.argsort(axes))
+
+
 def source_on_grid(f, space):
     """Source values on the load quadrature grid, as the Picard maps pass them."""
     return iga._call_on_grid(f, space.tables())
@@ -379,6 +385,9 @@ class TestSeedIdiomOracles:
         integrand[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
         assert (iga._scatter_load(space, tables, integrand).tobytes()
                 == add_at_scatter_load(space, tables, integrand).tobytes())
+        if space.dims == 2:  # also laid out like the fields, as the loads pass it
+            assert (iga._scatter_load(space, tables, in_field_layout(space, tables, integrand))
+                    .tobytes() == add_at_scatter_load(space, tables, integrand).tobytes())
         coeffs = rng.standard_normal(space.n_dof)
         orders = st.tuples(*[st.integers(0, max_deriv)] * space.dims)
         many = data.draw(st.lists(orders, min_size=1, max_size=4))
@@ -389,3 +398,55 @@ class TestSeedIdiomOracles:
             old = fancy_grid_values(space, coeffs, tables, dorders)
             assert new.shape == old.shape and new.tobytes() == old.tobytes()
             assert new.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("px, py, nx, ny, extra, first", [
+        (1, 1, 1, 3, 0, ("y", "y")),    # numpy's planner contracts By first both ways
+        (1, 2, 64, 64, 1, ("y", "x")),  # mixed: the gather goes y-first, the scatter x-first
+        (2, 1, 64, 64, 1, ("x", "y")),  # and its mirror
+        (3, 3, 16, 16, 0, ("x", "x")),  # every shipped cell
+    ], ids=["y-first", "mixed", "mixed-mirror", "x-first"])
+    def test_planner_orders_match_einsum_oracles(self, px, py, nx, ny, extra, first):
+        space = SplineSpace((make_open_uniform_knots(px, nx), make_open_uniform_knots(py, ny)))
+        tables = space.tables(extra, 1)
+        plan = space.load_plan(tables)
+        # operand 2 of both einsums is By
+        assert tuple("y" if 2 in steps[0][0] else "x"
+                     for steps in (plan._gather, plan._scatter)) == first
+        rng = np.random.default_rng(px * 10 + py)
+        coeffs = rng.standard_normal(space.n_dof)
+        for dorders in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            (new,) = iga._grid_values(space, coeffs, tables, dorders)
+            old = fancy_grid_values(space, coeffs, tables, dorders)
+            assert new.strides == old.strides and new.tobytes() == old.tobytes()
+            assert new.transpose(plan.field_axes).flags.c_contiguous
+        shape = tables[0].points.shape + tables[1].points.shape
+        integrand = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        integrand[rng.random(shape) < 0.2] = -0.0
+        ref = add_at_scatter_load(space, tables, integrand).tobytes()
+        assert iga._scatter_load(space, tables, integrand).tobytes() == ref
+        field = in_field_layout(space, tables, integrand)
+        assert iga._scatter_load(space, tables, field).tobytes() == ref
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_loads_match_oracle_composition(self, p, n):
+        # the source in the field layout for the package, C-ordered for the oracles
+        space = make_space(p, n, dims=2)
+        coeffs = np.random.default_rng(p * n).standard_normal(space.n_dof)
+
+        def f(x, y):
+            return 1.0 + x * np.exp(y)
+
+        tables = space.tables(0, 1)
+        u = fancy_grid_values(space, coeffs, tables, (0, 0))
+        ref = add_at_scatter_load(space, tables, iga._call_on_grid(f, tables) - 0.7 * np.exp(u))
+        new = bratu_load(space, iga.field_on_grid(space, f), 0.7, coeffs)
+        assert new.tobytes() == ref.tobytes()
+        tables = space.tables(0, 2)
+        uxx, uyy, uxy = [fancy_grid_values(space, coeffs, tables, d)
+                         for d in ((2, 0), (0, 2), (1, 1))]
+        g_vals, _ = monge_ampere_operator(uxx + uyy, uxx * uyy - uxy**2,
+                                          iga._call_on_grid(f, tables))
+        ref = add_at_scatter_load(space, tables, -g_vals)
+        new = monge_ampere_load(space, iga.field_on_grid(space, f), coeffs)
+        assert new.tobytes() == ref.tobytes()

@@ -20,10 +20,13 @@ from igasolve.multigrid import (
     solve_to_tolerance,
     v_cycle,
 )
+from igasolve.nonlinear import BratuProblem, OuterConfig, make_context
 from oracles import (
     csr_fingerprint,
     kron_interior_prolongation,
     seed_insert_knots,
+    seed_solve_to_tolerance,
+    seed_v_cycle,
     spline_point_value,
 )
 from strategies import open_knot_vectors
@@ -350,3 +353,73 @@ class TestSolveToTolerance:
         h = poisson_hierarchy(1, 16)
         with pytest.raises(ValueError):
             solve_to_tolerance(h, np.zeros(h.fine.A.shape[0]), np.zeros(h.fine.A.shape[0]), tol=0.0)
+
+
+@st.composite
+def small_hierarchies(draw):
+    """(space, direct_threshold) of a 1D or 2D uniform hierarchy of 1-3 levels."""
+    dims = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 3))
+    n_coarse = draw(st.integers(max(2, 3 - p), 5 - dims))
+    # the coarsest level has n_coarse + p - 2 interior dof per direction
+    return make_space(p, n_coarse * 2 ** (levels - 1), dims=dims), n_coarse + p - 2, levels
+
+
+class TestCyclesAgainstSeed:
+    """Residuals formed once give the seed's cycles bit for bit: the same
+    iterates and both report norms."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=small_hierarchies(), seed=st.integers(0, 2**32 - 1),
+           zero_start=st.booleans(), pass_residual=st.booleans())
+    def test_v_cycle(self, case, seed, zero_start, pass_residual):
+        space, threshold, levels = case
+        h = build_hierarchy(space, threshold)
+        assert h.n_levels == levels
+        A = h.fine.A
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(A.shape[0])
+        x0 = np.zeros_like(b) if zero_start else rng.standard_normal(A.shape[0])
+        x, rep = v_cycle(h, b, x0, b - A @ x0 if pass_residual else None)
+        ref, ref_rep = seed_v_cycle(h, b, x0)
+        assert x.tobytes() == ref.tobytes()
+        assert rep.initial_residual_norm == ref_rep.initial_residual_norm
+        assert rep.final_residual_norm == ref_rep.final_residual_norm
+        assert rep.final_residual.tobytes() == (b - A @ x).tobytes()
+        # chained through the report, a second cycle is the seed's second cycle
+        x2, rep2 = v_cycle(h, b, x, rep.final_residual)
+        ref2, ref_rep2 = seed_v_cycle(h, b, ref)
+        assert x2.tobytes() == ref2.tobytes() and rep2 == ref_rep2
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=small_hierarchies(), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-1, 1e-3, 1e-8]), maxiter=st.integers(0, 6))
+    def test_solve_to_tolerance(self, case, seed, tol, maxiter):
+        space, threshold, _ = case
+        h = build_hierarchy(space, threshold)
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(h.fine.A.shape[0])
+        x0 = rng.standard_normal(b.size)
+        x, rep = solve_to_tolerance(h, b, x0, tol=tol, maxiter=maxiter)
+        ref, ref_rep = seed_solve_to_tolerance(h, b, x0, tol=tol, maxiter=maxiter)
+        assert x.tobytes() == ref.tobytes() and rep == ref_rep
+        assert rep.final_residual.tobytes() == (b - h.fine.A @ x).tobytes()
+
+    @settings(deadline=None, max_examples=25)
+    @given(case=small_hierarchies(), seed=st.integers(0, 2**32 - 1),
+           n_cycles=st.integers(1, 4))
+    def test_context_step_chains_its_cycles(self, case, seed, n_cycles):
+        space, threshold, _ = case
+        prob = BratuProblem(lam=1.5, f=lambda *xs: 1.0 + sum(xs), space=space)
+        ctx = make_context(prob, OuterConfig())
+        ctx.hier = build_hierarchy(space, threshold, ctx.A)
+        ctx._n_cycles = n_cycles
+        x = np.zeros(space.n_dof)
+        x[ctx.interior] = 0.1 * np.random.default_rng(seed).standard_normal(ctx.interior.size)
+        out = ctx.step(x)
+        rhs = prob.load(ctx._f_vals, x)[ctx.interior] - ctx._lift_vec
+        ref = x[ctx.interior]
+        for _ in range(n_cycles):
+            ref = seed_v_cycle(ctx.hier, rhs, ref)[0]
+        assert out[ctx.interior].tobytes() == ref.tobytes()
