@@ -28,7 +28,8 @@ The 2D grid values ``eqa,efab,frb->eqfr`` and element loads
 ``eqfr,eqa,frb->efab`` are the matmuls that ``np.einsum(..., optimize=True)``
 runs for them, fixed once per space and Gauss grid (:class:`LoadPlan`).
 ``np.einsum_path`` picks the pairwise order once, and each pair is one
-``np.matmul`` on the operand layouts numpy's ``bmm_einsum`` gives it.
+``np.matmul`` on the operand layouts numpy's ``bmm_einsum`` gives it, as
+numpy 2.4 (the oldest the package supports) contracts pairs.
 With C the gathered coefficient blocks and I the weighted integrand, each
 written in the axis order of its first matmul, the sequences are (batch
 axis first, fused axes joined by a dot):

@@ -78,7 +78,6 @@ class Level:
     P: sp.csr_matrix | None = None  # prolongation to the next finer level
     R: sp.csr_matrix | None = None  # restriction from the next finer level
     inv_diag: np.ndarray = field(init=False)
-    omega_inv_diag: np.ndarray = field(init=False)  # the smoother's OMEGA * inv_diag
 
     def __post_init__(self):
         d = self.A.diagonal()
@@ -86,7 +85,6 @@ class Level:
         if zero.size:
             raise ZeroDiagonal(int(zero[0]))
         self.inv_diag = 1.0 / d
-        self.omega_inv_diag = OMEGA * self.inv_diag
 
 
 class GridHierarchy:
@@ -164,26 +162,27 @@ def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
     return GridHierarchy(levels[::-1])
 
 
+def _sweep(x: np.ndarray, r: np.ndarray, inv_diag: np.ndarray) -> np.ndarray:
+    """One weighted-Jacobi sweep from ``x``, whose residual ``b - A x`` is ``r``."""
+    return x + OMEGA * inv_diag * r
+
+
 def smooth(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray) -> np.ndarray:
     """One weighted-Jacobi sweep x + OMEGA D^-1 (b - A x), as a new array."""
-    return x + OMEGA * inv_diag * (b - A @ x)
+    return _sweep(x, b - A @ x, inv_diag)
 
 
 def _cycle(h: GridHierarchy, idx: int, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """One V-cycle on level ``idx`` from ``x``, whose residual ``b - A x`` is ``r``.
-
-    Each sweep is :func:`smooth`'s ``x + OMEGA * inv_diag * (b - A x)``, with
-    the product ``OMEGA * inv_diag`` stored on the level.
-    """
+    """One V-cycle on level ``idx`` from ``x``, whose residual ``b - A x`` is ``r``."""
     if idx == 0:
         return h._coarse_lu.solve(b)
     lvl = h.levels[idx]
     below = h.levels[idx - 1]
-    x = x + lvl.omega_inv_diag * r
+    x = _sweep(x, r, lvl.inv_diag)
     rc = below.R @ (b - lvl.A @ x)
     # from zero the residual is rc itself: every row of A @ 0 is +0.0
     x = x + below.P @ _cycle(h, idx - 1, rc, np.zeros_like(rc), rc)
-    return x + lvl.omega_inv_diag * (b - lvl.A @ x)
+    return smooth(lvl.A, b, x, lvl.inv_diag)
 
 
 def v_cycle(h: GridHierarchy, b: np.ndarray, x0: np.ndarray,
