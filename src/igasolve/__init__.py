@@ -39,8 +39,10 @@ from .multigrid import (
 )
 from .nonlinear import (
     BratuProblem,
+    Discretisation,
     MongeAmpereProblem,
     OuterConfig,
+    build_discretisation,
     make_context,
     run_outer,
 )

@@ -4,7 +4,8 @@ Experiments are described by plain-text key/value config files (one per
 reproduced table, under ``configs/``). A sweep is the Cartesian product of
 the lambda, degree and grid lists crossed with the method list; every cell
 yields exactly one CSV row. Cell failures are recorded in the row, never
-aborting the sweep.
+aborting the sweep. Cells on one (degree, grid) run one after another and
+share their discretisation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import itertools
 import math
 import os
@@ -26,7 +28,7 @@ from .history import Diverged, IterationHistory
 from .extrapolation import MAX_MAXITER, MAX_WINDOW_VALUES
 from .multigrid import MAX_FINE_DOF, MAX_FINE_NNZ, level_spaces
 from .nonlinear import (DIRECT_THRESHOLD, BratuProblem, MongeAmpereProblem, OuterConfig,
-                        run_outer)
+                        build_discretisation, run_outer)
 
 CSV_HEADER = [
     "problem", "method", "lambda", "p", "h", "iter", "relative_residual",
@@ -226,26 +228,56 @@ def _outer_config(method: str, **settings) -> OuterConfig:
     return OuterConfig(accelerator=acc, window=window, inner=inner, **settings)
 
 
+# The last cell's discretisation under its key (problem, p, grid, direct
+# inner solve), which the config fully determines: a run of cells on one
+# space builds it once, also for callers that run cells one at a time. It
+# holds one entry, released before the next one is built, so a sweep never
+# keeps two discretisations at a time.
+_held: dict = {}
+
+
+def _problem_on_held_space(cfg: ExperimentConfig, lam: float, p: int, n: int, direct: bool):
+    """The cell's problem, its discretisation and the build seconds to
+    charge the cell: none when built here, on the cell's clock, else the
+    held discretisation's build time."""
+    key = (cfg.problem, p, n, direct)
+    disc = _held.pop(key, None)
+    _held.clear()  # the old entry goes before anything is built
+    problem = _PROBLEMS[cfg.problem][2](lam, p, n)
+    if disc is None:
+        disc, charged = build_discretisation(problem.space, problem.g, direct), 0.0
+    else:
+        problem, charged = dataclasses.replace(problem, space=disc.space), disc.build_s
+    _held[key] = disc  # only once built: a cell that raises here leaves no entry
+    return problem, disc, charged
+
+
 def run_cell(cfg: ExperimentConfig, cell, l2_every_step: bool = False
              ) -> tuple[ResultRow, IterationHistory]:
     """Run one (lambda, p, grid, method) cell; failures land in the row.
-    ``l2_every_step`` puts the L2 error on every record, not only the last."""
+    ``l2_every_step`` puts the L2 error on every record, not only the last.
+
+    The cell reuses the previous cell's discretisation when both have the
+    same key; its ``cpu_s`` still counts that build, so it stays the time
+    to solve the cell from scratch.
+    """
     lam, p, n, method = cell
     t0 = time.perf_counter()
     hist = IterationHistory()
     note = ""
+    charged = 0.0
     try:
-        problem = _PROBLEMS[cfg.problem][2](lam, p, n)
-        _, hist = run_outer(problem, _outer_config(method, tol=cfg.tol, maxiter=cfg.maxiter,
-                                                   linear_tol=cfg.linear_tol_for(p, n)),
-                            l2_every_step)
+        outer = _outer_config(method, tol=cfg.tol, maxiter=cfg.maxiter,
+                              linear_tol=cfg.linear_tol_for(p, n))
+        problem, disc, charged = _problem_on_held_space(cfg, lam, p, n, outer.inner == "direct")
+        _, hist = run_outer(problem, outer, l2_every_step, disc)
     except Diverged as exc:
         note = f"diverged: {exc}"
         if exc.history is not None:
             hist = exc.history
     except Exception as exc:  # noqa: BLE001 - sweep must survive any cell
         note = f"error: {exc}"
-    cpu = time.perf_counter() - t0
+    cpu = time.perf_counter() - t0 + charged
     last = hist.records[-1] if hist.records else None
     row = ResultRow(
         problem=cfg.problem, method=method, lam=lam, p=p, n=n,
@@ -262,12 +294,32 @@ def run_cell(cfg: ExperimentConfig, cell, l2_every_step: bool = False
     return row, hist
 
 
+def _run_group(cfg: ExperimentConfig, cells) -> list[ResultRow]:
+    return [run_cell(cfg, cell)[0] for cell in cells]
+
+
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRow]:
-    """Execute the sweep; rows come back in declaration order."""
+    """Execute the sweep; rows come back in declaration order.
+
+    Cells run in groups of one (p, grid), in declaration order within a
+    group, so a group builds each discretisation once; ``parallel`` worker
+    processes take whole groups.
+    """
+    cells = list(cfg.cells())
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (_, p, n, _) in enumerate(cells):
+        groups.setdefault((p, n), []).append(i)
+    batches = [[cells[i] for i in idx] for idx in groups.values()]
     if parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            return [row for row, _ in pool.map(run_cell, itertools.repeat(cfg), cfg.cells())]
-    return [run_cell(cfg, cell)[0] for cell in cfg.cells()]
+            results = list(pool.map(_run_group, itertools.repeat(cfg), batches))
+    else:
+        results = [_run_group(cfg, batch) for batch in batches]
+    rows: list = [None] * len(cells)
+    for idx, got in zip(groups.values(), results):
+        for i, row in zip(idx, got):
+            rows[i] = row
+    return rows
 
 
 def _fmt(x: float) -> str:

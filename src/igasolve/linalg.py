@@ -6,14 +6,26 @@ so an extrapolation window can project its newest difference against the Q
 of the older ones without refactoring them. Triangular solves refuse a
 rank-deficient factor, and :class:`DenseLU` keeps the factorisation of a
 multigrid hierarchy's coarsest-grid matrix for repeated solves.
+
+Importing the module runs numpy's and scipy's BLAS on one thread
+(:func:`pin_blas_to_one_thread`), so every result is the same bytes on
+any host and under any ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+
+# The thread-count setter of the OpenBLAS that numpy's and scipy's wheels
+# bundle in <package>.libs: numpy's is the 64-bit-integer build.
+_BLAS_SETTERS = ((np, "scipy_openblas_set_num_threads64_"),
+                 (scipy, "scipy_openblas_set_num_threads"))
 
 # R[j,j] <= RANK_DROP_TOL * R[0,0] flags column j as numerically dependent.
 RANK_DROP_TOL = 1e-13
@@ -33,6 +45,35 @@ class RankDeficient(Exception):
 
 class SingularMatrix(Exception):
     """Dense LU met a numerically singular matrix."""
+
+
+def pin_blas_to_one_thread() -> None:
+    """Set numpy's and scipy's BLAS to one thread, as ``threadpoolctl`` would.
+
+    A threaded BLAS splits a dense LU or a long matrix-vector product
+    between its threads, which changes the rounding: with two threads the
+    coarsest-grid factor and the extrapolation QR of a 2D cell differ in
+    their last bits. A BLAS without the bundled OpenBLAS's setter gets one
+    line on stderr that names it.
+    """
+    for package, setter in _BLAS_SETTERS:
+        name = package.__name__
+        libs = Path(package.__file__).parent.parent / f"{name}.libs"
+        found = [getattr(ctypes.CDLL(str(path)), setter, None)
+                 for path in sorted(libs.glob("*openblas*"))]
+        found = [fn for fn in found if fn is not None]
+        for fn in found:
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(1)
+        if not found:
+            config = getattr(package, "__config__", None)
+            blas = getattr(config, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+            print(f"igasolve: cannot set {name}'s BLAS ({blas.get('name', 'unknown')} "
+                  f"{blas.get('version', '')}) to one thread; its results may depend on "
+                  "the thread count", file=sys.stderr)
+
+
+pin_blas_to_one_thread()
 
 
 def project_out(Q: np.ndarray, v: np.ndarray) -> np.ndarray:

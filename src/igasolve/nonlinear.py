@@ -1,11 +1,16 @@
 """Outer Picard drivers for the Bratu and Monge-Ampere problems.
 
 A problem supplies its Dirichlet data ``g``, its ``load`` and the flag
-``inner_to_tol``; one context makes the Picard map from them. Its
-constructor builds what a step reads: the interior dof indices, the stiffness
-restricted to them (the fine level of the multigrid hierarchy and the
-matrix of the sparse LU), the Dirichlet lift (the full stiffness times the
-boundary data, a full coefficient vector), that LU and the start vector.
+``inner_to_tol``; one context makes the Picard map from them, in two parts.
+The :class:`Discretisation` depends only on the space and ``g``, not on
+lambda, the source or the method, so every solve on its space can share
+it, read-only: the interior dof indices, the stiffness restricted to them
+(the fine level of the multigrid hierarchy and the matrix of the sparse
+LU), the hierarchy with its coarsest-grid LU, the Dirichlet lift (the
+interior rows of the full stiffness times the boundary data), the start
+vector and, for a direct inner solve only, the sparse LU. The context adds
+one solve's own state: the source on the Gauss grid, the phase timers and
+the frozen cycle count.
 An inner solve is the LU (``inner="direct"``) or a fixed number of V-cycles:
 one, or for ``vcycle_to_tol`` and ``inner_to_tol`` problems the count the
 first solve needed to reach ``linear_tol``, at least one. The map
@@ -23,12 +28,13 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import extrapolation, iga
 from .history import IterationHistory, PhaseTimers
 from .iga import SplineSpace, make_space
-from .multigrid import build_hierarchy, solve_to_tolerance, v_cycle
+from .multigrid import GridHierarchy, build_hierarchy, solve_to_tolerance, v_cycle
 
 
 @dataclass
@@ -153,37 +159,75 @@ class OuterConfig:
             raise ValueError(f"{self.accelerator} needs window >= 1, got {self.window}")
 
 
-class _PicardContext:
-    """Shared precomputation for one outer solve on full coefficient vectors.
+@dataclass(frozen=True, eq=False)
+class Discretisation:
+    """What a Picard map reads on one spline space and no solve changes.
 
-    :meth:`step` is the problem's Picard map: assemble the load from the
-    lagged iterate, lift the boundary data and run the inner solve warm
-    started at the lagged interior coefficients.
+    It depends only on the space, the Dirichlet data ``g`` and whether the
+    inner solve is direct, not on lambda, the source or the method, so one
+    serves every cell on its space. Its arrays are read-only: a solve that
+    wrote into one would change every later solve that shares it.
     """
 
-    def __init__(self, problem, cfg: OuterConfig):
-        for kv in problem.space.kvs:  # at p+1 the H1 map decouples the knot's two sides
-            values, counts = np.unique(kv.knots[kv.p + 1:-kv.p - 1], return_counts=True)
-            if np.any(counts > kv.p):
-                raise ValueError(f"interior knot {values[counts > kv.p][0]} repeats {kv.p + 1} "
-                                 f"times; the Picard map needs multiplicity at most p = {kv.p}")
+    space: SplineSpace
+    interior: np.ndarray     # flat indices of the interior dof
+    A: sp.csr_matrix         # stiffness on interior dof, the hierarchy's fine level
+    hier: GridHierarchy
+    lift_vec: np.ndarray     # interior rows of the full stiffness times the boundary data
+    x0: np.ndarray           # start vector: the harmonic lift of the boundary data
+    lu: spla.SuperLU | None  # sparse LU of A, built only for a direct inner solve
+    build_s: float           # wall seconds the build took
+
+
+def build_discretisation(space: SplineSpace, g=None, direct: bool = False) -> Discretisation:
+    """The :class:`Discretisation` of ``space`` with Dirichlet data ``g``,
+    holding the sparse LU of its interior stiffness when ``direct``."""
+    t0 = time.perf_counter()
+    for kv in space.kvs:  # at p+1 the H1 map decouples the knot's two sides
+        values, counts = np.unique(kv.knots[kv.p + 1:-kv.p - 1], return_counts=True)
+        if np.any(counts > kv.p):
+            raise ValueError(f"interior knot {values[counts > kv.p][0]} repeats {kv.p + 1} "
+                             f"times; the Picard map needs multiplicity at most p = {kv.p}")
+    interior, x0 = iga.apply_dirichlet(space, g)
+    full = iga.assemble_stiffness(space)
+    A = full[interior][:, interior].tocsr()
+    hier = build_hierarchy(space, DIRECT_THRESHOLD, A)
+    # the lift: interior columns meet exact zeros in x0
+    lift_vec = (full @ x0)[interior]
+    del full  # freed first: a factorisation below is the cell's memory peak
+    lu = _splu(A) if direct else None
+    if np.any(x0):  # without a direct solve the lift's LU is dropped at once
+        x0[interior] = (lu if lu is not None else _splu(A)).solve(-lift_vec)
+    for shared in (interior, lift_vec, x0, *(lvl.inv_diag for lvl in hier.levels)):
+        shared.setflags(write=False)
+    return Discretisation(space, interior, A, hier, lift_vec, x0, lu, time.perf_counter() - t0)
+
+
+class _PicardContext:
+    """One outer solve's Picard map on full coefficient vectors.
+
+    :meth:`step` assembles the load from the lagged iterate, lifts the
+    boundary data and runs the inner solve warm started at the lagged
+    interior coefficients. The discretisation is shared and read-only; the
+    source values, the phase timers and the frozen cycle count are the
+    solve's own.
+    """
+
+    def __init__(self, problem, cfg: OuterConfig, disc: Discretisation | None = None):
+        direct = cfg.inner == "direct"
+        if disc is None:
+            disc = build_discretisation(problem.space, problem.g, direct)
+        elif disc.space is not problem.space:
+            raise ValueError("the discretisation is not on the problem's space")
+        elif direct and disc.lu is None:
+            raise ValueError("a direct inner solve needs a discretisation built with its LU")
         self.problem = problem
         self.cfg = cfg
-        self.space = problem.space
+        self.space, self.interior, self.A, self.hier = disc.space, disc.interior, disc.A, disc.hier
+        self._lift_vec, self._x0 = disc.lift_vec, disc.x0
+        self._lu = disc.lu if direct else None
         self.timers = PhaseTimers()
-        self.interior, x_boundary = iga.apply_dirichlet(self.space, problem.g)
-        full = iga.assemble_stiffness(self.space)
-        self.A = full[self.interior][:, self.interior].tocsr()
-        self.hier = build_hierarchy(self.space, DIRECT_THRESHOLD, self.A)
-        # the lift: interior columns meet exact zeros in x_boundary
-        self._lift_vec = (full @ x_boundary)[self.interior]
-        del full  # freed first: a factorisation below is the cell's memory peak
-        self._lu = _splu(self.A) if cfg.inner == "direct" else None
-        self._x0 = x_boundary
-        if np.any(x_boundary):
-            lu = self._lu if self._lu is not None else _splu(self.A)
-            self._x0[self.interior] = lu.solve(-self._lift_vec)
-        # after the peak: the source and the load plan it builds
+        # after the discretisation's peak: the source and the load plan it builds
         self._f_vals = iga.field_on_grid(self.space, problem.f)
         # V-cycles per inner solve, None until the first solve to linear_tol
         # sets it: a data-dependent count makes the map discontinuous at the
@@ -232,12 +276,16 @@ class _PicardContext:
         return out
 
 
-def make_context(problem, cfg: OuterConfig) -> _PicardContext:
-    return _PicardContext(problem, cfg)
+def make_context(problem, cfg: OuterConfig, disc: Discretisation | None = None
+                 ) -> _PicardContext:
+    """The Picard map of ``problem`` under ``cfg``, on ``disc`` if given (built
+    by :func:`build_discretisation` on ``problem.space`` and ``problem.g``),
+    else on a discretisation built here."""
+    return _PicardContext(problem, cfg, disc)
 
 
-def run_outer(problem, cfg: OuterConfig, l2_every_step: bool = False
-              ) -> tuple[np.ndarray, IterationHistory]:
+def run_outer(problem, cfg: OuterConfig, l2_every_step: bool = False,
+              disc: Discretisation | None = None) -> tuple[np.ndarray, IterationHistory]:
     """Drive the selected accelerator around the problem's Picard map.
 
     Stops when ||U^n - U^{n-1}|| / ||U^n|| <= tol or after maxiter map
@@ -251,8 +299,9 @@ def run_outer(problem, cfg: OuterConfig, l2_every_step: bool = False
     rejected prediction. On Diverged it is the blown-up iterate, or, after an
     overflow inside the map, the iterate the map was applied to. The other
     records hold NaN unless ``l2_every_step`` computes it on every record.
+    ``disc`` is passed on to :func:`make_context`.
     """
-    ctx = make_context(problem, cfg)
+    ctx = make_context(problem, cfg, disc)
     observer, last = None, []  # last: the observer's latest (record, vector)
     if problem.exact is not None:
         def observer(rec, x_full):

@@ -1,14 +1,17 @@
 import csv
+import dataclasses
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from igasolve import extrapolation, nonlinear
+from igasolve import bench, extrapolation, iga, nonlinear
 from igasolve.bench import (
     CSV_HEADER,
+    TIMING_COLUMNS,
     ExperimentConfig,
     ResultRow,
     emit_csv,
@@ -321,6 +324,133 @@ class TestRunExperiment:
             assert (a.method, a.p, a.iter, a.converged) == (b.method, b.p, b.iter, b.converged)
             assert a.relative_residual == b.relative_residual
             assert a.l2_err == b.l2_err
+
+
+def untimed(row):
+    """A row's fields outside the timing columns."""
+    return {k: v for k, v in dataclasses.asdict(row).items() if k not in TIMING_COLUMNS}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The spaces of every discretisation ``run_cell`` builds, in order."""
+    built = []
+
+    def spy(space, *args, **kwargs):
+        built.append(space)
+        return build(space, *args, **kwargs)
+
+    build = bench.build_discretisation
+    monkeypatch.setattr(bench, "build_discretisation", spy)
+    return built
+
+
+class TestDiscretisationReuse:
+    """Consecutive cells on one (p, grid) share one discretisation, and every
+    cell's history is the one a fresh process would give it."""
+
+    GROUPS = (
+        ExperimentConfig(problem="bratu2d", lambdas=[1.0, 6.0], degrees=[2], grids=[64],
+                         methods=["picard", "picard_slu", "rre(2)", "aa(2)"], tol=1e-8,
+                         maxiter=100),
+        ExperimentConfig(problem="monge_ampere", degrees=[2], grids=[64], inner_tol=1e-3,
+                         methods=["picard", "rre(3)", "mpe(3)"], tol=1e-8, maxiter=100),
+    )
+
+    @staticmethod
+    def histories(cfg, cells, fresh):
+        out = {}
+        for cell in cells:
+            if fresh:
+                bench._held.clear()
+            row, hist = run_cell(cfg, cell)
+            assert row.converged and not row.note, cell
+            out[cell] = repr((hist.records, hist.converged))
+        return out
+
+    @pytest.mark.parametrize("cfg", GROUPS, ids=lambda c: c.problem)
+    def test_any_order_gives_the_fresh_histories(self, cfg, builds):
+        cells = list(cfg.cells())
+        fresh = self.histories(cfg, cells, fresh=True)
+        assert len(builds) == len(cells)
+        builds.clear()
+        assert self.histories(cfg, cells, fresh=False) == fresh
+        assert len(builds) < len(cells)
+        builds.clear()
+        assert self.histories(cfg, cells[::-1], fresh=False) == fresh
+        assert len(builds) < len(cells)
+
+    def test_group_builds_once_and_charges_the_build(self, builds):
+        cfg = self.GROUPS[1]
+        rows = [run_cell(cfg, cell)[0] for cell in cfg.cells()]
+        (disc,) = bench._held.values()
+        assert builds == [disc.space]
+        # a reusing cell's cpu_s counts the build it skipped
+        assert all(row.cpu_s > disc.build_s for row in rows[1:])
+
+    def test_second_cell_starts_from_the_first_cells_start_vector(self, builds, monkeypatch):
+        starts = []
+        initial_guess = nonlinear._PicardContext.initial_guess
+
+        def spy(ctx):
+            x0 = initial_guess(ctx)
+            starts.append(x0.tobytes())
+            return x0
+
+        monkeypatch.setattr(nonlinear._PicardContext, "initial_guess", spy)
+        cfg = self.GROUPS[1]
+        for cell in list(cfg.cells())[:2]:
+            run_cell(cfg, cell)
+        assert len(builds) == 1 and len(starts) == 2
+        assert starts[0] == starts[1] and any(np.frombuffer(starts[0]))
+
+    def test_direct_and_multigrid_cells_do_not_share(self, builds):
+        cfg = self.GROUPS[0]
+        for method in ("picard_slu", "picard_slu", "rre(2)", "picard", "picard_slu"):
+            run_cell(cfg, (1.0, 2, 64, method))
+        assert len(builds) == 3
+        (disc,) = bench._held.values()
+        assert disc.lu is not None
+
+    def test_cell_that_raises_during_setup_leaves_no_entry(self, monkeypatch):
+        cfg = self.GROUPS[0]
+        run_cell(cfg, (1.0, 2, 64, "picard"))
+        assert len(bench._held) == 1
+
+        def broken(*args, **kwargs):
+            raise ValueError("no hierarchy")
+
+        monkeypatch.setattr(nonlinear, "build_hierarchy", broken)
+        row, _ = run_cell(cfg, (1.0, 2, 16, "picard"))
+        assert row.note == "error: no hierarchy"
+        assert bench._held == {}
+
+    def test_new_key_releases_the_old_entry_before_assembly(self, monkeypatch):
+        cfg = self.GROUPS[0]
+        run_cell(cfg, (1.0, 2, 64, "picard"))
+        (disc,) = bench._held.values()
+        old_A = weakref.ref(disc.A)
+        del disc
+        released = []
+
+        def spy(space):
+            released.append(old_A() is None)
+            return assemble(space)
+
+        assemble = iga.assemble_stiffness
+        monkeypatch.setattr(iga, "assemble_stiffness", spy)
+        row, _ = run_cell(cfg, (1.0, 2, 16, "picard"))
+        assert row.converged and released == [True]
+
+    def test_parallel_groups_return_the_serial_rows_in_declaration_order(self):
+        cfg = ExperimentConfig(problem="bratu2d", lambdas=[1.0, 3.0], degrees=[2],
+                               grids=[8, 16], methods=["picard", "rre(2)"], tol=1e-8,
+                               maxiter=100)
+        serial = run_experiment(cfg)
+        parallel = run_experiment(cfg, parallel=2)
+        assert [(r.lam, r.p, r.n, r.method) for r in parallel] == list(cfg.cells())
+        assert [untimed(r) for r in parallel] == [untimed(r) for r in serial]
+        assert all(r.converged and not r.note for r in serial)
 
 
 class TestL2Calls:

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igasolve import linalg
 from igasolve.linalg import (
     DenseLU,
     RankDeficient,
@@ -265,3 +273,41 @@ class TestCooToCsrOracle:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             coo_to_csr([0, 1], [0], [1.0, 2.0], (2, 2))
+
+
+class TestBlasThreads:
+    # the two kernels whose bytes follow the BLAS thread count: the QR of an
+    # iterate of about 17k values, and the coarsest-grid LU of a 2D N=64 cell
+    SCRIPT = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from igasolve import bench
+        from igasolve.linalg import qr_factor
+
+        Q, R = qr_factor(np.random.default_rng(0).standard_normal((17161, 6)))
+        print(hashlib.sha256(Q.tobytes() + R.tobytes()).hexdigest())
+        cfg = bench.parse_config(bench.find_table_config(5))
+        row, hist = bench.run_cell(cfg, (0.0, 2, 64, "rre(5)"))
+        print(row.note or repr((hist.records, hist.converged)))
+    """)
+
+    def run(self, threads: str) -> str:
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        return proc.stdout
+
+    def test_two_threads_give_the_one_thread_bytes(self):
+        assert self.run("2") == self.run("1")
+
+    def test_unpinnable_blas_named_on_stderr(self, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "_BLAS_SETTERS", ((np, "no_such_setter"),
+                                                      (scipy, "no_such_setter")))
+        linalg.pin_blas_to_one_thread()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("igasolve: cannot set numpy's BLAS (")
+        assert lines[1].startswith("igasolve: cannot set scipy's BLAS (")

@@ -11,6 +11,7 @@ from igasolve.nonlinear import (
     BratuProblem,
     MongeAmpereProblem,
     OuterConfig,
+    build_discretisation,
     make_context,
     run_outer,
 )
@@ -181,6 +182,43 @@ class TestInnerSolve:
         ctx = make_context(MongeAmpereProblem.manufactured(2, 8), OuterConfig(inner="direct"))
         ctx.step(ctx.step(ctx.initial_guess()))
         assert splu_calls == [ctx.A.shape]
+
+
+class TestDiscretisation:
+    def test_shared_arrays_are_read_only(self):
+        prob = MongeAmpereProblem.manufactured(2, 64)
+        disc = build_discretisation(prob.space, prob.g)
+        assert disc.hier.n_levels == 2 and disc.lu is None
+        for shared in (disc.interior, disc.lift_vec, disc.x0,
+                       *(lvl.inv_diag for lvl in disc.hier.levels)):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+        ctx = make_context(prob, OuterConfig(), disc)
+        x0 = ctx.initial_guess()
+        x0[:] = 0.0  # the context hands out copies
+        assert ctx.initial_guess().tobytes() == disc.x0.tobytes()
+
+    def test_prebuilt_discretisation_gives_the_fresh_solve(self):
+        prob = MongeAmpereProblem.manufactured(2, 16)
+        cfg = OuterConfig(accelerator="rre", window=3, tol=1e-10, linear_tol=1e-3)
+        disc = build_discretisation(prob.space, prob.g)
+        x_fresh, fresh = run_outer(prob, cfg)
+        for _ in range(2):
+            x, hist = run_outer(prob, cfg, disc=disc)
+            assert x.tobytes() == x_fresh.tobytes()
+            assert repr(hist.records) == repr(fresh.records)
+
+    def test_mismatched_discretisation_refused(self):
+        prob = BratuProblem.manufactured_1d(1.0, 2, 8)
+        other = BratuProblem.manufactured_1d(1.0, 2, 8)
+        with pytest.raises(ValueError, match="not on the problem's space"):
+            make_context(prob, OuterConfig(), build_discretisation(other.space))
+        disc = build_discretisation(prob.space)
+        with pytest.raises(ValueError, match="built with its LU"):
+            make_context(prob, OuterConfig(inner="direct"), disc)
+        direct = build_discretisation(prob.space, direct=True)
+        assert make_context(prob, OuterConfig(), direct)._lu is None
+        assert make_context(prob, OuterConfig(inner="direct"), direct)._lu is direct.lu
 
 
 class TestRunOuter:
