@@ -228,24 +228,24 @@ def _outer_config(method: str, **settings) -> OuterConfig:
     return OuterConfig(accelerator=acc, window=window, inner=inner, **settings)
 
 
-# The last cell's discretisation under its key (problem, p, grid, direct
-# inner solve), which the config fully determines: a run of cells on one
-# space builds it once, also for callers that run cells one at a time. It
-# holds one entry, released before the next one is built, so a sweep never
-# keeps two discretisations at a time.
+# The last cell's discretisation under its key (problem, p, grid), which the
+# config fully determines: a run of cells on one space builds it once, also
+# for callers that run cells one at a time. It holds one entry, released
+# before the next one is built, so a sweep never keeps two discretisations
+# at a time.
 _held: dict = {}
 
 
-def _problem_on_held_space(cfg: ExperimentConfig, lam: float, p: int, n: int, direct: bool):
+def _problem_on_held_space(cfg: ExperimentConfig, lam: float, p: int, n: int):
     """The cell's problem, its discretisation and the build seconds to
     charge the cell: none when built here, on the cell's clock, else the
     held discretisation's build time."""
-    key = (cfg.problem, p, n, direct)
+    key = (cfg.problem, p, n)
     disc = _held.pop(key, None)
     _held.clear()  # the old entry goes before anything is built
     problem = _PROBLEMS[cfg.problem][2](lam, p, n)
     if disc is None:
-        disc, charged = build_discretisation(problem.space, problem.g, direct), 0.0
+        disc, charged = build_discretisation(problem.space, problem.g), 0.0
     else:
         problem, charged = dataclasses.replace(problem, space=disc.space), disc.build_s
     _held[key] = disc  # only once built: a cell that raises here leaves no entry
@@ -269,7 +269,7 @@ def run_cell(cfg: ExperimentConfig, cell, l2_every_step: bool = False
     try:
         outer = _outer_config(method, tol=cfg.tol, maxiter=cfg.maxiter,
                               linear_tol=cfg.linear_tol_for(p, n))
-        problem, disc, charged = _problem_on_held_space(cfg, lam, p, n, outer.inner == "direct")
+        problem, disc, charged = _problem_on_held_space(cfg, lam, p, n)
         _, hist = run_outer(problem, outer, l2_every_step, disc)
     except Diverged as exc:
         note = f"diverged: {exc}"
@@ -302,8 +302,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRow]:
     """Execute the sweep; rows come back in declaration order.
 
     Cells run in groups of one (p, grid), in declaration order within a
-    group, so a group builds each discretisation once; ``parallel`` worker
-    processes take whole groups.
+    group, so a group builds its discretisation once, released when the
+    sweep ends; ``parallel`` worker processes take whole groups.
     """
     cells = list(cfg.cells())
     groups: dict[tuple[int, int], list[int]] = {}
@@ -315,6 +315,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRow]:
             results = list(pool.map(_run_group, itertools.repeat(cfg), batches))
     else:
         results = [_run_group(cfg, batch) for batch in batches]
+    _held.clear()
     rows: list = [None] * len(cells)
     for idx, got in zip(groups.values(), results):
         for i, row in zip(idx, got):

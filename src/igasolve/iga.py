@@ -7,10 +7,10 @@ is its Dirichlet data: :func:`apply_dirichlet` interpolates the boundary
 coefficients and returns them over a zero interior, with the interior dof
 indices (the ``[1:-1]`` block in every direction) that a solve restricts to.
 
-Assembly loops run element by element with per-direction Gauss tables;
-2D local blocks are formed as outer products of 1D element matrices
-(sum factorization), and each term of a matrix entry is written straight
-to its place in CSR order, found from per-direction rank tables.
+Assembly is vectorised per chunk of x-elements with per-direction Gauss
+tables; 2D local blocks are outer products of 1D element matrices (sum
+factorization), and each term of a matrix entry is written straight to its
+place in CSR order, found from per-direction rank tables.
 
 Order rule: wherever several terms land on one matrix entry or one load
 coefficient, they are taken in input order (ascending element, then local

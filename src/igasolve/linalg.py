@@ -159,6 +159,8 @@ class DenseLU:
         if not np.all(np.isfinite(lu)) or diag.min(initial=np.inf) <= 0.0:
             raise SingularMatrix("matrix is numerically singular")
         self._lu = (lu, piv)
+        for factor in self._lu:  # read-only: every holder of the hierarchy solves alike
+            factor.setflags(write=False)
         self.shape = A.shape
 
     def solve(self, b) -> np.ndarray:

@@ -3,15 +3,15 @@
 A problem supplies its Dirichlet data ``g``, its ``load`` and the flag
 ``inner_to_tol``; one context makes the Picard map from them, in two parts.
 The :class:`Discretisation` depends only on the space and ``g``, not on
-lambda, the source or the method, so every solve on its space can share
-it, read-only: the interior dof indices, the stiffness restricted to them
-(the fine level of the multigrid hierarchy and the matrix of the sparse
-LU), the hierarchy with its coarsest-grid LU, the Dirichlet lift (the
-interior rows of the full stiffness times the boundary data), the start
-vector and, for a direct inner solve only, the sparse LU. The context adds
-one solve's own state: the source on the Gauss grid, the phase timers and
-the frozen cycle count.
-An inner solve is the LU (``inner="direct"``) or a fixed number of V-cycles:
+lambda, the source, the method or the inner solver, so every solve on its
+space can share it, read-only: the interior dof indices, the multigrid
+hierarchy (its fine level is the stiffness restricted to them) with its
+coarsest-grid LU, the Dirichlet lift (the interior rows of the full
+stiffness times the boundary data) and the start vector. The context reads
+it in place and adds one solve's own state: the source on the Gauss grid,
+the phase timers, the frozen cycle count and, for ``inner="direct"``, the
+sparse LU of the fine stiffness.
+An inner solve is that LU or a fixed number of V-cycles:
 one, or for ``vcycle_to_tol`` and ``inner_to_tol`` problems the count the
 first solve needed to reach ``linear_tol``, at least one. The map
 is driven by the restarted MPE/RRE loop or by the Anderson loop, whose
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import extrapolation, iga
@@ -163,25 +162,23 @@ class OuterConfig:
 class Discretisation:
     """What a Picard map reads on one spline space and no solve changes.
 
-    It depends only on the space, the Dirichlet data ``g`` and whether the
-    inner solve is direct, not on lambda, the source or the method, so one
-    serves every cell on its space. Its arrays are read-only: a solve that
-    wrote into one would change every later solve that shares it.
+    It depends only on the space and the Dirichlet data ``g``, not on
+    lambda, the source, the method or the inner solver, so one serves every
+    cell on its space. Its arrays are read-only, those of every hierarchy
+    level's ``A``, ``P`` and ``R`` and the coarsest-grid LU included: a
+    solve that wrote into one would change every later solve that shares it.
     """
 
     space: SplineSpace
     interior: np.ndarray     # flat indices of the interior dof
-    A: sp.csr_matrix         # stiffness on interior dof, the hierarchy's fine level
-    hier: GridHierarchy
+    hier: GridHierarchy      # its fine level's A is the stiffness on interior dof
     lift_vec: np.ndarray     # interior rows of the full stiffness times the boundary data
     x0: np.ndarray           # start vector: the harmonic lift of the boundary data
-    lu: spla.SuperLU | None  # sparse LU of A, built only for a direct inner solve
     build_s: float           # wall seconds the build took
 
 
-def build_discretisation(space: SplineSpace, g=None, direct: bool = False) -> Discretisation:
-    """The :class:`Discretisation` of ``space`` with Dirichlet data ``g``,
-    holding the sparse LU of its interior stiffness when ``direct``."""
+def build_discretisation(space: SplineSpace, g=None) -> Discretisation:
+    """The :class:`Discretisation` of ``space`` with Dirichlet data ``g``."""
     t0 = time.perf_counter()
     for kv in space.kvs:  # at p+1 the H1 map decouples the knot's two sides
         values, counts = np.unique(kv.knots[kv.p + 1:-kv.p - 1], return_counts=True)
@@ -194,13 +191,14 @@ def build_discretisation(space: SplineSpace, g=None, direct: bool = False) -> Di
     hier = build_hierarchy(space, DIRECT_THRESHOLD, A)
     # the lift: interior columns meet exact zeros in x0
     lift_vec = (full @ x0)[interior]
-    del full  # freed first: a factorisation below is the cell's memory peak
-    lu = _splu(A) if direct else None
-    if np.any(x0):  # without a direct solve the lift's LU is dropped at once
-        x0[interior] = (lu if lu is not None else _splu(A)).solve(-lift_vec)
-    for shared in (interior, lift_vec, x0, *(lvl.inv_diag for lvl in hier.levels)):
+    del full  # freed first: the lift's factorisation is the cell's memory peak
+    if np.any(x0):  # the lift's LU is dropped at once
+        x0[interior] = _splu(A).solve(-lift_vec)
+    operators = [M for lvl in hier.levels for M in (lvl.A, lvl.P, lvl.R) if M is not None]
+    for shared in (interior, lift_vec, x0, *(lvl.inv_diag for lvl in hier.levels),
+                   *(a for M in operators for a in (M.data, M.indices, M.indptr))):
         shared.setflags(write=False)
-    return Discretisation(space, interior, A, hier, lift_vec, x0, lu, time.perf_counter() - t0)
+    return Discretisation(space, interior, hier, lift_vec, x0, time.perf_counter() - t0)
 
 
 class _PicardContext:
@@ -209,26 +207,22 @@ class _PicardContext:
     :meth:`step` assembles the load from the lagged iterate, lifts the
     boundary data and runs the inner solve warm started at the lagged
     interior coefficients. The discretisation is shared and read-only; the
-    source values, the phase timers and the frozen cycle count are the
-    solve's own.
+    source values, the phase timers, the frozen cycle count and a direct
+    solve's LU are the solve's own.
     """
 
     def __init__(self, problem, cfg: OuterConfig, disc: Discretisation | None = None):
-        direct = cfg.inner == "direct"
         if disc is None:
-            disc = build_discretisation(problem.space, problem.g, direct)
+            disc = build_discretisation(problem.space, problem.g)
         elif disc.space is not problem.space:
             raise ValueError("the discretisation is not on the problem's space")
-        elif direct and disc.lu is None:
-            raise ValueError("a direct inner solve needs a discretisation built with its LU")
         self.problem = problem
         self.cfg = cfg
-        self.space, self.interior, self.A, self.hier = disc.space, disc.interior, disc.A, disc.hier
-        self._lift_vec, self._x0 = disc.lift_vec, disc.x0
-        self._lu = disc.lu if direct else None
+        self.disc = disc
+        # a direct solve's LU, the memory peak, before the source and its load plan
+        self._lu = _splu(disc.hier.fine.A) if cfg.inner == "direct" else None
         self.timers = PhaseTimers()
-        # after the discretisation's peak: the source and the load plan it builds
-        self._f_vals = iga.field_on_grid(self.space, problem.f)
+        self._f_vals = iga.field_on_grid(disc.space, problem.f)
         # V-cycles per inner solve, None until the first solve to linear_tol
         # sets it: a data-dependent count makes the map discontinuous at the
         # stopping boundary and stalls the outer iteration near it
@@ -244,28 +238,28 @@ class _PicardContext:
         for dozens of grid-dependent iterations; the harmonic extension is
         layer-free.
         """
-        return self._x0.copy()
+        return self.disc.x0.copy()
 
     def _solve(self, rhs_int: np.ndarray, x_int: np.ndarray) -> np.ndarray:
         if self._lu is not None:
             return self._lu.solve(rhs_int)
         if self._n_cycles is None:
-            out, rep = solve_to_tolerance(self.hier, rhs_int, x_int, tol=self.cfg.linear_tol,
+            out, rep = solve_to_tolerance(self.disc.hier, rhs_int, x_int, tol=self.cfg.linear_tol,
                                           maxiter=LINEAR_MAXITER)
             self._n_cycles = max(rep.n_cycles, 1)
             if rep.n_cycles:  # else one cycle: an unchanged warm start reads as converged
                 return out
         out, res = x_int, None
         for _ in range(self._n_cycles):
-            out, rep = v_cycle(self.hier, rhs_int, out, res)
+            out, rep = v_cycle(self.disc.hier, rhs_int, out, res)
             res = rep.final_residual
         return out
 
     def step(self, x_full: np.ndarray) -> np.ndarray:
-        interior = self.interior
+        interior = self.disc.interior
         x_int = x_full[interior]
         t0 = time.perf_counter()
-        rhs_int = self.problem.load(self._f_vals, x_full)[interior] - self._lift_vec
+        rhs_int = self.problem.load(self._f_vals, x_full)[interior] - self.disc.lift_vec
         t1 = time.perf_counter()
         out_int = self._solve(rhs_int, x_int)
         t2 = time.perf_counter()

@@ -404,13 +404,16 @@ class TestDiscretisationReuse:
         assert len(builds) == 1 and len(starts) == 2
         assert starts[0] == starts[1] and any(np.frombuffer(starts[0]))
 
-    def test_direct_and_multigrid_cells_do_not_share(self, builds):
+    def test_direct_and_multigrid_cells_share(self, builds):
         cfg = self.GROUPS[0]
-        for method in ("picard_slu", "picard_slu", "rre(2)", "picard", "picard_slu"):
-            run_cell(cfg, (1.0, 2, 64, method))
-        assert len(builds) == 3
-        (disc,) = bench._held.values()
-        assert disc.lu is not None
+        cells = [(1.0, 2, 64, method)
+                 for method in ("picard_slu", "picard_slu", "rre(2)", "picard", "picard_slu")]
+        fresh = self.histories(cfg, cells, fresh=True)
+        bench._held.clear()
+        builds.clear()
+        for cell in cells:  # a cell that repeats reuses the discretisation too
+            assert self.histories(cfg, [cell], fresh=False) == {cell: fresh[cell]}
+        assert len(builds) == 1
 
     def test_cell_that_raises_during_setup_leaves_no_entry(self, monkeypatch):
         cfg = self.GROUPS[0]
@@ -429,7 +432,7 @@ class TestDiscretisationReuse:
         cfg = self.GROUPS[0]
         run_cell(cfg, (1.0, 2, 64, "picard"))
         (disc,) = bench._held.values()
-        old_A = weakref.ref(disc.A)
+        old_A = weakref.ref(disc.hier.fine.A)
         del disc
         released = []
 
@@ -441,6 +444,13 @@ class TestDiscretisationReuse:
         monkeypatch.setattr(iga, "assemble_stiffness", spy)
         row, _ = run_cell(cfg, (1.0, 2, 16, "picard"))
         assert row.converged and released == [True]
+
+    def test_serial_sweep_releases_its_last_discretisation(self, builds):
+        cfg = ExperimentConfig(problem="bratu1d", degrees=[2], grids=[8, 16],
+                               methods=["picard", "picard_slu"], tol=1e-8, maxiter=100)
+        rows = run_experiment(cfg)
+        assert all(r.converged and not r.note for r in rows)
+        assert len(builds) == 2 and bench._held == {}
 
     def test_parallel_groups_return_the_serial_rows_in_declaration_order(self):
         cfg = ExperimentConfig(problem="bratu2d", lambdas=[1.0, 3.0], degrees=[2],
@@ -603,9 +613,20 @@ def _assert_matches_golden(table: int, n_rows: int, l2_abs: float = 1e-12) -> No
 
 
 class TestGoldenTable1:
-    def test_table1_matches_checked_in_golden(self):
-        """Slow regression pin: the full table-1 sweep against the golden CSV."""
+    def test_table1_matches_checked_in_golden(self, builds, monkeypatch):
+        """Slow regression pin: the full table-1 sweep against the golden CSV.
+        Its five grids build one discretisation each, shared by the grid's
+        picard_slu cell, which factorises the one sparse LU of the grid."""
+        splu_calls = []
+
+        def spy(A):
+            splu_calls.append(A.shape)
+            return splu(A)
+
+        splu = nonlinear._splu
+        monkeypatch.setattr(nonlinear, "_splu", spy)
         _assert_matches_golden(1, 35)
+        assert len(builds) == len(splu_calls) == 5 and bench._held == {}
 
 
 class TestGoldenTable2:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,7 +22,7 @@ from igasolve.multigrid import (
     solve_to_tolerance,
     v_cycle,
 )
-from igasolve.nonlinear import BratuProblem, OuterConfig, make_context
+from igasolve.nonlinear import BratuProblem, OuterConfig, build_discretisation, make_context
 from oracles import (
     csr_fingerprint,
     kron_interior_prolongation,
@@ -412,14 +414,16 @@ class TestCyclesAgainstSeed:
     def test_context_step_chains_its_cycles(self, case, seed, n_cycles):
         space, threshold, _ = case
         prob = BratuProblem(lam=1.5, f=lambda *xs: 1.0 + sum(xs), space=space)
-        ctx = make_context(prob, OuterConfig())
-        ctx.hier = build_hierarchy(space, threshold, ctx.A)
+        disc = build_discretisation(space)
+        disc = dataclasses.replace(disc, hier=build_hierarchy(space, threshold, disc.hier.fine.A))
+        ctx = make_context(prob, OuterConfig(), disc)
         ctx._n_cycles = n_cycles
+        interior = disc.interior
         x = np.zeros(space.n_dof)
-        x[ctx.interior] = 0.1 * np.random.default_rng(seed).standard_normal(ctx.interior.size)
+        x[interior] = 0.1 * np.random.default_rng(seed).standard_normal(interior.size)
         out = ctx.step(x)
-        rhs = prob.load(ctx._f_vals, x)[ctx.interior] - ctx._lift_vec
-        ref = x[ctx.interior]
+        rhs = prob.load(ctx._f_vals, x)[interior] - disc.lift_vec
+        ref = x[interior]
         for _ in range(n_cycles):
-            ref = seed_v_cycle(ctx.hier, rhs, ref)[0]
-        assert out[ctx.interior].tobytes() == ref.tobytes()
+            ref = seed_v_cycle(disc.hier, rhs, ref)[0]
+        assert out[interior].tobytes() == ref.tobytes()

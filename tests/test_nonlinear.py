@@ -31,12 +31,12 @@ class TestBratuMap:
         u0 = np.zeros(prob.space.n_dof)
         cfg = dict(inner="vcycle_to_tol", linear_tol=1e-14)
         u1, ctx = picard_map(prob, u0, **cfg)
-        interior = ctx.interior
+        interior = ctx.disc.interior
         # oracle: direct Galerkin solve of the Poisson problem
         space = prob.space
         F = bratu_load(space, iga._call_on_grid(prob.f, space.tables()), 0.0,
                        np.zeros(space.n_dof))
-        ref = spla.spsolve(ctx.A.tocsc(), F[interior])
+        ref = spla.spsolve(ctx.disc.hier.fine.A.tocsc(), F[interior])
         assert np.abs(u1[interior] - ref).max() <= 1e-10 * np.abs(ref).max()
         # the linear problem is a fixed point after one application
         u2, _ = picard_map(prob, u1, **cfg)
@@ -84,11 +84,11 @@ class TestInnerSolve:
         prob = BratuProblem.manufactured_2d(3.0, 3, 16)
         ctx = make_context(prob, OuterConfig())
         x = ctx.step(ctx.initial_guess())
-        interior = ctx.interior
+        interior = ctx.disc.interior
         space = prob.space
         f_vals = iga._call_on_grid(prob.f, space.tables())
-        rhs = bratu_load(space, f_vals, prob.lam, x)[interior] - ctx._lift_vec
-        ref = v_cycle(ctx.hier, rhs, x[interior])[0]
+        rhs = bratu_load(space, f_vals, prob.lam, x)[interior] - ctx.disc.lift_vec
+        ref = v_cycle(ctx.disc.hier, rhs, x[interior])[0]
         out = ctx.step(x)
         assert out[interior].tobytes() == ref.tobytes()
         assert np.all(np.delete(out, interior) == np.delete(x, interior))
@@ -96,7 +96,7 @@ class TestInnerSolve:
     def test_bratu_vcycle_to_tol_freezes_cycle_count(self, monkeypatch):
         ctx = make_context(BratuProblem.manufactured_2d(1.0, 2, 64),
                            OuterConfig(inner="vcycle_to_tol", linear_tol=1e-6))
-        assert ctx.hier.n_levels > 1
+        assert ctx.disc.hier.n_levels > 1
         calls = {"v_cycle": 0, "solve_to_tolerance": 0}
 
         def counting(name, fn):
@@ -123,12 +123,12 @@ class TestInnerSolve:
         cfg = OuterConfig(tol=1e-10, maxiter=400, linear_tol=1e-2)
         ctx = make_context(prob, cfg)
         x0 = ctx.initial_guess()
-        interior = ctx.interior
-        rhs = prob.load(ctx._f_vals, x0)[interior] - ctx._lift_vec
+        interior = ctx.disc.interior
+        rhs = prob.load(ctx._f_vals, x0)[interior] - ctx.disc.lift_vec
         x1 = ctx.step(x0)
         assert ctx._n_cycles == 1
         assert not np.array_equal(x1, x0)
-        assert x1[interior].tobytes() == v_cycle(ctx.hier, rhs, x0[interior])[0].tobytes()
+        assert x1[interior].tobytes() == v_cycle(ctx.disc.hier, rhs, x0[interior])[0].tobytes()
         x, hist = run_outer(prob, cfg)
         assert hist.converged and hist.iterations > 1
         assert l2_error(prob.space, x, prob.exact) <= 1e-4
@@ -141,8 +141,8 @@ class TestInnerSolve:
         full = iga.assemble_stiffness(prob.space)
         # the interior x boundary block times the boundary data
         lift = full[interior][:, boundary] @ values
-        assert ctx._lift_vec.tobytes() == lift.tobytes()
-        ref = spla.spsolve(ctx.A.tocsc(), -lift)
+        assert ctx.disc.lift_vec.tobytes() == lift.tobytes()
+        ref = spla.spsolve(ctx.disc.hier.fine.A.tocsc(), -lift)
         assert ctx.initial_guess()[interior].tobytes() == ref.tobytes()
 
     def test_lift_lu_is_kept_only_for_direct_inner_solves(self):
@@ -178,21 +178,30 @@ class TestInnerSolve:
         assert ctx.initial_guess().tobytes() == start
         assert len(splu_calls) == 1
 
-    def test_direct_context_factorises_once(self, splu_calls):
-        ctx = make_context(MongeAmpereProblem.manufactured(2, 8), OuterConfig(inner="direct"))
+    @pytest.mark.parametrize("prob, n_splu", [
+        (BratuProblem.manufactured_2d(1.0, 2, 8), 1),  # homogeneous: no lift to factorise
+        (MongeAmpereProblem.manufactured(2, 8), 2),    # the lift's LU, then the context's
+    ], ids=["bratu", "monge_ampere"])
+    def test_direct_context_factorises_once(self, splu_calls, prob, n_splu):
+        ctx = make_context(prob, OuterConfig(inner="direct"))
+        assert splu_calls == [ctx.disc.hier.fine.A.shape] * n_splu
         ctx.step(ctx.step(ctx.initial_guess()))
-        assert splu_calls == [ctx.A.shape]
+        assert len(splu_calls) == n_splu
 
 
 class TestDiscretisation:
     def test_shared_arrays_are_read_only(self):
         prob = MongeAmpereProblem.manufactured(2, 64)
         disc = build_discretisation(prob.space, prob.g)
-        assert disc.hier.n_levels == 2 and disc.lu is None
+        levels = disc.hier.levels
+        operators = [M for lvl in levels for M in (lvl.A, lvl.P, lvl.R) if M is not None]
+        assert len(levels) == 2 and len(operators) == 4
         for shared in (disc.interior, disc.lift_vec, disc.x0,
-                       *(lvl.inv_diag for lvl in disc.hier.levels)):
+                       *(lvl.inv_diag for lvl in levels),
+                       *(a for M in operators for a in (M.data, M.indices, M.indptr)),
+                       *disc.hier._coarse_lu._lu):
             with pytest.raises(ValueError, match="read-only"):
-                shared[0] = 1.0
+                shared.flat[0] = 1
         ctx = make_context(prob, OuterConfig(), disc)
         x0 = ctx.initial_guess()
         x0[:] = 0.0  # the context hands out copies
@@ -213,12 +222,6 @@ class TestDiscretisation:
         other = BratuProblem.manufactured_1d(1.0, 2, 8)
         with pytest.raises(ValueError, match="not on the problem's space"):
             make_context(prob, OuterConfig(), build_discretisation(other.space))
-        disc = build_discretisation(prob.space)
-        with pytest.raises(ValueError, match="built with its LU"):
-            make_context(prob, OuterConfig(inner="direct"), disc)
-        direct = build_discretisation(prob.space, direct=True)
-        assert make_context(prob, OuterConfig(), direct)._lu is None
-        assert make_context(prob, OuterConfig(inner="direct"), direct)._lu is direct.lu
 
 
 class TestRunOuter:
@@ -267,7 +270,7 @@ class TestRunOuter:
         # on, so the residual check ends the solve with its history
         ctx = make_context(MongeAmpereProblem.manufactured(2, 16), OuterConfig())
         x = ctx.initial_guess()
-        x[ctx.interior] = 1e200
+        x[ctx.disc.interior] = 1e200
         with np.errstate(all="ignore"), pytest.raises(Diverged) as ei:
             anderson_solve(ctx.step, x, 0, 1e-10, 5)
         assert len(ei.value.history.records) == 1
@@ -307,7 +310,7 @@ class TestRunOuter:
         prob.space = SplineSpace((KnotVector(2, np.sort(np.append(kv.knots, 0.5))),)
                                  + prob.space.kvs[1:])
         ctx = make_context(prob, OuterConfig())
-        assert ctx.hier.n_levels == 2
+        assert ctx.disc.hier.n_levels == 2
         _, hist = run_outer(prob, OuterConfig(accelerator="rre", window=3))
         assert hist.converged and hist.records[-1].l2_error < 1e-5
 
