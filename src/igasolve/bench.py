@@ -466,7 +466,9 @@ def _match_cell(cell, want) -> bool:
 
 def _worker_count(text: str) -> int:
     n = int(text)
-    cap = os.cpu_count() or 1
+    # the CPUs this process may run on, which a cpuset or taskset can narrow
+    affinity = getattr(os, "sched_getaffinity", None)
+    cap = len(affinity(0)) if affinity else os.cpu_count() or 1
     if not 1 <= n <= cap:
         raise argparse.ArgumentTypeError(f"must be between 1 and {cap}")
     return n

@@ -25,27 +25,16 @@ the element triplets, so every assembled matrix and load vector stays
 bit-for-bit the same.
 
 The 2D grid values ``eqa,efab,frb->eqfr`` and element loads
-``eqfr,eqa,frb->efab`` are the matmuls that ``np.einsum(..., optimize=True)``
-runs for them, fixed once per space and Gauss grid (:class:`LoadPlan`).
-``np.einsum_path`` picks the pairwise order once, and each pair is one
-``np.matmul`` on the operand layouts numpy's ``bmm_einsum`` gives it, as
-numpy 2.4 (the oldest the package supports) contracts pairs.
-With C the gathered coefficient blocks and I the weighted integrand, each
-written in the axis order of its first matmul, the sequences are (batch
-axis first, fused axes joined by a dot):
-
-- values, x first: ``C (e, f.b, a) @ Bx^T (e, a, q)``, then
-  ``(f, q.e, b) @ By^T (f, b, r)``; y first: ``By (f, r, b) @ C (f, b, e.a)``,
-  then ``(e, r.f, a) @ Bx^T (e, a, q)``;
-- loads, x first: ``Bx^T (e, a, q) @ I (e, q, f.r)``, then
-  ``(f, a.e, r) @ By (f, r, b)``; y first: ``By^T (f, b, r) @ I (f, r, e.q)``,
-  then ``(e, b.f, q) @ Bx (e, q, a)``.
-
-Fused axes of an intermediate come in the order the planner sorts them
-(by size), and size-1 axes drop out. A field is a transposed view of its
-last C-ordered product: the field layout, (f, q, e, r) x first on every
-shipped grid. The element loads go through one C-ordered copy to the
-``np.bincount``.
+``eqfr,eqa,frb->efab`` replay ``np.einsum(..., optimize=True)``
+(:class:`LoadPlan`). The contraction list that
+``np.einsum_path(..., einsum_call=True)`` returns is kept once per space and
+Gauss grid, and each pair of it runs through ``bmm_einsum``, the function
+``np.einsum`` calls for it, so every field and load has the einsum's bytes.
+The gathered coefficient blocks and the weighted integrand are written in
+the axis order to which ``bmm_einsum`` would copy a C-ordered operand for
+its first matmul, read from ``_parse_eq_to_batch_matmul``, which makes that
+copy a view. Both functions are numpy internals (``numpy._core.einsumfunc``
+from numpy 2.4, the oldest the package supports).
 """
 
 from __future__ import annotations
@@ -56,6 +45,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, bmm_einsum
 
 from . import bspline
 from .bspline import ElementTable, KnotVector, greville_abscissae, tabulate
@@ -147,71 +137,48 @@ def make_space(p, n_elements, dims: int = 1) -> SplineSpace:
     return SplineSpace((kv,) * dims)
 
 
-def _matmul_steps(subscripts: str, shapes):
-    """The pairwise contractions ``np.einsum(subscripts, ..., optimize=True)``
-    runs on operands of ``shapes``, each as numpy's ``bmm_einsum`` runs it.
-
-    Returns one ``(inds, (perm_a, shape_a), (perm_b, shape_b), shape, perm)``
-    per step: the operand positions it pops, each operand's axis order and
-    fused shape for ``np.matmul`` (size-1 axes first, dropped by the
-    reshape), and the unfused shape and axis order of the result.
-    """
-    terms, out = subscripts.split("->")
-    size = {c: n for t, s in zip(terms.split(","), shapes) for c, n in zip(t, s)}
+def _einsum_steps(subscripts: str, shapes) -> list:
+    """The contraction list ``np.einsum(subscripts, ..., optimize=True)``
+    runs on operands of ``shapes``: per step, the operand positions it pops
+    and its two-term equation."""
     _, path = np.einsum_path(subscripts, *[np.broadcast_to(0.0, s) for s in shapes],
                              optimize=True, einsum_call=True)
-    steps = []
-    for inds, eq, _ in path:
-        (ta, tb), to = eq.split("->")[0].split(","), eq.split("->")[1]
-        la, lb = [c for c in ta if size[c] > 1], [c for c in tb if size[c] > 1]
-        bat = [c for c in la if c in lb and c in to]
-        con = [c for c in la if c in lb and c not in to]
-        keep_a = [c for c in la if c not in lb and c in to]
-        keep_b = [c for c in lb if c not in la and c in to]
-        if len(inds) != 2 or not con:
-            raise NotImplementedError(f"{subscripts} takes no pairwise matmul path at {shapes}")
-
-        def operand(term, *groups):
-            groups = ([bat] if bat else []) + list(groups)  # no batch axis without batch indices
-            order = [c for c in term if size[c] == 1] + sum(groups, [])
-            return tuple(map(term.index, order)), tuple(math.prod(size[c] for c in g) for g in groups)
-
-        made = [c for c in to if size[c] == 1] + bat + keep_a + keep_b
-        steps.append((inds, operand(ta, keep_a, con), operand(tb, con, keep_b),
-                      tuple(size[c] for c in made), tuple(map(made.index, to))))
-    return steps
+    return [(inds, eq) for inds, eq, _ in path]
 
 
 def _contract(steps, operands) -> np.ndarray:
-    """Run the :func:`_matmul_steps` of an einsum on its operands."""
+    """Run the :func:`_einsum_steps` of an einsum on its operands, each pair
+    through ``bmm_einsum`` as ``np.einsum`` runs it."""
     ops = list(operands)
-    for (i, j), (perm_a, shape_a), (perm_b, shape_b), shape, perm in steps:
-        a, b = ops.pop(i), ops.pop(j)
-        ab = np.matmul(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b))
-        ops.append(ab.reshape(shape).transpose(perm))
+    for inds, eq in steps:
+        ops.append(bmm_einsum(eq, *[ops.pop(i) for i in inds]))
     return ops[0]
 
 
-def _c_operand_order(steps, k: int, shape) -> tuple[int, ...]:
-    """Axis order, outermost first, in which to lay out original operand
-    ``k`` of ``shape`` so that it reaches the first matmul as ``bmm_einsum``
-    passes a C-ordered one: as it is where the reshape is a view, else
-    copied into the matmul's axis order. The first matmul has to take it:
-    the other two operands share no index."""
-    (i, j), layout_a, layout_b = steps[0][:3]
-    if k not in (i, j):
-        raise NotImplementedError(f"the first contraction pairs operands {i} and {j}, not {k}")
-    perm, fused = layout_a if i == k else layout_b
+def _c_operand_order(steps, shapes, k: int) -> tuple[int, ...]:
+    """Axis order, outermost first, in which to lay out operand ``k`` so that
+    it reaches the first matmul as ``bmm_einsum`` passes a C-ordered one: the
+    order ``bmm_einsum`` copies it to, where it copies, else as it is."""
+    keep = tuple(range(len(shapes[k])))
+    inds, eq = steps[0]
+    if k not in inds:
+        return keep
+    eq_a, eq_b, fused_a, fused_b, *_ = _parse_eq_to_batch_matmul(eq, *(shapes[i] for i in inds))
+    eq_k, fused = (eq_a, fused_a) if inds[0] == k else (eq_b, fused_b)
+    if eq_k is None or fused is None:  # no transpose, or no reshape to copy
+        return keep
+    term, order = eq_k.split("->")
+    perm = tuple(i for i, c in enumerate(term) if c not in order) + tuple(map(term.index, order))
     try:
-        np.empty(shape).transpose(perm).reshape(fused, copy=False)  # pages left untouched
+        np.empty(shapes[k]).transpose(perm).reshape(fused, copy=False)  # pages left untouched
     except ValueError:
         return perm
-    return tuple(range(len(shape)))
+    return keep
 
 
 class LoadPlan:
     """The 2D grid values and element loads of one space on one Gauss grid,
-    as the matmuls of the module's Order rule.
+    as the ``np.einsum`` replay of the module docstring.
 
     The coefficient blocks are gathered, through a transposed view of
     :attr:`SplineSpace.element_dofs`, and the weighted integrand is written,
@@ -225,15 +192,16 @@ class LoadPlan:
         tx, ty = tables
         bx, by = tx.basis.shape[1:], ty.basis.shape[1:]
         dofs, grid = space.element_dofs, bx[:2] + by[:2]
-        self._gather = _matmul_steps("eqa,efab,frb->eqfr", (bx, dofs.shape, by))
-        self._scatter = _matmul_steps("eqfr,eqa,frb->efab", (grid, bx, by))
-        perm = _c_operand_order(self._gather, 1, dofs.shape)
+        self._gather = _einsum_steps("eqa,efab,frb->eqfr", (bx, dofs.shape, by))
+        self._scatter = _einsum_steps("eqfr,eqa,frb->efab", (grid, bx, by))
+        perm = _c_operand_order(self._gather, (bx, dofs.shape, by), 1)
         self._dofs = dofs.transpose(perm)
         self._unperm = tuple(np.argsort(perm))
-        perm = _c_operand_order(self._scatter, 0, grid)
+        perm = _c_operand_order(self._scatter, (grid, bx, by), 0)
         self._weighted_shape = tuple(grid[k] for k in perm)
         self._weighted_unperm = tuple(np.argsort(perm))
-        self.field_axes = tuple(int(k) for k in np.argsort(self._gather[-1][-1]))
+        (probe,) = self.grid_values(np.zeros(space.n_dof), tables, [(0, 0)])
+        self.field_axes = tuple(int(k) for k in np.argsort(probe.strides)[::-1])
         self._wx, self._wy = _on_grid([tx.weights, ty.weights])
 
     def grid_values(self, coeffs: np.ndarray, tables, dorders) -> list[np.ndarray]:

@@ -14,6 +14,7 @@ from igasolve.bench import (
     TIMING_COLUMNS,
     ExperimentConfig,
     ResultRow,
+    compare_csv,
     emit_csv,
     emit_history,
     find_table_config,
@@ -579,17 +580,18 @@ class TestEmitHistory:
         assert worse == 0  # strictly below from iteration 10 on
 
 
-def _assert_matches_golden(table: int, n_rows: int, l2_abs: float = 1e-12) -> None:
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_matches_golden(table: int, n_rows: int) -> None:
     """Run a table config and compare it with ``golden/table<n>_golden.csv``.
 
     Exact match on the structural and iteration columns; the error columns
     are compared as floats (converged L2 errors tightly, stalled residuals
     loosely, and roundoff-floor residuals by magnitude only). L2 errors
-    below about ``l2_abs`` are pinned by magnitude only.
+    below about 1e-12 are pinned by magnitude only.
     """
-    from igasolve.bench import run_experiment
-    golden_path = Path(__file__).parent / "golden" / f"table{table}_golden.csv"
-    with open(golden_path, newline="") as fh:
+    with open(GOLDEN / f"table{table}_golden.csv", newline="") as fh:
         golden = list(csv.DictReader(fh))
     rows = run_experiment(parse_config(find_table_config(table)))
     assert len(rows) == len(golden) == n_rows
@@ -603,7 +605,7 @@ def _assert_matches_golden(table: int, n_rows: int, l2_abs: float = 1e-12) -> No
         assert ("true" if row.converged else "false") == want["converged"]
         # golden values carry 6 significant digits; compare above that
         l2_ref = float(want["l2_err"])
-        assert row.l2_err == pytest.approx(l2_ref, rel=1e-5, abs=l2_abs)
+        assert row.l2_err == pytest.approx(l2_ref, rel=1e-5)
         res_ref = float(want["relative_residual"])
         if not row.converged:
             assert row.relative_residual == pytest.approx(res_ref, rel=1e-5)
@@ -612,11 +614,21 @@ def _assert_matches_golden(table: int, n_rows: int, l2_abs: float = 1e-12) -> No
             assert row.relative_residual <= 10 * res_ref + 1e-15
 
 
+def _assert_golden_bytes(table: int, n_rows: int, tmp_path) -> None:
+    """Run a table config, write its CSV and check that ``bench compare``
+    finds it equal to ``golden/table<n>_golden.csv`` outside the timing
+    columns."""
+    out = tmp_path / f"table{table}.csv"
+    emit_csv(run_experiment(parse_config(find_table_config(table))), out)
+    assert compare_csv(GOLDEN / f"table{table}_golden.csv", out) == ([], n_rows)
+
+
 class TestGoldenTable1:
     def test_table1_matches_checked_in_golden(self, builds, monkeypatch):
-        """Slow regression pin: the full table-1 sweep against the golden CSV.
-        Its five grids build one discretisation each, shared by the grid's
-        picard_slu cell, which factorises the one sparse LU of the grid."""
+        """Slow regression pin: the full table-1 sweep against the golden CSV,
+        which predates byte-level goldens. Its five grids build one
+        discretisation each, shared by the grid's picard_slu cell, which
+        factorises the one sparse LU of the grid."""
         splu_calls = []
 
         def spy(A):
@@ -630,32 +642,31 @@ class TestGoldenTable1:
 
 
 class TestGoldenTable2:
-    def test_table2_matches_checked_in_golden(self):
+    def test_table2_matches_checked_in_golden(self, tmp_path):
         """The 96 MPE(5) cells of table 2 (p 1-6, every lambda and grid)."""
-        _assert_matches_golden(2, 96)
+        _assert_golden_bytes(2, 96, tmp_path)
 
 
 # Tables 3-5 take minutes, so they run only under `pytest -m slow`.
 @pytest.mark.slow
 class TestGoldenTable3:
-    def test_table3_matches_checked_in_golden(self):
+    def test_table3_matches_checked_in_golden(self, tmp_path):
         """The 21 method cells of 2D Bratu at p=5, N=64."""
-        _assert_matches_golden(3, 21, l2_abs=1e-14)
+        _assert_golden_bytes(3, 21, tmp_path)
 
 
 @pytest.mark.slow
 class TestGoldenTable4:
-    def test_table4_matches_checked_in_golden(self):
+    def test_table4_matches_checked_in_golden(self, tmp_path):
         """The 80 MPE(5) cells of 2D Bratu, L2 errors down to 1e-17."""
-        _assert_matches_golden(4, 80, l2_abs=1e-14)
+        _assert_golden_bytes(4, 80, tmp_path)
 
 
 @pytest.mark.slow
 class TestGoldenTable5:
-    def test_table5_matches_checked_in_golden(self):
+    def test_table5_matches_checked_in_golden(self, tmp_path):
         """The 45 Monge-Ampere cells."""
-        # their L2 errors near 1e-10 move by up to 3.4e-13 with the BLAS thread count
-        _assert_matches_golden(5, 45)
+        _assert_golden_bytes(5, 45, tmp_path)
 
 
 class TestCli:
@@ -843,6 +854,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg), "--out", str(tmp_path),
                   "--parallel", str(workers)])
+        assert exc.value.code == 2
+
+    def test_parallel_capped_by_cpu_affinity(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path), "--parallel", "2"])
         assert exc.value.code == 2
 
     def test_table_config_lookup(self):
