@@ -30,11 +30,8 @@ The 2D grid values ``eqa,efab,frb->eqfr`` and element loads
 ``np.einsum_path(..., einsum_call=True)`` returns is kept once per space and
 Gauss grid, and each pair of it runs through ``bmm_einsum``, the function
 ``np.einsum`` calls for it, so every field and load has the einsum's bytes.
-The gathered coefficient blocks and the weighted integrand are written in
-the axis order to which ``bmm_einsum`` would copy a C-ordered operand for
-its first matmul, read from ``_parse_eq_to_batch_matmul``, which makes that
-copy a view. Both functions are numpy internals (``numpy._core.einsumfunc``
-from numpy 2.4, the oldest the package supports).
+``bmm_einsum`` is a numpy internal (``numpy._core.einsumfunc`` from numpy
+2.4, the oldest the package supports).
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, bmm_einsum
+from numpy._core.einsumfunc import bmm_einsum
 
 from . import bspline
 from .bspline import ElementTable, KnotVector, greville_abscissae, tabulate
@@ -155,65 +152,33 @@ def _contract(steps, operands) -> np.ndarray:
     return ops[0]
 
 
-def _c_operand_order(steps, shapes, k: int) -> tuple[int, ...]:
-    """Axis order, outermost first, in which to lay out operand ``k`` so that
-    it reaches the first matmul as ``bmm_einsum`` passes a C-ordered one: the
-    order ``bmm_einsum`` copies it to, where it copies, else as it is."""
-    keep = tuple(range(len(shapes[k])))
-    inds, eq = steps[0]
-    if k not in inds:
-        return keep
-    eq_a, eq_b, fused_a, fused_b, *_ = _parse_eq_to_batch_matmul(eq, *(shapes[i] for i in inds))
-    eq_k, fused = (eq_a, fused_a) if inds[0] == k else (eq_b, fused_b)
-    if eq_k is None or fused is None:  # no transpose, or no reshape to copy
-        return keep
-    term, order = eq_k.split("->")
-    perm = tuple(i for i, c in enumerate(term) if c not in order) + tuple(map(term.index, order))
-    try:
-        np.empty(shapes[k]).transpose(perm).reshape(fused, copy=False)  # pages left untouched
-    except ValueError:
-        return perm
-    return keep
-
-
 class LoadPlan:
     """The 2D grid values and element loads of one space on one Gauss grid,
-    as the ``np.einsum`` replay of the module docstring.
-
-    The coefficient blocks are gathered, through a transposed view of
-    :attr:`SplineSpace.element_dofs`, and the weighted integrand is written,
-    through ``out=``, straight into the layout in which numpy's einsum
-    hands a C-ordered operand to its first matmul. ``field_axes`` lists the
-    grid axes (ex, qx, ey, qy) of the fields from outermost to innermost in
-    memory.
+    as the ``np.einsum`` replay of the module docstring. ``field_axes``
+    lists the grid axes (ex, qx, ey, qy) of the fields from outermost to
+    innermost in memory.
     """
 
     def __init__(self, space: SplineSpace, tables):
         tx, ty = tables
         bx, by = tx.basis.shape[1:], ty.basis.shape[1:]
-        dofs, grid = space.element_dofs, bx[:2] + by[:2]
-        self._gather = _einsum_steps("eqa,efab,frb->eqfr", (bx, dofs.shape, by))
-        self._scatter = _einsum_steps("eqfr,eqa,frb->efab", (grid, bx, by))
-        perm = _c_operand_order(self._gather, (bx, dofs.shape, by), 1)
-        self._dofs = dofs.transpose(perm)
-        self._unperm = tuple(np.argsort(perm))
-        perm = _c_operand_order(self._scatter, (grid, bx, by), 0)
-        self._weighted_shape = tuple(grid[k] for k in perm)
-        self._weighted_unperm = tuple(np.argsort(perm))
+        self._dofs = space.element_dofs
+        self._gather = _einsum_steps("eqa,efab,frb->eqfr", (bx, self._dofs.shape, by))
+        self._scatter = _einsum_steps("eqfr,eqa,frb->efab", (bx[:2] + by[:2], bx, by))
         (probe,) = self.grid_values(np.zeros(space.n_dof), tables, [(0, 0)])
         self.field_axes = tuple(int(k) for k in np.argsort(probe.strides)[::-1])
         self._wx, self._wy = _on_grid([tx.weights, ty.weights])
 
     def grid_values(self, coeffs: np.ndarray, tables, dorders) -> list[np.ndarray]:
-        blocks = coeffs[self._dofs].transpose(self._unperm)
+        blocks = coeffs[self._dofs]
         tx, ty = tables
         return [_contract(self._gather, (tx.basis[dx], blocks, ty.basis[dy]))
                 for dx, dy in dorders]
 
     def element_loads(self, tables, integrand: np.ndarray) -> np.ndarray:
         """Per-element loads (n_ex, n_ey, px+1, py+1) of the integrand."""
-        weighted = np.empty(self._weighted_shape).transpose(self._weighted_unperm)
-        np.multiply(integrand, self._wx, out=weighted)
+        # C-ordered, the layout in which the first matmul takes it without a copy
+        weighted = np.multiply(integrand, self._wx, order="C")
         weighted *= self._wy
         tx, ty = tables
         return _contract(self._scatter, (weighted, tx.basis[0], ty.basis[0]))

@@ -647,6 +647,19 @@ class TestGoldenTable2:
         _assert_golden_bytes(2, 96, tmp_path)
 
 
+class TestGoldenHistories:
+    @pytest.mark.parametrize("table, cell, golden", [
+        (4, "lambda=17,p=2,grid=64", "history_table4_l17_p2_g64.csv"),
+        (5, "method=rre(5),p=2,grid=64", "history_table5_rre5_p2_g64.csv"),
+    ], ids=["bratu2d", "monge-ampere"])
+    def test_history_matches_checked_in_golden(self, tmp_path, table, cell, golden):
+        """Every step's relative residual and 2D L2 error of one cell, by bytes."""
+        out = tmp_path / golden
+        assert main(["history", "--config", str(find_table_config(table)),
+                     "--cell", cell, "--out", str(out)]) == 0
+        assert compare_csv(GOLDEN / golden, out) == ([], 18)
+
+
 # Tables 3-5 take minutes, so they run only under `pytest -m slow`.
 @pytest.mark.slow
 class TestGoldenTable3:
