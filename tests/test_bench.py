@@ -583,8 +583,9 @@ class TestEmitHistory:
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _assert_matches_golden(table: int, n_rows: int) -> None:
-    """Run a table config and compare it with ``golden/table<n>_golden.csv``.
+def _assert_matches_golden(table: int, n_rows: int) -> list[ResultRow]:
+    """Run a table config, compare it with ``golden/table<n>_golden.csv``
+    and return its rows.
 
     Exact match on the structural and iteration columns; the error columns
     are compared as floats (converged L2 errors tightly, stalled residuals
@@ -612,6 +613,7 @@ def _assert_matches_golden(table: int, n_rows: int) -> None:
         else:
             # converged residuals sit near roundoff; pin the magnitude
             assert row.relative_residual <= 10 * res_ref + 1e-15
+    return rows
 
 
 def _assert_golden_bytes(table: int, n_rows: int, tmp_path) -> None:
@@ -624,11 +626,12 @@ def _assert_golden_bytes(table: int, n_rows: int, tmp_path) -> None:
 
 
 class TestGoldenTable1:
-    def test_table1_matches_checked_in_golden(self, builds, monkeypatch):
+    def test_table1_matches_checked_in_golden(self, builds, monkeypatch, tmp_path):
         """Slow regression pin: the full table-1 sweep against the golden CSV,
-        which predates byte-level goldens. Its five grids build one
-        discretisation each, shared by the grid's picard_slu cell, which
-        factorises the one sparse LU of the grid."""
+        which predates byte-level goldens, and by bytes against
+        ``table1_bytes.csv``. Its five grids build one discretisation each,
+        shared by the grid's picard_slu cell, which factorises the one sparse
+        LU of the grid."""
         splu_calls = []
 
         def spy(A):
@@ -637,7 +640,9 @@ class TestGoldenTable1:
 
         splu = nonlinear._splu
         monkeypatch.setattr(nonlinear, "_splu", spy)
-        _assert_matches_golden(1, 35)
+        rows = _assert_matches_golden(1, 35)
+        emit_csv(rows, tmp_path / "table1.csv")
+        assert compare_csv(GOLDEN / "table1_bytes.csv", tmp_path / "table1.csv") == ([], 35)
         assert len(builds) == len(splu_calls) == 5 and bench._held == {}
 
 
