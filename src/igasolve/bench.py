@@ -303,13 +303,17 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRow]:
 
     Cells run in groups of one (p, grid), in declaration order within a
     group, so a group builds its discretisation once, released when the
-    sweep ends; ``parallel`` worker processes take whole groups.
+    sweep ends; ``parallel`` worker processes take whole groups. Groups
+    start largest first, by grid^2 (p+1)^2 times their number of cells, so
+    the last group a worker takes is a small one.
     """
     cells = list(cfg.cells())
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (_, p, n, _) in enumerate(cells):
         groups.setdefault((p, n), []).append(i)
-    batches = [[cells[i] for i in idx] for idx in groups.values()]
+    order = sorted(groups, key=lambda key: (key[1] * (key[0] + 1)) ** 2 * len(groups[key]),
+                   reverse=True)
+    batches = [[cells[i] for i in groups[key]] for key in order]
     if parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_run_group, itertools.repeat(cfg), batches))
@@ -317,7 +321,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> list[ResultRow]:
         results = [_run_group(cfg, batch) for batch in batches]
     _held.clear()
     rows: list = [None] * len(cells)
-    for idx, got in zip(groups.values(), results):
+    for idx, got in zip((groups[key] for key in order), results):
         for i, row in zip(idx, got):
             rows[i] = row
     return rows

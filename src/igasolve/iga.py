@@ -8,21 +8,27 @@ coefficients and returns them over a zero interior, with the interior dof
 indices (the ``[1:-1]`` block in every direction) that a solve restricts to.
 
 Assembly is vectorised per chunk of x-elements with per-direction Gauss
-tables; 2D local blocks are outer products of 1D element matrices (sum
-factorization), and each term of a matrix entry is written straight to its
-place in CSR order, found from per-direction rank tables.
+tables. A 2D matrix is built from the tensor-product structure: each
+direction lays its 1D element matrices out as runs, one per band entry
+(the terms that land on that 1D entry, in element order), and the terms
+of a 2D entry are the outer product of an x-run and a y-run, formed as
+dense blocks per y-run length and summed in place. No array holds one
+index per term.
 
 Order rule: wherever several terms land on one matrix entry or one load
 coefficient, they are taken in input order (ascending element, then local
 index). A load coefficient sums them left to right from zero, as
 ``np.add.at`` does: a load is one ``np.bincount`` over the space's
 element-to-dof map :attr:`SplineSpace.element_dofs`. A matrix entry takes
-its terms as one run in ascending (x-element, y-element) order and sums it
-as the first term plus numpy's pairwise sum of the rest
-(``np.add.reduceat``), per 2D chunk of x-elements, the chunks added left
-to right. That is the order of scipy's ``coo_matrix.sum_duplicates`` on
-the element triplets, so every assembled matrix and load vector stays
-bit-for-bit the same.
+its terms as one run in ascending (x-element, y-element) order, each term
+(0.0 + X0 Y0) + X1 Y1 + ... over the (X, Y) pairs, and sums it as the
+first term plus numpy's pairwise sum of the rest (``np.add.reduceat``),
+per 2D chunk of x-elements. An entry in several chunks is their sums
+added left to right; with more than one chunk, entries that come out
+exactly zero are dropped, and a one-chunk matrix keeps them. That is the
+order and the result of scipy's ``coo_matrix.sum_duplicates`` on each
+chunk's element triplets, the chunks summed with csr + csr, so every
+assembled matrix and load vector stays bit-for-bit the same.
 
 The 2D grid values ``eqa,efab,frb->eqfr`` and element loads
 ``eqfr,eqa,frb->efab`` replay ``np.einsum(..., optimize=True)``
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,9 +58,10 @@ log = logging.getLogger(__name__)
 
 # Triplets per chunk of x-elements in 2D assembly. Each chunk reduces the run
 # of an entry's terms in ascending (x-element, y-element) order as the first
-# term plus the pairwise sum of the rest, and the chunks are added left to
-# right, so this partition is part of the rounding of every assembled entry:
-# changing it changes last bits. A 1D space is one chunk.
+# term plus the pairwise sum of the rest, and the chunks' sums are added left
+# to right, so this partition is part of the rounding of every assembled
+# entry: changing it changes last bits. A chunk's temporaries are about 8 B
+# per triplet. A 1D space is one chunk.
 CHUNK_TRIPLETS = 2_000_000
 
 
@@ -229,33 +236,76 @@ def _element_matrices_1d(table: ElementTable, du: int, dv: int) -> np.ndarray:
     return np.einsum("eqa,eqb,eq->eab", table.basis[du], table.basis[dv], table.weights)
 
 
-def _band_ranks(first_dof: np.ndarray, p: int, start: int, stop: int):
-    """Rank tables of the elements ``start..stop-1`` of one direction.
+@cache
+def _local_pattern(p: int):
+    """Per degree: the local indices a, the band entry (row a, offset
+    b - a + p, flat) of each (a, b), the offsets -p..p and the column d of
+    the rank of (a, b), p - max(a, b)."""
+    a = np.arange(p + 1)
+    return a, 2 * p * a[:, None] + a + p, np.arange(-p, p + 1), p - np.maximum.outer(a, a)
+
+
+def _runs(first_dof: np.ndarray, p: int, start: int, stop: int, by_length: bool = False):
+    """The band of the elements ``start..stop-1`` of one direction, as runs.
 
     Local functions a and b of an element give the entry (i, j) =
     (first + a, first + b); the elements that give one entry are the
-    consecutive ones with first dof in [max(i, j) - p, min(i, j)]. Over the
-    band of rows i from i0 = ``first_dof[start]`` to
-    ``first_dof[stop-1] + p`` and offsets o = j - i + p in 0..2p, returns
-    ``counts``, how many of the elements give the entry, and ``cols``, its
-    j. Per (element, a, b), it returns the band row ``i - i0`` and offset o
-    of its entry and its rank among the elements that give it.
+    consecutive ones with first dof in [max(i, j) - p, min(i, j)], and the
+    rank of an element is its place among them. The band has the rows i
+    from ``first_dof[start]`` to ``first_dof[stop-1] + p`` and the offsets
+    o = j - i + p in 0..2p. Every band entry that some element gives owns a
+    run of its terms in rank order; the runs follow each other in band
+    order, or with ``by_length`` by ascending length, then band order.
+
+    Returns the band's ``counts``, how many elements give each entry, and
+    ``cols``, its j, both (rows, 2p+1); the flat band index, length and
+    start of each run; and per (element, a, b) the place of its term among
+    the runs.
     """
-    a = np.arange(p + 1)
-    first = first_dof[start:stop, None]
-    row = (first - first_dof[start] + a)[:, :, None]
-    offset = a - a[:, None] + p
-    rows = np.arange(first_dof[start], first_dof[stop - 1] + p + 1)
-    cols = rows[:, None] + np.arange(-p, p + 1)
-    counts = np.bincount((row * (2 * p + 1) + offset).ravel(), minlength=cols.size)
-    # column d: the rank at an entry with max(a, b) = p - d
-    lo = np.maximum(np.searchsorted(first_dof, first - a), start)
-    rank = (np.arange(start, stop)[:, None] - lo)[:, p - np.maximum.outer(a, a)]
-    return counts.reshape(cols.shape), cols, row, offset, rank
+    a, local_cell, offsets, d = _local_pattern(p)
+    first = first_dof[start:stop]
+    cell = ((first - first[0]) * (2 * p + 1))[:, None, None] + local_cell
+    cols = np.arange(first[0], first[-1] + p + 1)[:, None] + offsets
+    counts = np.bincount(cell.ravel(), minlength=cols.size)
+    lo = np.maximum(first_dof.searchsorted(first[:, None] - a), start)
+    rank = (np.arange(start, stop)[:, None] - lo)[:, d]
+    entry = counts.nonzero()[0]
+    if by_length:
+        entry = entry[counts[entry].argsort(kind="stable")]
+    length = counts[entry]
+    begin = length.cumsum() - length
+    at = np.empty_like(counts)
+    at[entry] = begin
+    return counts.reshape(cols.shape), cols, entry, length, begin, at[cell] + rank
+
+
+def _lay_out(values: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """Element-matrix ``values`` moved to their ``place`` among the runs."""
+    out = np.empty(place.size)
+    out[place] = values
+    return out
+
+
+def _y_runs(first_dof: np.ndarray, p: int):
+    """A whole direction's band as :func:`_runs` grouped by run length.
+
+    Returns which band entries some element gives and how many per row,
+    their columns, the place of each element term among the runs and, per
+    run length v, the band rows and offsets of its entries (as columns) and
+    the start and number of its runs.
+    """
+    counts, cols, entry, length, begin, place = _runs(first_dof, p, 0, len(first_dof),
+                                                      by_length=True)
+    row, offset = np.divmod(entry, 2 * p + 1)
+    bounds = length.searchsorted(np.arange(1, p + 3))
+    groups = [(v, row[lo:hi, None], offset[lo:hi, None], begin[lo], hi - lo)
+              for v, lo, hi in zip(range(1, p + 2), bounds[:-1], bounds[1:]) if hi > lo]
+    present = counts > 0
+    return present, present.sum(1), cols, place, groups
 
 
 # The y direction of a 1D space: one element of degree 0.
-_POINT = _band_ranks(np.zeros(1, dtype=np.intp), 0, 0, 1)
+_POINT = _y_runs(np.zeros(1, dtype=np.intp), 0)
 _ONE = np.ones((1, 1, 1))
 
 
@@ -266,51 +316,64 @@ def _assemble(tables, pairs) -> sp.csr_matrix:
     [(Kx, My), (Mx, Ky)] for the 2D stiffness bilinear form. With one table
     the space is 1D and every Y is ``_ONE``, its y direction's one element.
 
-    Each triplet goes straight to its place in the summation order. The
-    terms of one entry come from the element pairs (ex, ey) of a run of
-    x-elements and a run of y-elements (see :func:`_band_ranks`); the term
-    of (ex, ey) is number ``kx * ny + ky`` of the entry's ``nx * ny``, and
-    the entries follow each other in row-major (row, column) order.
+    The terms of an entry come from the element pairs (ex, ey) of a run of
+    x-terms and a run of v y-terms (see :func:`_runs`), term ``kx * v + ky``
+    being (0.0 + X0 Y0) + X1 Y1 + ... of the pair (kx, ky). Per chunk of
+    x-elements and y-run length v, the block T[y, x-term, ky] holds each
+    entry's terms in that order, one after the other, so one
+    ``np.add.reduceat`` sums them into the chunk's dense (row, offset) band.
+    The chunk's rows are one stretch of the CSR arrays; the first chunk
+    writes its band's entries there and each later one adds them, so an
+    entry in several chunks is their sum left to right. With more than one
+    chunk, exact zeros are dropped at the end, as scipy's csr + csr does.
     """
     (X0, Y0), fdx = pairs[0], tables[0].first_dof
-    px, py = X0.shape[1] - 1, Y0.shape[1] - 1
+    px, n_ex = X0.shape[1] - 1, len(fdx)
     if len(tables) == 1:
-        cy, cols_y, row_y, off_y, ky = _POINT
-        chunk = len(fdx)
+        y_present, y_count, cols_y, place_y, groups = _POINT
+        chunk = n_ex
     else:
-        cy, cols_y, row_y, off_y, ky = _band_ranks(tables[1].first_dof, py, 0, len(Y0))
+        y_present, y_count, cols_y, place_y, groups = _y_runs(tables[1].first_dof, Y0.shape[1] - 1)
         chunk = max(1, int(CHUNK_TRIPLETS / (X0[0].size * Y0.size)))  # triplets per x-element
-    Ny, Wy = cy.shape
+    Ny, Wy = y_present.shape
     Wx, n = 2 * px + 1, (fdx[-1] + px + 1) * Ny
-    ny = cy[row_y, off_y][None, :, None, None, :, :]
-    cell_y = (row_y * (Wx * Wy) + off_y)[None, :, None, None, :, :]
-    ky = ky[None, :, None, None, :, :]
-    acc = None
-    for start in range(0, len(fdx), chunk):
-        stop = min(start + chunk, len(fdx))
-        vals = np.zeros((stop - start, len(Y0), px + 1, px + 1, py + 1, py + 1))
-        for X, Y in pairs:
-            vals += X[start:stop, None, :, :, None, None] * Y[None, :, None, None, :, :]
-        cx, cols_x, row_x, off_x, kx = _band_ranks(fdx, px, start, stop)
-        # counts and first positions of the runs over the (row, column) band
-        counts = (cx[:, None, :, None] * cy[None, :, None, :]).ravel()
-        run_start = np.cumsum(counts) - counts
-        cell_x = (row_x * (Ny * Wx * Wy) + off_x * Wy)[:, None, :, :, None, None]
-        dest = run_start[cell_x + cell_y]
-        dest += kx[:, None, :, :, None, None] * ny
-        dest += ky
-        in_order = np.empty(vals.size)
-        in_order[dest.ravel()] = vals.ravel()
-        del vals, dest  # free before the next chunk and the sum
-        present = np.flatnonzero(counts)
-        data = np.add.reduceat(in_order, run_start[present])
-        del in_order
-        cols = (cols_x[:, None, :, None] * Ny + cols_y[None, :, None, :]).ravel()[present]
-        indptr = np.searchsorted(present, (np.arange(n + 1) - fdx[start] * Ny) * (Wx * Wy))
-        idx = np.int32 if max(n, len(data)) < 2**31 else np.int64  # as scipy's COO picks
-        part = sp.csr_matrix((data, cols.astype(idx), indptr.astype(idx)), shape=(n, n))
-        acc = part if acc is None else acc + part
-    return acc.tocsr()
+    y_runs = [_lay_out(Y, place_y) for _, Y in pairs]
+    for start in range(0, n_ex, chunk):
+        stop = min(start + chunk, n_ex)
+        cx, cols_x, x_entry, _, begin_x, place_x = _runs(fdx, px, start, stop)
+        if start == 0:  # the CSR structure, from the whole x band
+            x_present = (cx if stop == n_ex else _runs(fdx, px, 0, n_ex)[0]) > 0
+            per_row = np.multiply.outer(x_present.sum(1), y_count)
+            nnz = int(per_row.sum())
+            idx = np.int32 if max(n, nnz) < 2**31 else np.int64  # as scipy's COO picks
+            indptr = np.zeros(n + 1, dtype=idx)
+            per_row.cumsum(out=indptr[1:])
+            data, cols = np.zeros(nnz), np.empty(nnz, dtype=idx)
+        x_runs = [_lay_out(X[start:stop], place_x) for X, _ in pairs]
+        x_row, x_offset = np.divmod(x_entry, Wx)
+        band = np.zeros((len(cx), Ny, Wx, Wy))
+        for v, y_row, y_offset, y_begin, m in groups:
+            y_blocks = [r[y_begin:y_begin + m * v].reshape(m, v) for r in y_runs]
+            T = x_runs[0][None, :, None] * y_blocks[0][:, None, :]
+            T += 0.0
+            for xr, yr in zip(x_runs[1:], y_blocks[1:]):
+                T += xr[None, :, None] * yr[:, None, :]
+            band[x_row, y_row, x_offset, y_offset] = np.add.reduceat(
+                T.reshape(m, -1), begin_x * v, axis=1)
+            del T
+        # the chunk's rows, with every entry of theirs that any chunk has
+        r0 = fdx[start]
+        present = x_present[r0:r0 + len(cx), None, :, None] & y_present[None, :, None, :]
+        stretch = slice(indptr[r0 * Ny], indptr[(r0 + len(cx)) * Ny])
+        if start == 0:
+            data[stretch] = band[present]
+        else:
+            data[stretch] += band[present]
+        cols[stretch] = (cols_x[:, None, :, None] * Ny + cols_y[None, :, None, :])[present]
+    if chunk < n_ex and not (kept := data != 0).all():
+        data, cols = data[kept], cols[kept]
+        indptr = np.concatenate(([0], kept.cumsum()))[indptr].astype(idx)
+    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 def assemble_stiffness(space: SplineSpace) -> sp.csr_matrix:

@@ -464,6 +464,25 @@ class TestDiscretisationReuse:
         assert all(r.converged and not r.note for r in serial)
 
 
+    def test_largest_groups_start_first_and_rows_keep_declaration_order(self, monkeypatch):
+        cfg = ExperimentConfig(problem="bratu1d", lambdas=[1.0], degrees=[1, 2],
+                               grids=[8, 16], methods=["picard", "rre(2)"], tol=1e-8,
+                               maxiter=100)
+        started = []
+
+        def spy(cfg, cells):
+            started.append(cells[0][1:3])
+            return run_group(cfg, cells)
+
+        run_group = bench._run_group
+        monkeypatch.setattr(bench, "_run_group", spy)
+        rows = run_experiment(cfg)
+        # grid^2 (p+1)^2: 2304, 1024, 576, 256
+        assert started == [(2, 16), (1, 16), (2, 8), (1, 8)]
+        assert [(r.lam, r.p, r.n, r.method) for r in rows] == list(cfg.cells())
+        assert all(r.converged and not r.note for r in rows)
+
+
 class TestL2Calls:
     # at lambda = 1e6 the second map application overflows exp: a diverged row
     CFG = ExperimentConfig(problem="bratu1d", lambdas=[7.0, 1e6], degrees=[3], grids=[32],

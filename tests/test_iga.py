@@ -1,4 +1,5 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,6 +368,36 @@ class TestSeedIdiomOracles:
         assemble = data.draw(st.sampled_from([assemble_stiffness, assemble_mass]))
         assert (csr_fingerprint(assemble(space))
                 == csr_fingerprint(_seed_assembly(assemble, space, chunk)))
+
+    @pytest.mark.parametrize("dims, chunk", [(2, 2_000_000), (2, 5000), (2, 1), (1, 1)],
+                             ids=["2d-one-chunk", "2d-chunk-5000", "2d-chunk-1", "1d"])
+    def test_signed_zeros_and_cancellations_match_chunked_oracle(self, monkeypatch, dims, chunk):
+        # element matrices of +-0.0 and dyadic values whose sums cancel to
+        # exactly 0: every term starts from +0.0, a one-chunk matrix keeps
+        # its zeros, and chunk sums drop them
+        monkeypatch.setattr(iga, "CHUNK_TRIPLETS", chunk)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+        rng = np.random.default_rng(dims)
+        space = SplineSpace((make_open_uniform_knots(2, 12), make_open_uniform_knots(3, 5))[:dims])
+        tables = space.tables(0, 1)
+
+        def element_matrices(t):
+            shape = (len(t.first_dof),) + (t.basis.shape[3],) * 2
+            return values[rng.integers(0, len(values), shape)]
+
+        if dims == 2:
+            pairs = [(element_matrices(tables[0]), element_matrices(tables[1])) for _ in range(2)]
+            ref = chunked_assemble_2d(space, tables, pairs, chunk)
+        else:
+            # a 1D space is one chunk: the oracle's y direction is one function
+            pairs = [(element_matrices(tables[0]), iga._ONE)]
+            point = SimpleNamespace(first_dof=np.zeros(1, dtype=np.intp), basis=np.ones((1,) * 4))
+            ref = chunked_assemble_2d(SimpleNamespace(shape=(space.n_dof, 1), n_dof=space.n_dof),
+                                      (tables[0], point), pairs)
+        new = iga._assemble(tables, pairs)
+        assert csr_fingerprint(new) == csr_fingerprint(ref)
+        one_chunk = chunk == 2_000_000 or dims == 1
+        assert np.any(new.data == 0.0) == one_chunk
 
     @settings(deadline=None, max_examples=60)
     @given(kvs=st.lists(open_knot_vectors(extra_multiplicity=1), min_size=1, max_size=2),
