@@ -240,9 +240,12 @@ def _element_matrices_1d(table: ElementTable, du: int, dv: int) -> np.ndarray:
 def _local_pattern(p: int):
     """Per degree: the local indices a, the band entry (row a, offset
     b - a + p, flat) of each (a, b), the offsets -p..p and the column d of
-    the rank of (a, b), p - max(a, b)."""
+    the rank of (a, b), p - max(a, b). Read-only, as every caller shares them."""
     a = np.arange(p + 1)
-    return a, 2 * p * a[:, None] + a + p, np.arange(-p, p + 1), p - np.maximum.outer(a, a)
+    pattern = a, 2 * p * a[:, None] + a + p, np.arange(-p, p + 1), p - np.maximum.outer(a, a)
+    for x in pattern:
+        x.flags.writeable = False
+    return pattern
 
 
 def _runs(first_dof: np.ndarray, p: int, start: int, stop: int, by_length: bool = False):
@@ -267,6 +270,7 @@ def _runs(first_dof: np.ndarray, p: int, start: int, stop: int, by_length: bool 
     cell = ((first - first[0]) * (2 * p + 1))[:, None, None] + local_cell
     cols = np.arange(first[0], first[-1] + p + 1)[:, None] + offsets
     counts = np.bincount(cell.ravel(), minlength=cols.size)
+    # column k: the first element that gives the entries with max(a, b) = p - k
     lo = np.maximum(first_dof.searchsorted(first[:, None] - a), start)
     rank = (np.arange(start, stop)[:, None] - lo)[:, d]
     entry = counts.nonzero()[0]

@@ -38,19 +38,19 @@ OMEGA = 2.0 / 3.0
 # odd early (N=254 stops at N=127, 16129 dof, 2.1 GB) is refused instead.
 MAX_COARSE_DOF = 4096
 # Largest fine space a config may ask for. A 2D p=5 cell peaks at about
-# 4.5 KB of resident memory per added dof (131, 164 and 388 MB at 4761,
+# 4.4 KB of resident memory per added dof (108, 162 and 389 MB at 4761,
 # 17689 and 68121 dof), so 2^18 dof is about 1.2 GB; a grid the parser
 # accepts must not exhaust the machine and take the whole sweep down with it.
 MAX_FINE_DOF = 2**18
 # Memory grows with the stiffness's nonzeros, about dof * (2p+1)^dims, more
-# than with dof: the 388 MB peak above is 47 B per nonzero, so 2^25 nonzeros
+# than with dof: the 389 MB peak above is 48 B per nonzero, so 2^25 nonzeros
 # is about 1.6 GB. This keeps every p <= 5 grid under MAX_FINE_DOF and stops
 # higher degrees earlier: 2D p=14 at N=448 would have 180M nonzeros. A 2D
 # assembly chunk holds at least one x-element, N*(p+1)^4 triplets, and
-# needs about 25 B of temporaries per triplet, so at p=14 and the largest
-# grid this allows (N=185) a chunk is 9M triplets and 0.23 GB. Its rank
-# tables index with intp (int64), which fancy indexing needs anyway; a
-# chunk's (row, column) band has at most MAX_FINE_NNZ cells.
+# needs about 8 B of temporaries per triplet beside the matrix, so at p=14
+# and the largest grid this allows (N=185) a chunk is 9M triplets and about
+# 80 MB. Its run places index with intp (int64), which fancy indexing needs
+# anyway; a chunk's dense (row, offset) band has at most MAX_FINE_NNZ cells.
 MAX_FINE_NNZ = 2**25
 
 
