@@ -463,7 +463,6 @@ class TestDiscretisationReuse:
         assert [untimed(r) for r in parallel] == [untimed(r) for r in serial]
         assert all(r.converged and not r.note for r in serial)
 
-
     def test_largest_groups_start_first_and_rows_keep_declaration_order(self, monkeypatch):
         cfg = ExperimentConfig(problem="bratu1d", lambdas=[1.0], degrees=[1, 2],
                                grids=[8, 16], methods=["picard", "rre(2)"], tol=1e-8,
