@@ -10,7 +10,8 @@ for the recurrence
 with any 0/0 term taken as 0. Only the p+1 functions active on the span
 containing t are computed. One kernel evaluates the table vectorised over
 points: ``tabulate`` passes every Gauss point of every element at once, and
-``eval_basis`` a single point.
+``eval_basis`` a single point. Each Gauss-Legendre rule is computed once per
+point count and shared, read-only, by every later ``tabulate``.
 
 Knot insertion builds the two-scale matrix in one left-to-right pass over
 the sorted values (Boehm, CAD 12(4), 1980; Piegl & Tiller, The NURBS Book,
@@ -23,6 +24,7 @@ kept, not sorted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +139,7 @@ def find_span(kv: KnotVector, t: float) -> int:
     The right domain endpoint belongs to the last span.
     """
     a, b = kv.domain
-    if t < a or t > b:
+    if not a <= t <= b:  # NaN fails both comparisons
         raise OutOfDomain(f"t={t} outside [{a}, {b}]")
     if t >= b:
         return kv.n_basis - 1
@@ -228,11 +230,19 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
     return np.clip((csum[p + 1: p + 1 + kv.n_basis] - csum[1: 1 + kv.n_basis]) / p, *kv.domain)
 
 
+@functools.cache
 def _legendre_nodes(n_points: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Gauss-Legendre nodes and weights on [-1, 1], as read-only arrays.
+
+    ``leggauss`` solves an eigenproblem on every call; the cache keeps one
+    rule per valid point count (a refused count raises and is not kept).
+    """
     if not 1 <= n_points <= MAX_GAUSS_POINTS:
         raise UnsupportedOrder(f"n_points={n_points} outside 1..{MAX_GAUSS_POINTS}")
-    return np.polynomial.legendre.leggauss(n_points)
+    rule = np.polynomial.legendre.leggauss(n_points)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def insert_knots(kv: KnotVector, values) -> sp.csr_matrix:

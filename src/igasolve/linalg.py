@@ -7,6 +7,14 @@ of the older ones without refactoring them. Triangular solves refuse a
 rank-deficient factor, and :class:`DenseLU` keeps the factorisation of a
 multigrid hierarchy's coarsest-grid matrix for repeated solves.
 
+:class:`DenseLU` calls LAPACK's ``getrf`` and ``getrs`` directly. These are
+the routines ``scipy.linalg.lu_factor`` and ``lu_solve`` call, used here
+without those wrappers' per-call checks: the factors and solutions are
+theirs byte for byte, and a solve on a coarsest grid of a few dozen
+unknowns costs about the LAPACK call alone. The triangular solves keep
+``scipy.linalg.solve_triangular``, whose bytes LAPACK's ``trtrs`` does not
+give from n = 5 on, and the extrapolation's results are pinned to them.
+
 Importing the module runs numpy's and scipy's BLAS on one thread
 (:func:`pin_blas_to_one_thread`), so every result is the same bytes on
 any host and under any ``OPENBLAS_NUM_THREADS``.
@@ -16,11 +24,11 @@ from __future__ import annotations
 
 import ctypes
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 # The thread-count setter of the OpenBLAS that numpy's and scipy's wheels
 # bundle in <package>.libs: numpy's is the 64-bit-integer build.
@@ -146,15 +154,24 @@ def solve_normal_equations(R, rhs) -> np.ndarray:
 
 
 class DenseLU:
-    """Cached LU factorization for repeated coarsest-grid solves."""
+    """Cached LU factorization for repeated coarsest-grid solves.
+
+    Factors with LAPACK's ``getrf`` and solves with ``getrs``, called
+    directly: the routines ``scipy.linalg.lu_factor`` and ``lu_solve`` call,
+    without those wrappers' per-call checks. The factor and pivots are
+    read-only. A non-finite factor or a zero pivot raises
+    :class:`SingularMatrix`, and so does a non-finite solution of a finite
+    right-hand side.
+    """
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        if A.size:
+            lu, piv, _ = dgetrf(A)  # its info > 0 is a zero pivot, checked below
+        else:  # getrf rejects n = 0 and says so on stderr
+            lu, piv = np.empty_like(A), np.arange(0, dtype=np.int32)
         diag = np.abs(np.diag(lu))
         if not np.all(np.isfinite(lu)) or diag.min(initial=np.inf) <= 0.0:
             raise SingularMatrix("matrix is numerically singular")
@@ -165,8 +182,12 @@ class DenseLU:
 
     def solve(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        x = scipy.linalg.lu_solve(self._lu, b, check_finite=False)
+        if not self.shape[0]:  # getrs rejects n = 0
+            if b.shape[0]:
+                raise ValueError(f"b has {b.shape[0]} rows, the matrix none")
+            return np.empty_like(b)
+        x = dgetrs(*self._lu, b)[0]
         # only a finite right-hand side shows the matrix at fault
-        if not np.all(np.isfinite(x)) and np.all(np.isfinite(b)):
+        if not np.isfinite(x).all() and np.isfinite(b).all():
             raise SingularMatrix("solve produced non-finite entries")
         return x

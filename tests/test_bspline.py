@@ -10,6 +10,7 @@ from igasolve.bspline import (
     KnotVector,
     OutOfDomain,
     UnsupportedOrder,
+    _legendre_nodes,
     eval_basis,
     find_span,
     greville_abscissae,
@@ -119,6 +120,11 @@ class TestEvalBasis:
             eval_basis(kv, 1.0 + 1e-9)
         with pytest.raises(OutOfDomain):
             find_span(kv, -0.1)
+        # NaN compares false both ways: it used to give span 8 of 6 functions
+        with pytest.raises(OutOfDomain):
+            find_span(kv, np.nan)
+        with pytest.raises(OutOfDomain):
+            eval_basis(kv, np.nan)
 
     def test_max_deriv_capped_at_p(self):
         kv = make_open_uniform_knots(2, 4)
@@ -203,6 +209,18 @@ class TestGauss:
             span_rule(0, 0.0, 1.0)
         with pytest.raises(UnsupportedOrder):
             span_rule(17, 0.0, 1.0)
+        for _ in range(2):  # a refused count is refused again, not cached
+            for n in (0, MAX_GAUSS_POINTS + 1):
+                with pytest.raises(UnsupportedOrder):
+                    _legendre_nodes(n)
+
+    def test_cached_rules_are_leggauss_bytes_and_read_only(self):
+        for n in range(1, MAX_GAUSS_POINTS + 1):
+            rule = _legendre_nodes(n)
+            assert _legendre_nodes(n) is rule
+            for mine, theirs in zip(rule, np.polynomial.legendre.leggauss(n)):
+                assert mine.tobytes() == theirs.tobytes()
+                assert not mine.flags.writeable
 
 
 def bisect(kv):

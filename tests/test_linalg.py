@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igasolve import linalg
+from igasolve.iga import make_space
 from igasolve.linalg import (
     DenseLU,
     RankDeficient,
@@ -20,6 +22,7 @@ from igasolve.linalg import (
     solve_normal_equations,
     solve_upper_triangular,
 )
+from igasolve.multigrid import build_hierarchy
 
 from oracles import (
     coo_to_csr,
@@ -199,6 +202,77 @@ class TestDenseLU:
         for _ in range(3):
             b = rng.standard_normal(10)
             assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@st.composite
+def lu_systems(draw):
+    """A square matrix, random or graded over 16 orders by rows and columns
+    (so partial pivoting reorders it), and right-hand sides with +0.0 and
+    -0.0 entries, among them an all-zero column."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        A *= 10.0 ** rng.uniform(-8, 8, (n, 1)) * 10.0 ** rng.uniform(-8, 8, n)
+    B = rng.standard_normal((n, 4))
+    B[rng.random((n, 4)) < 0.3] = 0.0
+    B[rng.random((n, 4)) < 0.3] = -0.0
+    B[:, 3] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return A, B
+
+
+class TestDenseLUBytes:
+    """DenseLU calls LAPACK getrf/getrs itself; its factor, pivots and
+    solutions must be scipy's lu_factor/lu_solve bytes."""
+
+    @staticmethod
+    def assert_scipy_bytes(A, B):
+        lu = DenseLU(A)
+        ref = scipy.linalg.lu_factor(A, check_finite=False)
+        for mine, theirs in zip(lu._lu, ref):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        for b in B.T:
+            x = lu.solve(b)
+            assert x.tobytes() == scipy.linalg.lu_solve(ref, b, check_finite=False).tobytes()
+
+    @settings(deadline=None)
+    @given(system=lu_systems())
+    def test_equals_scipy_lu_by_bytes(self, system):
+        self.assert_scipy_bytes(*system)
+
+    def test_coarsest_matrix_of_a_2d_p5_hierarchy(self):
+        # the Galerkin matrix of N=32 under N=64: the largest coarsest grid
+        # MAX_COARSE_DOF allows below a p=5 N=64 fine grid (N=64 has 4489 dof)
+        A = build_hierarchy(make_space(5, 64, dims=2), 35).levels[0].A.toarray()
+        assert A.shape == (1225, 1225)
+        B = np.random.default_rng(4).standard_normal((1225, 3))
+        B[::7, 1] = -0.0
+        B[:, 2] = 0.0
+        self.assert_scipy_bytes(A, B)
+
+    def test_empty_and_one_by_one(self, capfd):
+        lu = DenseLU(np.zeros((0, 0)))
+        x = lu.solve(np.zeros(0))
+        assert x.shape == (0,) and x.dtype == float
+        with pytest.raises(ValueError):
+            lu.solve(np.ones(2))
+        self.assert_scipy_bytes(np.array([[3.0]]), np.array([[2.0, 0.0, -0.0]]))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("A", [np.zeros((1, 1)), np.ones((3, 3)), np.full((4, 4), np.nan),
+                                   np.diag([1.0, np.inf])],
+                             ids=["zero", "ones", "nan", "inf"])
+    def test_singular_or_non_finite_matrix_rejected_quietly(self, A, capfd):
+        with pytest.raises(SingularMatrix):
+            DenseLU(A)
+        assert capfd.readouterr() == ("", "")
+
+    def test_factors_read_only(self):
+        lu = DenseLU(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        for factor in lu._lu:
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0] = 0
 
 
 class TestSparse:
