@@ -247,7 +247,7 @@ def _legendre_nodes(n_points: int):
 
 def insert_knots(kv: KnotVector, values) -> sp.csr_matrix:
     """Two-scale matrix of inserting the given knot values (strictly inside
-    the domain) one by one, in ascending order.
+    the domain, no knot more than p+1 times) one by one, in ascending order.
 
     The matrix has shape (fine n_basis, coarse n_basis); a coarse spline with
     coefficients c is reproduced exactly on the refined knot vector by P @ c.
@@ -276,12 +276,17 @@ def insert_knots(kv: KnotVector, values) -> sp.csr_matrix:
         raise OutOfDomain("inserted knots must lie strictly inside the domain")
     p, n_coarse, n_new = kv.p, kv.n_basis, values.size
     U = kv.knots
+    merged = np.sort(np.concatenate([U, values]))
+    over = merged[p + 1:] == merged[:-p - 1]  # a value p+2 times
+    if over.any():
+        raise ValueError(f"knot {merged[over.argmax()]} would repeat more than "
+                         f"p+1 = {p + 1} times")
     done = np.arange(n_new)  # knots inserted before each value
     spans = np.searchsorted(U, values, side="right") - 1 + done
     # Rows k-p+1..k change. The knot vector before insertion t is the merged
     # one up to the span k, and the coarse one shifted by t after it.
     changed = spans[:, None] + np.arange(1 - p, 1)
-    left = np.sort(np.concatenate([U, values]))[changed]
+    left = merged[changed]
     alphas = (values[:, None] - left) / (U[changed + p - done[:, None]] - left)
     betas = (1.0 - alphas).tolist()
     alphas = alphas.tolist()

@@ -31,13 +31,12 @@ chunk's element triplets, the chunks summed with csr + csr, so every
 assembled matrix and load vector stays bit-for-bit the same.
 
 The 2D grid values ``eqa,efab,frb->eqfr`` and element loads
-``eqfr,eqa,frb->efab`` replay ``np.einsum(..., optimize=True)``
-(:class:`LoadPlan`). The contraction list that
-``np.einsum_path(..., einsum_call=True)`` returns is kept once per space and
-Gauss grid, and each pair of it runs through ``bmm_einsum``, the function
-``np.einsum`` calls for it, so every field and load has the einsum's bytes.
-``bmm_einsum`` is a numpy internal (``numpy._core.einsumfunc`` from numpy
-2.4, the oldest the package supports).
+``eqfr,eqa,frb->efab`` are ``np.einsum(..., optimize=True)`` calls: numpy
+picks the contraction order from the operand shapes and runs each pair as a
+batched matmul, so a field comes back in the memory layout of its last
+product. :func:`field_on_grid` evaluates a load's source in that layout
+(:func:`_field_axes`). The 1D ones are plain ``np.einsum`` calls, whose
+bytes the optimized path would change.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from numpy._core.einsumfunc import bmm_einsum
 
 from . import bspline
 from .bspline import ElementTable, KnotVector, greville_abscissae, tabulate
@@ -88,7 +86,6 @@ class SplineSpace:
             raise ValueError("only 1D and 2D spaces are supported")
         self.kvs = kvs
         self._table_cache: dict = {}
-        self._plan_cache: dict = {}
 
     @property
     def dims(self) -> int:
@@ -107,29 +104,29 @@ class SplineSpace:
         return tuple(kv.p for kv in self.kvs)
 
     def tables(self, extra: int = 0, max_deriv: int = 1) -> tuple[ElementTable, ...]:
-        """Per-direction quadrature tables with p+1+extra Gauss points per span."""
+        """Per-direction quadrature tables with p+1+extra Gauss points per span,
+        read-only, as every solve on the space shares them."""
         key = (extra, max_deriv)
         if key not in self._table_cache:
-            self._table_cache[key] = tuple(
-                tabulate(kv, kv.p + 1 + extra, max_deriv) for kv in self.kvs
-            )
+            tables = tuple(tabulate(kv, kv.p + 1 + extra, max_deriv) for kv in self.kvs)
+            for t in tables:
+                for x in (t.points, t.weights, t.basis, t.first_dof):
+                    x.setflags(write=False)
+            self._table_cache[key] = tables
         return self._table_cache[key]
 
     @cached_property
     def element_dofs(self) -> np.ndarray:
         """Flat dof of every element's local functions, (n_el, p+1) in 1D and
-        (n_ex, n_ey, px+1, py+1) in 2D: the per-direction maps' tensor product."""
+        (n_ex, n_ey, px+1, py+1) in 2D: the per-direction maps' tensor product.
+
+        Shared like the tables but left writable: ``np.bincount`` copies a
+        read-only index array on every call (4.5 MiB per load at p=5 N=128).
+        """
         ix, *iy = [(kv.element_spans - kv.p)[:, None] + np.arange(kv.p + 1) for kv in self.kvs]
         if not iy:
             return ix
         return ix[:, None, :, None] * self.shape[1] + iy[0][None, :, None, :]
-
-    def load_plan(self, tables) -> "LoadPlan":
-        """The 2D space's :class:`LoadPlan` on the Gauss grid of ``tables``."""
-        key = tuple(t.points.shape[1] for t in tables)
-        if key not in self._plan_cache:
-            self._plan_cache[key] = LoadPlan(self, tables)
-        return self._plan_cache[key]
 
     def __repr__(self):
         return f"SplineSpace(p={self.degrees}, n_el={tuple(kv.n_elements for kv in self.kvs)})"
@@ -141,54 +138,16 @@ def make_space(p, n_elements, dims: int = 1) -> SplineSpace:
     return SplineSpace((kv,) * dims)
 
 
-def _einsum_steps(subscripts: str, shapes) -> list:
-    """The contraction list ``np.einsum(subscripts, ..., optimize=True)``
-    runs on operands of ``shapes``: per step, the operand positions it pops
-    and its two-term equation."""
-    _, path = np.einsum_path(subscripts, *[np.broadcast_to(0.0, s) for s in shapes],
-                             optimize=True, einsum_call=True)
-    return [(inds, eq) for inds, eq, _ in path]
+_GATHER = "eqa,efab,frb->eqfr"
 
 
-def _contract(steps, operands) -> np.ndarray:
-    """Run the :func:`_einsum_steps` of an einsum on its operands, each pair
-    through ``bmm_einsum`` as ``np.einsum`` runs it."""
-    ops = list(operands)
-    for inds, eq in steps:
-        ops.append(bmm_einsum(eq, *[ops.pop(i) for i in inds]))
-    return ops[0]
-
-
-class LoadPlan:
-    """The 2D grid values and element loads of one space on one Gauss grid,
-    as the ``np.einsum`` replay of the module docstring. ``field_axes``
-    lists the grid axes (ex, qx, ey, qy) of the fields from outermost to
-    innermost in memory.
-    """
-
-    def __init__(self, space: SplineSpace, tables):
-        tx, ty = tables
-        bx, by = tx.basis.shape[1:], ty.basis.shape[1:]
-        self._dofs = space.element_dofs
-        self._gather = _einsum_steps("eqa,efab,frb->eqfr", (bx, self._dofs.shape, by))
-        self._scatter = _einsum_steps("eqfr,eqa,frb->efab", (bx[:2] + by[:2], bx, by))
-        (probe,) = self.grid_values(np.zeros(space.n_dof), tables, [(0, 0)])
-        self.field_axes = tuple(int(k) for k in np.argsort(probe.strides)[::-1])
-        self._wx, self._wy = _on_grid([tx.weights, ty.weights])
-
-    def grid_values(self, coeffs: np.ndarray, tables, dorders) -> list[np.ndarray]:
-        blocks = coeffs[self._dofs]
-        tx, ty = tables
-        return [_contract(self._gather, (tx.basis[dx], blocks, ty.basis[dy]))
-                for dx, dy in dorders]
-
-    def element_loads(self, tables, integrand: np.ndarray) -> np.ndarray:
-        """Per-element loads (n_ex, n_ey, px+1, py+1) of the integrand."""
-        # C-ordered, the layout in which the first matmul takes it without a copy
-        weighted = np.multiply(integrand, self._wx, order="C")
-        weighted *= self._wy
-        tx, ty = tables
-        return _contract(self._scatter, (weighted, tx.basis[0], ty.basis[0]))
+@cache
+def _field_axes(bx: tuple, blocks: tuple, by: tuple) -> tuple[int, ...]:
+    """The grid axes (ex, qx, ey, qy) of a 2D field from outermost to
+    innermost in memory, for gather operands of these shapes: the layout
+    ``np.einsum`` leaves its last product in, read off one probe."""
+    probe = np.einsum(_GATHER, np.zeros(bx), np.zeros(blocks), np.zeros(by), optimize=True)
+    return tuple(int(k) for k in np.argsort(probe.strides)[::-1])
 
 
 def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, *dorders) -> list[np.ndarray]:
@@ -197,13 +156,15 @@ def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, *dorders) -> li
     Each of ``dorders`` is one tuple of per-direction derivative orders; one
     array per tuple comes back, of shape (n_el, nq) in 1D and
     (n_ex, nqx, n_ey, nqy) in 2D, from one gather of the coefficients over
-    ``space.element_dofs``. A 2D field is laid out as its :class:`LoadPlan`
+    ``space.element_dofs``. A 2D field is laid out as :func:`_field_axes`
     says.
     """
-    if space.dims == 2:
-        return space.load_plan(tables).grid_values(coeffs, tables, dorders)
-    (t,) = tables
     blocks = coeffs[space.element_dofs]
+    if space.dims == 2:
+        tx, ty = tables
+        return [np.einsum(_GATHER, tx.basis[dx], blocks, ty.basis[dy], optimize=True)
+                for dx, dy in dorders]
+    (t,) = tables
     return [np.einsum("eqa,ea->eq", t.basis[dx], blocks) for (dx,) in dorders]
 
 
@@ -227,7 +188,12 @@ def _scatter_load(space: SplineSpace, tables, integrand: np.ndarray) -> np.ndarr
         (t,) = tables
         loc = np.einsum("eq,eq,eqa->ea", integrand, t.weights, t.basis[0])
     else:
-        loc = space.load_plan(tables).element_loads(tables, integrand)
+        tx, ty = tables
+        wx, wy = _on_grid([tx.weights, ty.weights])
+        # C-ordered, the layout in which the first matmul takes it without a copy
+        weighted = np.multiply(integrand, wx, order="C")
+        weighted *= wy
+        loc = np.einsum("eqfr,eqa,frb->efab", weighted, tx.basis[0], ty.basis[0], optimize=True)
     return np.bincount(space.element_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dof)
 
 
@@ -308,9 +274,13 @@ def _y_runs(first_dof: np.ndarray, p: int):
     return present, present.sum(1), cols, place, groups
 
 
-# The y direction of a 1D space: one element of degree 0.
+# The y direction of a 1D space: one element of degree 0. Read-only, as
+# every 1D assembly shares them.
 _POINT = _y_runs(np.zeros(1, dtype=np.intp), 0)
 _ONE = np.ones((1, 1, 1))
+for _x in (*_POINT[:4], *_POINT[4][0][1:3], _ONE):
+    _x.setflags(write=False)
+del _x
 
 
 def _assemble(tables, pairs) -> sp.csr_matrix:
@@ -417,8 +387,11 @@ def field_on_grid(space: SplineSpace, func):
     """``func`` on the ``space.tables()`` quadrature grid of the loads, laid
     out in memory like the fields they evaluate there (a load's source)."""
     tables = space.tables()
-    return _call_on_grid(func, tables, space.load_plan(tables).field_axes
-                         if space.dims == 2 else None)
+    axes = None
+    if space.dims == 2:
+        tx, ty = tables
+        axes = _field_axes(tx.basis.shape[1:], space.element_dofs.shape, ty.basis.shape[1:])
+    return _call_on_grid(func, tables, axes)
 
 
 def bratu_load(space: SplineSpace, f_vals, lam: float, coeffs: np.ndarray) -> np.ndarray:

@@ -278,6 +278,14 @@ class TestRefinement:
         with pytest.raises(OutOfDomain):
             insert_knots(make_open_uniform_knots(2, 4), values)
 
+    @pytest.mark.parametrize("values, knot", [([0.3] * 4, 0.3), ([0.5] * 3, 0.5)])
+    def test_insert_knots_above_multiplicity_p_plus_1_rejected(self, values, knot):
+        kv = make_open_uniform_knots(2, 4)
+        with pytest.raises(ValueError, match=f"knot {knot} would repeat more than p\\+1 = 3"):
+            insert_knots(kv, values)
+        # one copy fewer leaves the knot p+1 times, as hierarchy levels may have it
+        assert insert_knots(kv, values[1:]).shape == (kv.n_basis + len(values) - 1, kv.n_basis)
+
     @settings(max_examples=300, deadline=None)
     @given(kv=open_knot_vectors(), data=st.data())
     def test_insert_knots_bitwise_equals_sequential_products(self, kv, data):
@@ -288,6 +296,10 @@ class TestRefinement:
         existing = kv.breakpoints[1:-1].tolist()
         pool = st.one_of(fresh, st.sampled_from(existing)) if existing else fresh
         values = data.draw(st.lists(pool, max_size=12))
+        if np.unique(np.concatenate([kv.knots, values]), return_counts=True)[1].max() > kv.p + 1:
+            with pytest.raises(ValueError, match="more than p\\+1"):
+                insert_knots(kv, values)
+            return
         assert (csr_fingerprint(insert_knots(kv, values))
                 == csr_fingerprint(seed_insert_knots(kv, values)))
 

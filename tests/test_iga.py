@@ -102,9 +102,15 @@ class TestKroneckerOracle:
         assert abs(assemble_mass(SplineSpace((kv, kv))) - sp.kron(M1, M1)).max() <= 1e-13
 
 
+def field_axes(space, tables):
+    """The memory order of the 2D fields on the Gauss grid of ``tables``."""
+    tx, ty = tables
+    return iga._field_axes(tx.basis.shape[1:], space.element_dofs.shape, ty.basis.shape[1:])
+
+
 def in_field_layout(space, tables, values):
     """A copy of grid values laid out in memory like the fields there."""
-    axes = space.load_plan(tables).field_axes
+    axes = field_axes(space, tables)
     return np.ascontiguousarray(values.transpose(axes)).transpose(np.argsort(axes))
 
 
@@ -439,17 +445,20 @@ class TestSeedIdiomOracles:
     def test_planner_orders_match_einsum_oracles(self, px, py, nx, ny, extra, first):
         space = SplineSpace((make_open_uniform_knots(px, nx), make_open_uniform_knots(py, ny)))
         tables = space.tables(extra, 1)
-        plan = space.load_plan(tables)
-        # operand 2 of both einsums is By
-        assert tuple("y" if 2 in steps[0][0] else "x"
-                     for steps in (plan._gather, plan._scatter)) == first
+        tx, ty = tables
+        # the first pair numpy's path contracts; operand 2 of both einsums is By
+        gather = (tx.basis[0], np.zeros(space.element_dofs.shape), ty.basis[0])
+        scatter = (np.zeros(tx.points.shape + ty.points.shape), tx.basis[0], ty.basis[0])
+        paths = [np.einsum_path(eq, *ops, optimize=True)[0]
+                 for eq, ops in (("eqa,efab,frb->eqfr", gather), ("eqfr,eqa,frb->efab", scatter))]
+        assert tuple("y" if 2 in path[1] else "x" for path in paths) == first
         rng = np.random.default_rng(px * 10 + py)
         coeffs = rng.standard_normal(space.n_dof)
         for dorders in [(0, 0), (1, 0), (0, 1), (1, 1)]:
             (new,) = iga._grid_values(space, coeffs, tables, dorders)
             old = fancy_grid_values(space, coeffs, tables, dorders)
             assert new.strides == old.strides and new.tobytes() == old.tobytes()
-            assert new.transpose(plan.field_axes).flags.c_contiguous
+            assert new.transpose(field_axes(space, tables)).flags.c_contiguous
         shape = tables[0].points.shape + tables[1].points.shape
         integrand = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
         integrand[rng.random(shape) < 0.2] = -0.0
@@ -481,3 +490,49 @@ class TestSeedIdiomOracles:
         ref = add_at_scatter_load(space, tables, -g_vals)
         new = monge_ampere_load(space, iga.field_on_grid(space, f), coeffs)
         assert new.tobytes() == ref.tobytes()
+
+
+class TestFieldOnGrid:
+    @settings(deadline=None, max_examples=40)
+    @given(kvs=st.sampled_from([0, 1]).flatmap(
+               lambda extra: st.lists(open_knot_vectors(extra), min_size=2, max_size=2)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_source_has_call_on_grid_bytes_in_the_field_layout(self, kvs, seed):
+        def f(x, y):
+            return np.sin(3.0 * x) * y + x**2
+
+        iga._field_axes.cache_clear()
+        space = SplineSpace(tuple(kvs))
+        tables = space.tables()
+        new = iga.field_on_grid(space, f)
+        ref = iga._call_on_grid(f, tables)
+        assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+        axes = field_axes(space, tables)
+        coeffs = np.random.default_rng(seed).standard_normal(space.n_dof)
+        for field in iga._grid_values(space, coeffs, tables, (0, 0), (1, 0), (0, 1)):
+            assert field.transpose(axes).flags.c_contiguous
+        assert new.transpose(axes).flags.c_contiguous
+        # a second space of the same shape reuses the layout
+        iga.field_on_grid(SplineSpace(tuple(kvs)), f)
+        assert iga._field_axes.cache_info().misses == 1
+
+
+class TestSharedArraysReadOnly:
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_tables_refuse_writes(self, dims):
+        # one space serves every cell of a sweep that shares its key
+        space = make_space(2, 4, dims=dims)
+        arrays = []
+        for extra, max_deriv in [(0, 1), (0, 2), (1, 1)]:
+            for t in space.tables(extra, max_deriv):
+                arrays += [t.points, t.weights, t.basis, t.first_dof]
+        for x in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = 1.0
+
+    def test_module_arrays_of_1d_assembly_refuse_writes(self):
+        y_present, y_count, cols_y, place_y, groups = iga._POINT
+        (_, y_row, y_offset, _, _), = groups
+        for x in (y_present, y_count, cols_y, place_y, y_row, y_offset, iga._ONE):
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = 0
