@@ -34,7 +34,9 @@ The 2D grid values ``eqa,efab,frb->eqfr`` and element loads
 ``eqfr,eqa,frb->efab`` are ``np.einsum(..., optimize=True)`` calls: numpy
 picks the contraction order from the operand shapes and runs each pair as a
 batched matmul, so a field comes back in the memory layout of its last
-product. :func:`field_on_grid` evaluates a load's source in that layout
+product. The order numpy's greedy search picks is cached per operand shapes
+and passed as an explicit path (:func:`_einsum`), which runs the same
+contractions. :func:`field_on_grid` evaluates a load's source in that layout
 (:func:`_field_axes`). The 1D ones are plain ``np.einsum`` calls, whose
 bytes the optimized path would change.
 """
@@ -97,7 +99,7 @@ class SplineSpace:
 
     @property
     def n_dof(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -142,11 +144,28 @@ _GATHER = "eqa,efab,frb->eqfr"
 
 
 @cache
+def _einsum_path(subscripts: str, *shapes: tuple) -> tuple:
+    """The contraction path that ``np.einsum(..., optimize=True)`` searches
+    for, greedily, on every call, found once per operand shapes. Zero-strided
+    operands stand in for the real ones: the search reads only shapes."""
+    operands = [np.broadcast_to(0.0, s) for s in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)`` on the cached path:
+    the same contractions in the same order, so the same bytes and layout.
+    numpy takes an explicit path as a list; the cache keeps a tuple."""
+    path = _einsum_path(subscripts, *(x.shape for x in operands))
+    return np.einsum(subscripts, *operands, optimize=list(path))
+
+
+@cache
 def _field_axes(bx: tuple, blocks: tuple, by: tuple) -> tuple[int, ...]:
     """The grid axes (ex, qx, ey, qy) of a 2D field from outermost to
     innermost in memory, for gather operands of these shapes: the layout
-    ``np.einsum`` leaves its last product in, read off one probe."""
-    probe = np.einsum(_GATHER, np.zeros(bx), np.zeros(blocks), np.zeros(by), optimize=True)
+    the einsum leaves its last product in, read off one probe."""
+    probe = _einsum(_GATHER, np.zeros(bx), np.zeros(blocks), np.zeros(by))
     return tuple(int(k) for k in np.argsort(probe.strides)[::-1])
 
 
@@ -162,8 +181,7 @@ def _grid_values(space: SplineSpace, coeffs: np.ndarray, tables, *dorders) -> li
     blocks = coeffs[space.element_dofs]
     if space.dims == 2:
         tx, ty = tables
-        return [np.einsum(_GATHER, tx.basis[dx], blocks, ty.basis[dy], optimize=True)
-                for dx, dy in dorders]
+        return [_einsum(_GATHER, tx.basis[dx], blocks, ty.basis[dy]) for dx, dy in dorders]
     (t,) = tables
     return [np.einsum("eqa,ea->eq", t.basis[dx], blocks) for (dx,) in dorders]
 
@@ -193,7 +211,7 @@ def _scatter_load(space: SplineSpace, tables, integrand: np.ndarray) -> np.ndarr
         # C-ordered, the layout in which the first matmul takes it without a copy
         weighted = np.multiply(integrand, wx, order="C")
         weighted *= wy
-        loc = np.einsum("eqfr,eqa,frb->efab", weighted, tx.basis[0], ty.basis[0], optimize=True)
+        loc = _einsum("eqfr,eqa,frb->efab", weighted, tx.basis[0], ty.basis[0])
     return np.bincount(space.element_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dof)
 
 

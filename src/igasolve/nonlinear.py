@@ -123,9 +123,11 @@ _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "po
 
 
 def _splu(A):
-    """Sparse LU of ``A``. The factorisation is a cell's memory peak, so free
-    heap is first handed back to the OS; how much of it stays resident
-    otherwise depends on the heap's layout, which changes run to run.
+    """Sparse LU of ``A``. SuperLU factorises a CSC matrix: ``A`` in CSC is
+    factorised as it is, any other format through a CSC copy held beside it.
+    The factorisation is a cell's memory peak, so free heap is first handed
+    back to the OS; how much of it stays resident otherwise depends on the
+    heap's layout, which changes run to run.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
@@ -187,13 +189,21 @@ def build_discretisation(space: SplineSpace, g=None) -> Discretisation:
                              f"times; the Picard map needs multiplicity at most p = {kv.p}")
     interior, x0 = iga.apply_dirichlet(space, g)
     full = iga.assemble_stiffness(space)
-    A = full[interior][:, interior].tocsr()
-    hier = build_hierarchy(space, DIRECT_THRESHOLD, A)
     # the lift: interior columns meet exact zeros in x0
     lift_vec = (full @ x0)[interior]
-    del full  # freed first: the lift's factorisation is the cell's memory peak
-    if np.any(x0):  # the lift's LU is dropped at once
+    # each large array lives only while it is needed: the lift's
+    # factorisation is a Monge-Ampere cell's memory peak
+    A = full[interior]
+    del full
+    A = A[:, interior]
+    if np.any(x0):
+        # one CSC copy, factorised as it is, and no hierarchy yet; the
+        # lift's LU is dropped at once, and the CSR matrix rebuilt from the
+        # CSC one has the same sorted arrays as the slice
+        A = A.tocsc()
         x0[interior] = _splu(A).solve(-lift_vec)
+        A = A.tocsr()
+    hier = build_hierarchy(space, DIRECT_THRESHOLD, A)
     operators = [M for lvl in hier.levels for M in (lvl.A, lvl.P, lvl.R) if M is not None]
     for shared in (interior, lift_vec, x0, *(lvl.inv_diag for lvl in hier.levels),
                    *(a for M in operators for a in (M.data, M.indices, M.indptr))):
@@ -219,7 +229,7 @@ class _PicardContext:
         self.problem = problem
         self.cfg = cfg
         self.disc = disc
-        # a direct solve's LU, the memory peak, before the source and its load plan
+        # a direct solve's LU, the memory peak, before the source values
         self._lu = _splu(disc.hier.fine.A) if cfg.inner == "direct" else None
         self.timers = PhaseTimers()
         self._f_vals = iga.field_on_grid(disc.space, problem.f)

@@ -6,7 +6,8 @@ last helpers are test fixtures the package does not ship: a Gauss rule on
 one span, a point evaluator, the global L2 projection, and the seed's
 COO finalisation (one stable sort) and triplet assembly, knot insertion
 (one sparse product per knot), V-cycle and cycle-to-tolerance loop (which
-form every residual afresh), QR, Anderson loop, MPE and RRE extrapolators
+form every residual afresh), discretisation build (the hierarchy before
+the lift), QR, Anderson loop, MPE and RRE extrapolators
 with their helpers, and restarted MPE/RRE driver, against which the
 package's are compared bit for bit.
 """
@@ -38,7 +39,8 @@ from igasolve.linalg import (
     solve_normal_equations,
     solve_upper_triangular,
 )
-from igasolve.multigrid import OMEGA, CycleReport
+from igasolve.multigrid import OMEGA, CycleReport, build_hierarchy
+from igasolve.nonlinear import DIRECT_THRESHOLD, Discretisation, _splu
 
 
 def naive_bspline(t, k, i, knots):
@@ -423,6 +425,32 @@ def seed_solve_to_tolerance(h, b, x0, tol=1e-8, maxiter=100):
         res = float(np.linalg.norm(b - A @ x))
         n += 1
     return x, CycleReport(r0, res, n_cycles=n, converged=res / denom <= tol)
+
+
+def seed_build_discretisation(space, g=None) -> Discretisation:
+    """The earlier discretisation build, in its order: the hierarchy is built
+    while the full stiffness is held, and the lift factorises the interior
+    CSR matrix through a CSC copy beside the whole hierarchy."""
+    t0 = time.perf_counter()
+    for kv in space.kvs:  # at p+1 the H1 map decouples the knot's two sides
+        values, counts = np.unique(kv.knots[kv.p + 1:-kv.p - 1], return_counts=True)
+        if np.any(counts > kv.p):
+            raise ValueError(f"interior knot {values[counts > kv.p][0]} repeats {kv.p + 1} "
+                             f"times; the Picard map needs multiplicity at most p = {kv.p}")
+    interior, x0 = iga.apply_dirichlet(space, g)
+    full = iga.assemble_stiffness(space)
+    A = full[interior][:, interior].tocsr()
+    hier = build_hierarchy(space, DIRECT_THRESHOLD, A)
+    # the lift: interior columns meet exact zeros in x0
+    lift_vec = (full @ x0)[interior]
+    del full  # freed first: the lift's factorisation is the cell's memory peak
+    if np.any(x0):  # the lift's LU is dropped at once
+        x0[interior] = _splu(A).solve(-lift_vec)
+    operators = [M for lvl in hier.levels for M in (lvl.A, lvl.P, lvl.R) if M is not None]
+    for shared in (interior, lift_vec, x0, *(lvl.inv_diag for lvl in hier.levels),
+                   *(a for M in operators for a in (M.data, M.indices, M.indptr))):
+        shared.setflags(write=False)
+    return Discretisation(space, interior, hier, lift_vec, x0, time.perf_counter() - t0)
 
 
 def gauss_rule(n_points, span=(0.0, 1.0)):

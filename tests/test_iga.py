@@ -492,6 +492,39 @@ class TestSeedIdiomOracles:
         assert new.tobytes() == ref.tobytes()
 
 
+class TestCachedEinsumPath:
+    @settings(deadline=None, max_examples=60)
+    @given(px=st.integers(1, 6), py=st.integers(1, 6), nx=st.integers(1, 40),
+           ny=st.integers(1, 40), extra=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_fields_and_loads_match_a_searched_path(self, px, py, nx, ny, extra, seed):
+        # the path searched for on every call, as np.einsum(optimize=True) does
+        space = SplineSpace((make_open_uniform_knots(px, nx), make_open_uniform_knots(py, ny)))
+        max_deriv = min(px, py)
+        tables = space.tables(extra, max_deriv)
+        tx, ty = tables
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(space.n_dof)
+        blocks = coeffs[space.element_dofs]
+        orders = [(dx, dy) for dx in range(max_deriv + 1) for dy in range(max_deriv + 1)]
+        for dorders, new in zip(orders, iga._grid_values(space, coeffs, tables, *orders)):
+            dx, dy = dorders
+            ref = np.einsum(iga._GATHER, tx.basis[dx], blocks, ty.basis[dy], optimize=True)
+            assert new.strides == ref.strides and new.tobytes() == ref.tobytes()
+        shape = tx.points.shape + ty.points.shape
+        integrand = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        wx, wy = iga._on_grid([tx.weights, ty.weights])
+        for values in (integrand, in_field_layout(space, tables, integrand)):
+            weighted = np.multiply(values, wx, order="C")
+            weighted *= wy
+            ops = (weighted, tx.basis[0], ty.basis[0])
+            loc = np.einsum("eqfr,eqa,frb->efab", *ops, optimize=True)
+            new = iga._einsum("eqfr,eqa,frb->efab", *ops)
+            assert new.strides == loc.strides and new.tobytes() == loc.tobytes()
+            ref = np.bincount(space.element_dofs.ravel(), weights=loc.ravel(),
+                              minlength=space.n_dof)
+            assert iga._scatter_load(space, tables, values).tobytes() == ref.tobytes()
+
+
 class TestFieldOnGrid:
     @settings(deadline=None, max_examples=40)
     @given(kvs=st.sampled_from([0, 1]).flatmap(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -16,13 +18,26 @@ from igasolve.nonlinear import (
     run_outer,
 )
 
-from oracles import l2_projection, plain_fixed_point, seed_dirichlet_split
+from oracles import (
+    l2_projection,
+    plain_fixed_point,
+    seed_build_discretisation,
+    seed_dirichlet_split,
+)
 
 
 def picard_map(prob, u, **cfg):
     """One application of the problem's Picard map to the coefficient vector u."""
     ctx = make_context(prob, OuterConfig(**cfg))
     return ctx.step(u), ctx
+
+
+def doubled_knot_monge_ampere():
+    """Monge-Ampere p=3 N=64 with 0.5 twice in x: the coarse levels keep both copies."""
+    prob = MongeAmpereProblem.manufactured(3, 64)
+    kv = prob.space.kvs[0]
+    prob.space = SplineSpace((KnotVector(3, np.sort(np.append(kv.knots, 0.5))), prob.space.kvs[1]))
+    return prob
 
 
 class TestBratuMap:
@@ -221,6 +236,78 @@ class TestDiscretisation:
             x, hist = run_outer(prob, cfg, disc=disc)
             assert x.tobytes() == x_fresh.tobytes()
             assert repr(hist.records) == repr(fresh.records)
+
+    @pytest.mark.parametrize("make", [
+        lambda: MongeAmpereProblem.manufactured(2, 64),
+        lambda: MongeAmpereProblem.manufactured(3, 64),
+        lambda: MongeAmpereProblem.manufactured(4, 64),
+        lambda: BratuProblem.manufactured_1d(1.0, 3, 128),
+        lambda: BratuProblem.manufactured_2d(1.0, 2, 64),
+        doubled_knot_monge_ampere,
+    ], ids=["ma-p2", "ma-p3", "ma-p4", "bratu-1d", "bratu-2d", "doubled-knot"])
+    def test_build_matches_seed_build_bytes(self, make):
+        prob = make()
+        new = build_discretisation(prob.space, prob.g)
+        old = seed_build_discretisation(prob.space, prob.g)
+        assert new.hier.n_levels == old.hier.n_levels >= 2
+        for a, b in [(new.interior, old.interior), (new.lift_vec, old.lift_vec),
+                     (new.x0, old.x0), *zip(new.hier._coarse_lu._lu, old.hier._coarse_lu._lu)]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for lvl_new, lvl_old in zip(new.hier.levels, old.hier.levels):
+            assert lvl_new.inv_diag.tobytes() == lvl_old.inv_diag.tobytes()
+            for name in ("A", "P", "R"):
+                M, N = getattr(lvl_new, name), getattr(lvl_old, name)
+                assert (M is None) == (N is None)
+                if M is None:
+                    continue
+                assert M.format == N.format == "csr" and M.shape == N.shape
+                for a, b in [(M.data, N.data), (M.indices, N.indices), (M.indptr, N.indptr)]:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("make, lifted", [
+        (lambda: MongeAmpereProblem.manufactured(2, 64), True),
+        (lambda: BratuProblem.manufactured_2d(1.0, 2, 64), False),
+    ], ids=["lift", "homogeneous"])
+    def test_lift_factorises_csc_before_the_hierarchy(self, monkeypatch, make, lifted):
+        events = []
+        splu, build = nonlinear._splu, nonlinear.build_hierarchy
+
+        def splu_spy(A):
+            events.append(("splu", A.format))
+            return splu(A)
+
+        def build_spy(*args):
+            events.append(("hierarchy", args[2].format))
+            return build(*args)
+
+        monkeypatch.setattr(nonlinear, "_splu", splu_spy)
+        monkeypatch.setattr(nonlinear, "build_hierarchy", build_spy)
+        prob = make()
+        build_discretisation(prob.space, prob.g)
+        assert events == [("splu", "csc")] * lifted + [("hierarchy", "csr")]
+
+    def test_lift_factorises_with_one_copy_of_the_interior_matrix_alive(self, monkeypatch):
+        # no full stiffness, no CSR twin of the CSC matrix and no hierarchy
+        # (its dense coarsest LU alone is 9.5 MB here) beside the one copy
+        seen = []
+        splu = nonlinear._splu
+
+        def spy(A):
+            seen.append((tracemalloc.get_traced_memory()[0],
+                         sum(a.nbytes for a in (A.data, A.indices, A.indptr))))
+            return splu(A)
+
+        monkeypatch.setattr(nonlinear, "_splu", spy)
+        prob = MongeAmpereProblem.manufactured(3, 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_discretisation(prob.space, prob.g)
+        finally:
+            tracemalloc.stop()
+        ((traced, matrix),) = seen
+        # beside the matrix: x0, lift_vec, interior and the quadrature tables
+        assert matrix <= traced - base < 1.25 * matrix
 
     def test_mismatched_discretisation_refused(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
