@@ -204,19 +204,21 @@ def parse_config(path) -> ExperimentConfig:
             # counted before the space exists: a huge grid's knots are big too
             dof = (n + p) ** dims
             nnz = dof * (2 * p + 1) ** dims
-            if dof > MAX_FINE_DOF:
-                raise ValueError(f"p = {p}, grid = {n} has {dof} dof, above "
-                                 f"the limit of {MAX_FINE_DOF}")
-            if nnz > MAX_FINE_NNZ:
-                raise ValueError(f"p = {p}, grid = {n} has about {nnz} stiffness nonzeros, "
-                                 f"above the limit of {MAX_FINE_NNZ}")
+            try:
+                if dof > MAX_FINE_DOF:
+                    raise ValueError(f"{dof} dof, above the limit of {MAX_FINE_DOF}")
+                if nnz > MAX_FINE_NNZ:
+                    raise ValueError(f"about {nnz} stiffness nonzeros, above the limit of "
+                                     f"{MAX_FINE_NNZ}")
+                level_spaces(build(cfg.lambdas[0], p, n).space, DIRECT_THRESHOLD)
+            except ValueError as exc:
+                raise ValueError(f"p = {p}, grid = {n}: {exc}") from None
             for method in cfg.methods:
                 window = min(parse_method(method)[1] + 1, dof + 1)
                 if window * dof > MAX_WINDOW_VALUES:
                     raise ValueError(f"method = {kv['method']}: {method} at p = {p}, grid = {n} "
                                      f"keeps up to {window} differences of {dof} values, "
                                      f"above the limit of {MAX_WINDOW_VALUES}")
-            level_spaces(build(cfg.lambdas[0], p, n).space, DIRECT_THRESHOLD)
     return cfg
 
 

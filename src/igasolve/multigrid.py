@@ -148,17 +148,19 @@ def build_hierarchy(fine_space: SplineSpace, direct_threshold: int = 16,
                     A: sp.csr_matrix | None = None) -> GridHierarchy:
     """Build a V-cycle hierarchy on the levels :func:`level_spaces` chooses.
 
-    ``A`` is the fine operator on interior dof, assembled here if not given.
+    ``A`` is the fine CSR operator on interior dof, assembled here if not
+    given. The default threshold serves library calls and acceptance
+    criterion 04; the Picard solver passes ``nonlinear.DIRECT_THRESHOLD``.
     """
     spaces = level_spaces(fine_space, direct_threshold)
     if A is None:
         interior, _ = apply_dirichlet(fine_space)
-        A = iga.assemble_stiffness(fine_space)[interior][:, interior].tocsr()
+        A = iga.assemble_stiffness(fine_space)[interior][:, interior]
     levels = [Level(A=A)]
     for fine, coarse in zip(spaces, spaces[1:]):
         P = _interior_prolongation(coarse, fine)
         R = P.T.tocsr()
-        levels.append(Level(A=(R @ levels[-1].A @ P).tocsr(), P=P, R=R))
+        levels.append(Level(A=R @ levels[-1].A @ P, P=P, R=R))
     return GridHierarchy(levels[::-1])
 
 

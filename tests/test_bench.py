@@ -207,6 +207,19 @@ class TestConfigParsing:
             parse_config(path)
         assert str(ei.value).startswith("method = mpe(100000), aa(100000): mpe(100000) ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("problem = monge_ampere\np = 2, 1\ngrid = 8\n",
+         "p = 1, grid = 8: Monge-Ampere needs spline degree p >= 2"),
+        ("problem = bratu2d\np = 2\ngrid = 16, 254\n",
+         "p = 2, grid = 254: SplineSpace(p=(2, 2), n_el=(254, 254)) coarsens only to "),
+    ], ids=["monge-ampere-p-1", "coarsest-too-large"])
+    def test_cell_object_check_names_its_cell(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as ei:
+            parse_config(path)
+        assert str(ei.value).startswith(message)
+
     def test_largest_maxiter_accepted(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text(f"problem = bratu1d\nmaxiter = {MAX_MAXITER}\n")

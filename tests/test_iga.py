@@ -262,6 +262,28 @@ class TestDirichlet:
         assert np.all(x_boundary[interior] == 0.0)
 
 
+class TestStiffnessLayout:
+    """SuperLU reads the interior stiffness through the transpose view of its
+    CSR matrix. That view is the stiffness's CSC matrix because the
+    stiffness is symmetric to the bit; it must also be canonical, since
+    splu sums a non-canonical matrix's duplicates in place, in arrays the
+    hierarchy is built from."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(kvs=st.lists(open_knot_vectors(), min_size=1, max_size=2))
+    def test_transpose_view_is_the_csc_matrix(self, kvs):
+        space = SplineSpace(tuple(kvs))
+        interior, _ = apply_dirichlet(space)
+        full = assemble_stiffness(space)
+        for A in (full, full[interior][:, interior]):
+            assert A.format == "csr" and A.has_canonical_format
+            view, csc = A.T, A.tocsc()
+            assert view.format == "csc"
+            for a, b in ((view.data, csc.data), (view.indices, csc.indices),
+                         (view.indptr, csc.indptr)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestL2Error:
     def test_self_is_zero(self):
         space = make_space(3, 6)

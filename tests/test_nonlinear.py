@@ -40,6 +40,20 @@ def doubled_knot_monge_ampere():
     return prob
 
 
+@pytest.fixture
+def splu_args(monkeypatch):
+    """The matrices SuperLU is given, in call order."""
+    args = []
+
+    def spy(A, *rest, **kwargs):
+        args.append(A)
+        return splu(A, *rest, **kwargs)
+
+    splu = nonlinear.spla.splu
+    monkeypatch.setattr(nonlinear.spla, "splu", spy)
+    return args
+
+
 class TestBratuMap:
     def test_lambda_zero_is_plain_poisson_solve(self):
         prob = BratuProblem.manufactured_1d(0.0, 2, 16)
@@ -172,41 +186,29 @@ class TestInnerSolve:
         direct.step(x0)
         assert direct._lu is lu
 
-    @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        calls = []
-
-        def spy(A, *args, **kwargs):
-            calls.append(A.shape)
-            return splu(A, *args, **kwargs)
-
-        splu = nonlinear.spla.splu
-        monkeypatch.setattr(nonlinear.spla, "splu", spy)
-        return calls
-
-    def test_multigrid_context_factorises_once_for_the_lift(self, splu_calls):
+    def test_multigrid_context_factorises_once_for_the_lift(self, splu_args):
         ctx = make_context(MongeAmpereProblem.manufactured(2, 8), OuterConfig())
-        assert len(splu_calls) == 1
+        assert len(splu_args) == 1
         x0 = ctx.initial_guess()
         start = x0.tobytes()
         x0[:] = 0.0  # a copy: the caller's iterate is not the context's
         assert ctx.initial_guess().tobytes() == start
-        assert len(splu_calls) == 1
+        assert len(splu_args) == 1
 
     @staticmethod
-    def _check_direct_factorises_once(splu_calls, prob, n_splu):
+    def _check_direct_factorises_once(splu_args, prob, n_splu):
         ctx = make_context(prob, OuterConfig(inner="direct"))
-        assert splu_calls == [ctx.disc.hier.fine.A.shape] * n_splu
+        assert [A.shape for A in splu_args] == [ctx.disc.hier.fine.A.shape] * n_splu
         ctx.step(ctx.step(ctx.initial_guess()))
-        assert len(splu_calls) == n_splu
+        assert len(splu_args) == n_splu
 
-    def test_direct_context_factorises_once(self, splu_calls):
+    def test_direct_context_factorises_once(self, splu_args):
         # the lift's LU, then the context's
-        self._check_direct_factorises_once(splu_calls, MongeAmpereProblem.manufactured(2, 8), 2)
+        self._check_direct_factorises_once(splu_args, MongeAmpereProblem.manufactured(2, 8), 2)
 
-    def test_direct_context_without_a_lift_factorises_once(self, splu_calls):
+    def test_direct_context_without_a_lift_factorises_once(self, splu_args):
         # homogeneous boundary data: no lift to factorise
-        self._check_direct_factorises_once(splu_calls, BratuProblem.manufactured_2d(1.0, 2, 8), 1)
+        self._check_direct_factorises_once(splu_args, BratuProblem.manufactured_2d(1.0, 2, 8), 1)
 
 
 class TestDiscretisation:
@@ -308,6 +310,35 @@ class TestDiscretisation:
         ((traced, matrix),) = seen
         # beside the matrix: x0, lift_vec, interior and the quadrature tables
         assert matrix <= traced - base < 1.25 * matrix
+
+    @pytest.mark.parametrize("make, inner, n_splu", [
+        (lambda: MongeAmpereProblem.manufactured(3, 64), "one_vcycle", 1),
+        (lambda: BratuProblem.manufactured_1d(1.0, 5, 32), "direct", 1),
+        (lambda: MongeAmpereProblem.manufactured(2, 16), "direct", 2),
+    ], ids=["lift", "picard-slu-1d", "picard-slu-lift"])
+    def test_superlu_reads_the_hierarchy_arrays(self, splu_args, make, inner, n_splu):
+        # the stiffness is symmetric to the bit: its CSR arrays are its CSC arrays
+        ctx = make_context(make(), OuterConfig(inner=inner))
+        A = ctx.disc.hier.fine.A
+        assert len(splu_args) == n_splu
+        for arg in splu_args:
+            assert arg.format == "csc" and arg.shape == A.shape
+            for a, b in ((arg.data, A.data), (arg.indices, A.indices), (arg.indptr, A.indptr)):
+                assert np.shares_memory(a, b)
+
+    def test_direct_step_matches_a_solve_on_a_csc_copy(self):
+        # non-homogeneous data, which no golden solves directly
+        prob = MongeAmpereProblem.manufactured(2, 16)
+        ctx = make_context(prob, OuterConfig(inner="direct"))
+        disc = ctx.disc
+        lu = spla.splu(disc.hier.fine.A.tocsc())
+        x = ctx.initial_guess()
+        for _ in range(2):
+            rhs = prob.load(ctx._f_vals, x)[disc.interior] - disc.lift_vec
+            ref = x.copy()
+            ref[disc.interior] = lu.solve(rhs)
+            x = ctx.step(x)
+            assert x.tobytes() == ref.tobytes()
 
     def test_mismatched_discretisation_refused(self):
         prob = BratuProblem.manufactured_1d(1.0, 2, 8)
